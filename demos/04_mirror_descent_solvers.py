@@ -18,8 +18,10 @@ from dpsco.spaces import SpaceSpec
 
 p, d, n = 1.5, 12, 4096
 space = SpaceSpec(p, d)
+# ||w_star||_p = 0.5 puts the minimizer inside the constraint ball C below,
+# so the constrained excess risk is scored against the constrained optimum.
 dist = HeavyTailLinear(
-    0.5 * np.ones(d) / d ** (1.0 / space.q), sphere_exponent=space.q, t_dof=3.0, t_scale=2.0
+    0.5 * np.ones(d) / d ** (1.0 / p), sphere_exponent=space.q, t_dof=3.0, t_scale=2.0
 )
 loss = PseudoHuberLoss(huber_delta=10.0, feature_dual_bound=1.0, norm_p=p)
 C = LpBall(p, 1.0, d)

@@ -26,9 +26,9 @@ from ..mechanisms import (
     gg_sample,
     shuffle_calibrate,
 )
-from ..problems.constraints import L1Ball, L2Ball, LpBall
 from ..problems.risk import gaussian_width_mc
 from ..spaces import lp_norm
+from .components import CONSTRAINTS
 from .config import ExperimentConfig
 from .records import read_records, write_records
 from .runner import run_experiment
@@ -60,14 +60,10 @@ def _cmd_slope(args):
 
 
 def _cmd_width(args):
-    if args.set == "l2":
-        C = L2Ball(args.radius, args.d)
-    elif args.set == "l1":
-        C = L1Ball(args.radius, args.d)
-    else:
-        if args.p is None:
-            raise ConfigError("width --set lp requires --p")
-        C = LpBall(args.p, args.radius, args.d)
+    section = {"set": args.set, "radius": args.radius}
+    if args.p is not None:
+        section["p"] = args.p
+    C = CONSTRAINTS.build(section, {"d": args.d})
     rng = np.random.default_rng(int(os.environ.get("DPSCO_SEED", 0)))
     est, se = gaussian_width_mc(C, args.samples, rng)
     print(f"gaussian width estimate: {est:.6f} (std error {se:.2e}, m={args.samples})")
@@ -125,7 +121,7 @@ def build_parser():
     p_slope.set_defaults(fn=_cmd_slope)
 
     p_width = sub.add_parser("width", help="Monte Carlo Gaussian width")
-    p_width.add_argument("--set", choices=("l1", "l2", "lp"), required=True)
+    p_width.add_argument("--set", choices=tuple(CONSTRAINTS), required=True)
     p_width.add_argument("--p", type=float, default=None)
     p_width.add_argument("--d", type=int, required=True)
     p_width.add_argument("--radius", type=float, default=1.0)

@@ -1,0 +1,161 @@
+"""One table per experiment component: what a config may say, and how to build it.
+
+Each table maps a component name to its builder and the keys it accepts.
+``ExperimentConfig`` validates a document against these tables and the
+runner builds every cell from the same entries, so a key is accepted exactly
+when a builder consumes it.  Builders pass on only the keys a config gives:
+every default lives in the constructor, config class or solver signature
+that consumes it.
+"""
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from ..errors import ConfigError
+from ..euclidean import ObjPConfig
+from ..mirror import MDConfig
+from ..problems.constraints import L1Ball, L2Ball, LpBall
+from ..problems.distributions import BallCloud, HeavyTailLinear, LogisticSphere
+from ..problems.losses import LogisticLoss, MeanPointLoss, PseudoHuberLoss
+from ..spaces import SpaceSpec
+
+__all__ = ["Component", "Distribution", "Algorithm", "Table",
+           "LOSSES", "DISTRIBUTIONS", "CONSTRAINTS", "ALGORITHMS"]
+
+
+@dataclass(frozen=True)
+class Component:
+    """``build(geometry, **params)`` and the parameter keys it accepts."""
+
+    build: Callable
+    keys: tuple = ()
+
+
+@dataclass(frozen=True)
+class Distribution(Component):
+    oracle: bool = False  # closed-form excess risk, so evaluation.policy "oracle" is possible
+
+
+@dataclass(frozen=True)
+class Algorithm(Component):
+    """``build(solve, data, loss, C, geometry, budget, rng, **solver)`` calls the
+    solver ``solve``; ``keys`` are the solver keys it accepts.
+
+    A ``constrained`` algorithm requires a constraint set and the others
+    refuse one.  Geometry p must lie in ``p_range``, open when ``p_open``.
+    """
+
+    constrained: bool = False
+    p_range: tuple = (2.0, 2.0)
+    p_open: bool = False
+
+    def check_p(self, name, p):
+        lo, hi = self.p_range
+        if not (lo < p < hi if self.p_open else lo <= p <= hi):
+            rel = "<" if self.p_open else "<="
+            raise ConfigError(f"{name} needs {lo} {rel} p {rel} {hi}; geometry has p={p}")
+
+
+class Table(dict):
+    """Entries by name; ``tag`` is the key that names the entry in a config section."""
+
+    def __init__(self, kind, entries, tag="name"):
+        super().__init__(entries)
+        self.kind = kind
+        self.tag = tag
+
+    def select(self, name, params):
+        """The entry called ``name``, after refusing every key of ``params`` it does not accept."""
+        if name not in self:
+            raise ConfigError(f"unknown {self.kind} {name!r}; known: {sorted(self)}")
+        unknown = sorted(set(params) - set(self[name].keys))
+        if unknown:
+            raise ConfigError(
+                f"unknown key(s) for {self.kind} {name!r}: {unknown}; accepted: {sorted(self[name].keys)}"
+            )
+        return self[name]
+
+    def parse(self, section):
+        """(entry, params) of a section such as ``{"name": ..., **params}``."""
+        params = {k: v for k, v in section.items() if k != self.tag}
+        return self.select(section.get(self.tag), params), params
+
+    def build(self, section, geometry):
+        entry, params = self.parse(section)
+        return entry.build(geometry, **params)
+
+
+def _diagonal(d, scale):
+    return scale * (np.ones(d) / math.sqrt(d))
+
+
+def _lp_ball(geometry, radius=1.0, p=None):
+    p = geometry.get("p") if p is None else p
+    if p is None:
+        raise ConfigError("an lp constraint needs p")
+    return LpBall(p, radius, geometry["d"])
+
+
+LOSSES = Table("loss", {
+    "logistic": Component(lambda g, **kw: LogisticLoss(norm_p=g["p"], **kw), ("feature_dual_bound",)),
+    "mean_point": Component(lambda g, **kw: MeanPointLoss(**kw), ("domain_radius", "constraint_radius")),
+    "pseudo_huber": Component(
+        lambda g, **kw: PseudoHuberLoss(norm_p=g["p"], **kw), ("huber_delta", "feature_dual_bound")
+    ),
+})
+
+DISTRIBUTIONS = Table("distribution", {
+    "ball_cloud": Distribution(
+        lambda g, mu_scale=0.5, **kw: BallCloud(_diagonal(g["d"], mu_scale), **kw),
+        ("mu_scale", "spread"),
+        oracle=True,
+    ),
+    "logistic_sphere": Distribution(
+        lambda g, w_star_norm=0.8, feature_radius=1.0, **kw: LogisticSphere(
+            _diagonal(g["d"], w_star_norm), radius=feature_radius, **kw),
+        ("w_star_norm", "sphere_exponent", "feature_radius"),
+    ),
+    "heavy_tail_linear": Distribution(
+        lambda g, w_star_norm=0.5, **kw: HeavyTailLinear(_diagonal(g["d"], w_star_norm), **kw),
+        ("w_star_norm", "sphere_exponent", "t_dof", "t_scale"),
+    ),
+})
+
+CONSTRAINTS = Table("constraint set", {
+    "l2": Component(lambda g, radius=1.0: L2Ball(radius, g["d"]), ("radius",)),
+    "l1": Component(lambda g, radius=1.0: L1Ball(radius, g["d"]), ("radius",)),
+    "lp": Component(_lp_ball, ("radius", "p")),
+}, tag="set")
+
+
+def _objective_perturbation(solve, data, loss, C, geometry, budget, rng, **kw):
+    return solve(data, loss, C, ObjPConfig(budget=budget, **kw), rng)
+
+
+def _phased_sgd(solve, data, loss, C, geometry, budget, rng, **kw):
+    return solve(data, loss, budget, rng, **kw)
+
+
+def _mirror_descent(solve, data, loss, C, geometry, budget, rng, **kw):
+    cfg = MDConfig(space=SpaceSpec(geometry["p"], geometry["d"]), **kw)
+    return solve(data, loss, cfg, budget, rng) if C is None else solve(data, loss, C, cfg, budget, rng)
+
+
+_OBJP_KEYS = ("alpha_opt", "lambda_reg", "noise_multiplier", "check_release_distance")
+_SGD_KEYS = ("eta", "noise_multiplier")
+_TRUNCATED_KEYS = ("T", "gamma", "lambda_trunc", "c_t", "c_lambda", "c_noise")
+_SHUFFLED_KEYS = _TRUNCATED_KEYS + ("c_shuffle", "c_eps", "bypass_regime_check")
+_BELOW_TWO = {"p_range": (1.0, 2.0), "p_open": True}
+
+ALGORITHMS = Table("algorithm", {
+    "app_objp": Algorithm(_objective_perturbation, _OBJP_KEYS, constrained=True),
+    "app_objp_sc": Algorithm(_objective_perturbation, _OBJP_KEYS, constrained=True),
+    "phased_dp_sgd": Algorithm(_phased_sgd, _SGD_KEYS),
+    "lipschitz_high_p": Algorithm(_phased_sgd, _SGD_KEYS, p_range=(2.0, math.inf)),
+    "noisy_reg_md": Algorithm(_mirror_descent, ("T", "alpha_reg", "c_t", "c_noise"), **_BELOW_TWO),
+    "shuffled_truncated_md": Algorithm(_mirror_descent, _SHUFFLED_KEYS, constrained=True, **_BELOW_TWO),
+    "batched_truncated_md": Algorithm(_mirror_descent, _TRUNCATED_KEYS, constrained=True, **_BELOW_TWO),
+})

@@ -2,7 +2,9 @@
 
 Unknown keys anywhere in the document are hard errors: a silently ignored
 typo in a schedule constant would corrupt an experiment, so the parser
-refuses instead.
+refuses instead.  Component names, their keys, each algorithm's geometry
+and constraint needs, and whether a distribution allows oracle evaluation
+come from the tables in ``components``, which the runner builds from too.
 """
 
 import json
@@ -10,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import ConfigError
+from .components import ALGORITHMS, CONSTRAINTS, DISTRIBUTIONS, LOSSES
 
 _TOP_KEYS = {
     "algorithm",
@@ -26,39 +29,7 @@ _TOP_KEYS = {
     "solver",
     "parallelism",
 }
-_GEOMETRY_KEYS = {"p", "d"}
 _EVAL_KEYS = {"policy", "m_eval"}
-_CONSTRAINT_KEYS = {"set", "radius", "p"}
-_SOLVER_KEYS = {
-    "alpha_opt",
-    "lambda_reg",
-    "eta",
-    "T",
-    "alpha_reg",
-    "gamma",
-    "lambda_trunc",
-    "c_t",
-    "c_lambda",
-    "c_noise",
-    "c_shuffle",
-    "c_eps",
-    "bypass_regime_check",
-    "noise_multiplier",
-    "check_release_distance",
-}
-
-ALGORITHMS = (
-    "app_objp",
-    "app_objp_sc",
-    "phased_dp_sgd",
-    "noisy_reg_md",
-    "shuffled_truncated_md",
-    "batched_truncated_md",
-    "lipschitz_high_p",
-)
-LOSSES = ("logistic", "mean_point", "pseudo_huber")
-DISTRIBUTIONS = ("ball_cloud", "logistic_sphere", "heavy_tail_linear")
-CONSTRAINT_SETS = ("l1", "l2", "lp")
 
 
 def _check_keys(mapping, allowed, where):
@@ -84,15 +55,27 @@ class ExperimentConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}")
-        if self.loss.get("name") not in LOSSES:
-            raise ConfigError(f"unknown loss {self.loss.get('name')!r}; known: {LOSSES}")
-        if self.distribution.get("name") not in DISTRIBUTIONS:
-            raise ConfigError(
-                f"unknown distribution {self.distribution.get('name')!r}; known: {DISTRIBUTIONS}"
-            )
-        _check_keys(self.geometry, _GEOMETRY_KEYS, "geometry")
+        _check_keys(self.geometry, {"p", "d"}, "geometry")
+        missing = {"p", "d"} - set(self.geometry)
+        if missing:
+            raise ConfigError(f"geometry is missing {sorted(missing)}")
+        p, d = self.geometry["p"], self.geometry["d"]
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise ConfigError(f"geometry.p must be a number, got {p!r}")
+        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+            raise ConfigError(f"geometry.d must be a positive integer, got {d!r}")
+
+        algo = ALGORITHMS.select(self.algorithm, self.solver)
+        algo.check_p(self.algorithm, p)
+        LOSSES.parse(self.loss)
+        dist, _ = DISTRIBUTIONS.parse(self.distribution)
+        if algo.constrained and self.constraint is None:
+            raise ConfigError(f"{self.algorithm} requires a constraint set")
+        if not algo.constrained and self.constraint is not None:
+            raise ConfigError(f"{self.algorithm} is unconstrained; remove the constraint set")
+        if self.constraint is not None:
+            CONSTRAINTS.parse(self.constraint)
+
         if not self.n_grid or not self.eps_grid:
             raise ConfigError("n_grid and eps_grid must be nonempty")
         if any(int(n) != n or n < 1 for n in self.n_grid):
@@ -101,14 +84,15 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must be in (0, 1)")
-        if self.constraint is not None:
-            _check_keys(self.constraint, _CONSTRAINT_KEYS, "constraint")
-            if self.constraint.get("set") not in CONSTRAINT_SETS:
-                raise ConfigError(f"unknown constraint set {self.constraint.get('set')!r}")
         _check_keys(self.evaluation, _EVAL_KEYS, "evaluation")
-        if self.evaluation.get("policy") not in ("auto", "oracle", "mc"):
+        policy = self.evaluation.get("policy")
+        if policy not in ("auto", "oracle", "mc"):
             raise ConfigError("evaluation.policy must be auto|oracle|mc")
-        _check_keys(self.solver, _SOLVER_KEYS, "solver")
+        if policy == "oracle" and not dist.oracle:
+            raise ConfigError(
+                f"evaluation.policy 'oracle' but {self.distribution['name']!r} has no "
+                "closed-form excess risk; use 'auto' or 'mc'"
+            )
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
 

@@ -7,21 +7,18 @@ not fatal.
 """
 
 import hashlib
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from ..errors import ConfigError, RefusalError
-from ..euclidean import ObjPConfig, app_objp, app_objp_sc, phased_dp_sgd
+from ..errors import RefusalError
+# run_cell calls the solvers by name through this module.
+from ..euclidean import app_objp, app_objp_sc, phased_dp_sgd  # noqa: F401
 from ..mechanisms import PrivacyBudget
-from ..mirror import MDConfig, batched_truncated_md, lipschitz_high_p, noisy_reg_md, shuffled_truncated_md
-from ..problems.constraints import L1Ball, L2Ball, LpBall
-from ..problems.distributions import BallCloud, HeavyTailLinear, LogisticSphere
-from ..problems.losses import LogisticLoss, MeanPointLoss, PseudoHuberLoss
+from ..mirror import batched_truncated_md, lipschitz_high_p, noisy_reg_md, shuffled_truncated_md  # noqa: F401
 from ..problems.risk import excess_population_risk
-from ..spaces import SpaceSpec
+from .components import ALGORITHMS, CONSTRAINTS, DISTRIBUTIONS, LOSSES
 from .config import ExperimentConfig
 from .records import RunRecord
 
@@ -38,190 +35,47 @@ def stable_seed(base, *parts):
     return int.from_bytes(h.digest()[:8], "big")
 
 
-def _unit_direction(d):
-    return np.ones(d) / math.sqrt(d)
-
-
-def _build_loss(cfg):
-    doc = dict(cfg.loss)
-    name = doc.pop("name")
-    p = cfg.geometry["p"]
-    if name == "logistic":
-        return LogisticLoss(feature_dual_bound=doc.pop("feature_dual_bound", 1.0), norm_p=p)
-    if name == "mean_point":
-        return MeanPointLoss(
-            domain_radius=doc.pop("domain_radius", 1.0),
-            constraint_radius=doc.pop("constraint_radius", 1.0),
-        )
-    if name == "pseudo_huber":
-        return PseudoHuberLoss(
-            huber_delta=doc.pop("huber_delta", 1.0),
-            feature_dual_bound=doc.pop("feature_dual_bound", 1.0),
-            norm_p=p,
-        )
-    raise ConfigError(f"unknown loss {name!r}")
-
-
-def _build_distribution(cfg):
-    doc = dict(cfg.distribution)
-    name = doc.pop("name")
-    d = cfg.geometry["d"]
-    if name == "ball_cloud":
-        mu = doc.pop("mu_scale", 0.5) * _unit_direction(d)
-        dist = BallCloud(mu, spread=doc.pop("spread", 1.0))
-    elif name == "logistic_sphere":
-        w_star = doc.pop("w_star_norm", 0.8) * _unit_direction(d)
-        dist = LogisticSphere(
-            w_star,
-            sphere_exponent=doc.pop("sphere_exponent", 2.0),
-            radius=doc.pop("feature_radius", 1.0),
-        )
-    elif name == "heavy_tail_linear":
-        w_star = doc.pop("w_star_norm", 0.5) * _unit_direction(d)
-        dist = HeavyTailLinear(
-            w_star,
-            sphere_exponent=doc.pop("sphere_exponent", 2.0),
-            t_dof=doc.pop("t_dof", 3.0),
-            t_scale=doc.pop("t_scale", 1.0),
-        )
-    else:
-        raise ConfigError(f"unknown distribution {name!r}")
-    if doc:
-        raise ConfigError(f"unknown distribution parameter(s): {sorted(doc)}")
-    return dist
-
-
-def _build_constraint(cfg):
-    if cfg.constraint is None:
-        return None
-    d = cfg.geometry["d"]
-    kind = cfg.constraint["set"]
-    radius = cfg.constraint.get("radius", 1.0)
-    if kind == "l2":
-        return L2Ball(radius, d)
-    if kind == "l1":
-        return L1Ball(radius, d)
-    if kind == "lp":
-        return LpBall(cfg.constraint.get("p", cfg.geometry["p"]), radius, d)
-    raise ConfigError(f"unknown constraint set {kind!r}")
-
-
-_NEEDS_CONSTRAINT = {"app_objp", "app_objp_sc", "shuffled_truncated_md", "batched_truncated_md"}
-
-
-def _run_solver(cfg, data, loss, C, budget, rng):
-    s = cfg.solver
-    algo = cfg.algorithm
-    if algo in ("app_objp", "app_objp_sc"):
-        oc = ObjPConfig(
-            budget=budget,
-            alpha_opt=s.get("alpha_opt"),
-            lambda_reg=s.get("lambda_reg"),
-            noise_multiplier=s.get("noise_multiplier", 1.0),
-            check_release_distance=s.get("check_release_distance", True),
-        )
-        fn = app_objp if algo == "app_objp" else app_objp_sc
-        return fn(data, loss, C, oc, rng)
-    if algo == "phased_dp_sgd":
-        return phased_dp_sgd(
-            data, loss, budget, rng,
-            eta=s.get("eta"),
-            noise_multiplier=s.get("noise_multiplier", 1.0),
-        )
-    if algo == "lipschitz_high_p":
-        return lipschitz_high_p(
-            data, loss, budget, rng,
-            eta=s.get("eta"),
-            noise_multiplier=s.get("noise_multiplier", 1.0),
-        )
-    space = SpaceSpec(cfg.geometry["p"], cfg.geometry["d"])
-    mc = MDConfig(
-        space=space,
-        T=s.get("T"),
-        alpha_reg=s.get("alpha_reg"),
-        gamma=s.get("gamma"),
-        lambda_trunc=s.get("lambda_trunc"),
-        c_t=s.get("c_t", 1.0),
-        c_lambda=s.get("c_lambda", 1.0),
-        c_noise=s.get("c_noise", 1.0),
-        c_shuffle=s.get("c_shuffle", 1.0),
-        c_eps=s.get("c_eps", 1.0),
-        bypass_regime_check=s.get("bypass_regime_check", False),
-    )
-    if algo == "noisy_reg_md":
-        return noisy_reg_md(data, loss, mc, budget, rng)
-    if algo == "shuffled_truncated_md":
-        return shuffled_truncated_md(data, loss, C, mc, budget, rng)
-    if algo == "batched_truncated_md":
-        return batched_truncated_md(data, loss, C, mc, budget, rng)
-    raise ConfigError(f"unknown algorithm {algo!r}")
-
-
 def run_cell(cfg, n_idx, eps_idx, trial):
     """Execute one cell and return its RunRecord."""
     n = int(cfg.n_grid[n_idx])
     eps = float(cfg.eps_grid[eps_idx])
     seed = stable_seed(cfg.base_seed, n_idx, eps_idx, trial)
     budget = PrivacyBudget(eps, cfg.delta)
-    loss = _build_loss(cfg)
-    dist = _build_distribution(cfg)
-    C = _build_constraint(cfg)
-    if cfg.algorithm in _NEEDS_CONSTRAINT and C is None:
-        raise ConfigError(f"{cfg.algorithm} requires a constraint set")
+    loss = LOSSES.build(cfg.loss, cfg.geometry)
+    dist = DISTRIBUTIONS.build(cfg.distribution, cfg.geometry)
+    C = None if cfg.constraint is None else CONSTRAINTS.build(cfg.constraint, cfg.geometry)
 
     data = dist.sample(n, np.random.default_rng(stable_seed(seed, "data")))
     rng = np.random.default_rng(stable_seed(seed, "solver"))
 
+    # The solver is looked up by name in this module when the cell runs, so
+    # a wrapper installed on one of the names imported above (a profiler's,
+    # say) sees every call.
+    solve = globals()[cfg.algorithm]
+    record = dict(algorithm=cfg.algorithm, p=float(cfg.geometry["p"]), d=int(cfg.geometry["d"]),
+                  n=n, epsilon=eps, delta=cfg.delta, trial=trial, seed=seed)
     t0 = time.perf_counter()
     try:
-        w, info = _run_solver(cfg, data, loss, C, budget, rng)
+        w, info = ALGORITHMS[cfg.algorithm].build(
+            solve, data, loss, C, cfg.geometry, budget, rng, **cfg.solver
+        )
     except RefusalError as exc:
         wall = (time.perf_counter() - t0) * 1e3
         return RunRecord(
-            algorithm=cfg.algorithm,
-            p=float(cfg.geometry["p"]),
-            d=int(cfg.geometry["d"]),
-            n=n,
-            epsilon=eps,
-            delta=cfg.delta,
-            trial=trial,
-            seed=seed,
-            excess_risk=None,
-            trunc_fraction=None,
-            wall_ms=wall,
-            refused=True,
-            refusal_reason=str(exc),
+            **record, excess_risk=None, trunc_fraction=None, wall_ms=wall,
+            refused=True, refusal_reason=str(exc),
         )
     wall = (time.perf_counter() - t0) * 1e3
 
-    policy = cfg.evaluation.get("policy", "auto")
+    # Every policy scores with the closed form where one exists; the config
+    # refuses "oracle" where none does.
     m_eval = int(cfg.evaluation.get("m_eval", 100_000))
     eval_rng = np.random.default_rng(stable_seed(seed, "eval"))
-    if policy == "oracle":
-        try:
-            excess, _ = excess_population_risk(w, dist, loss, C, m_eval=1, rng=None)
-        except ValueError as exc:
-            raise ConfigError(
-                f"evaluation.policy 'oracle' but {cfg.distribution.get('name')!r} has no "
-                f"closed-form risk: {exc}"
-            ) from exc
-    else:
-        excess, _ = excess_population_risk(w, dist, loss, C, m_eval=m_eval, rng=eval_rng)
+    excess, _ = excess_population_risk(w, dist, loss, C, m_eval=m_eval, rng=eval_rng)
 
     stats = info.get("truncation")
-    return RunRecord(
-        algorithm=cfg.algorithm,
-        p=float(cfg.geometry["p"]),
-        d=int(cfg.geometry["d"]),
-        n=n,
-        epsilon=eps,
-        delta=cfg.delta,
-        trial=trial,
-        seed=seed,
-        excess_risk=excess,
-        trunc_fraction=None if stats is None else stats.zeroed_fraction,
-        wall_ms=wall,
-    )
+    trunc = None if stats is None else stats.zeroed_fraction
+    return RunRecord(**record, excess_risk=excess, trunc_fraction=trunc, wall_ms=wall)
 
 
 def _cell_worker(args):

@@ -66,8 +66,6 @@ class MDConfig:
     c_shuffle: float = 1.0
     c_eps: float = 1.0
     bypass_regime_check: bool = False
-    step_tol: Optional[float] = None
-    inner_cap: int = 10_000
 
     def __post_init__(self):
         if self.T is not None and self.T < 1:
@@ -326,9 +324,7 @@ def shuffled_truncated_md(data, loss, C, cfg, budget, rng):
         G = _truncate_batch(G, threshold, space.q, stats)
         Z = cfg.c_noise * gg_sample(noise, rng, size=hi - lo) if noise is not None else 0.0
         g_hat = (G + Z).mean(axis=0) if noise is not None else G.mean(axis=0)
-        w, res = mirror_step_constrained(
-            g_hat, w, gamma, C, space, tol=cfg.step_tol, cap=cfg.inner_cap
-        )
+        w, res = mirror_step_constrained(g_hat, w, gamma, C, space)
         residuals.append(res)
         avg.add(w)
 
@@ -394,9 +390,7 @@ def batched_truncated_md(data, loss, C, cfg, budget, rng):
         y = None if data.y is None else data.y[lo:hi]
         G = _truncate_batch(loss.grads(w, X, y), threshold, space.q, stats)
         g_hat = G.mean(axis=0) + cfg.c_noise * gg_sample(noise, rng)
-        w, res = mirror_step_constrained(
-            g_hat, w, gamma, C, space, tol=cfg.step_tol, cap=cfg.inner_cap
-        )
+        w, res = mirror_step_constrained(g_hat, w, gamma, C, space)
         residuals.append(res)
         avg.add(w)
 

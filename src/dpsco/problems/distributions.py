@@ -154,8 +154,6 @@ class LogisticSphere:
     def true_minimizer(self):
         return self.w_star.copy()
 
-    population_risk = None  # no closed form; evaluated by Monte Carlo
-
     def feature_radius(self, dual_exponent=2.0):
         # Draws have sphere_exponent-norm equal to radius; convert to the
         # requested dual norm by the standard norm-comparison factor.

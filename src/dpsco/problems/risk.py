@@ -13,6 +13,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import erf, gammaln
 
+from ..errors import ConfigError
 from .distributions import BallCloud, HeavyTailLinear
 from .losses import MeanPointLoss
 
@@ -24,7 +25,6 @@ __all__ = [
     "gaussian_width_mc",
     "chi_mean",
     "max_abs_gaussian_mean",
-    "reference_minimizer",
 ]
 
 
@@ -68,39 +68,28 @@ def population_risk(w, dist, loss, m_eval=100_000, rng=None):
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(m_eval))
 
 
-def constrained_population_minimizer(dist, C, loss=None):
-    """The population minimizer, projected onto C when one is given.
+def constrained_population_minimizer(dist, C, loss):
+    """The population minimizer of ``loss`` over C (over R^d when C is None).
 
-    Valid for the distributions shipped here: their unconstrained minimizer
-    is known and, for the quadratic point loss, projection gives the
-    constrained optimum; for the others the minimizer is kept inside C by
-    construction.  Distributions without a known minimizer fall back to a
-    cached high-accuracy empirical solve on a large fresh draw.
+    Every shipped distribution knows its unconstrained minimizer w_star.  For
+    the quadratic point loss the constrained optimum is the Euclidean
+    projection of w_star onto C; for any other loss that projection is not
+    the optimum in general, so w_star must already lie in C.  A distribution
+    without a known minimizer, or such a w_star outside C, raises ConfigError
+    rather than score against a wrong point.
     """
     theta = getattr(dist, "true_minimizer", None)
     if theta is None:
-        if loss is None:
-            raise ValueError("no known minimizer and no loss to solve for one")
-        key = (dist.name, repr(sorted(dist.__dict__.items(), key=lambda kv: kv[0])))
-        theta = reference_minimizer(
-            key, lambda: _erm_baseline(dist, loss, C, n_ref=1_000_000, seed=2_024_06_01)
+        raise ConfigError(f"{type(dist).__name__} has no known population minimizer")
+    if C is None:
+        return theta
+    if not isinstance(loss, MeanPointLoss) and C.gauge(theta) > 1.0 + 1e-9:
+        raise ConfigError(
+            f"the population minimizer lies outside the constraint set (gauge "
+            f"{C.gauge(theta):.4g} > 1), where projecting it does not give the constrained "
+            f"optimum of {type(loss).__name__}"
         )
-    if C is not None:
-        theta = C.project(theta)
-    return theta
-
-
-def _erm_baseline(dist, loss, C, n_ref, seed, iters=5000):
-    """High-accuracy (projected) gradient baseline on a large fresh sample."""
-    sample = dist.sample(n_ref, np.random.default_rng(seed))
-    w = np.zeros(sample.d)
-    step = 1.0 / max(loss.smoothness, 1e-12)
-    for _ in range(iters):
-        g = loss.grads(w, sample.X, sample.y).mean(axis=0)
-        w = w - step * g
-        if C is not None:
-            w = C.project(w)
-    return w
+    return C.project(theta)
 
 
 def excess_population_risk(w, dist, loss, C=None, m_eval=100_000, rng=None):
@@ -108,9 +97,10 @@ def excess_population_risk(w, dist, loss, C=None, m_eval=100_000, rng=None):
     w = np.asarray(w, dtype=float)
     theta_star = constrained_population_minimizer(dist, C, loss)
     base = _closed_form_risk(w, dist, loss)
-    ref = _closed_form_risk(theta_star, dist, loss)
-    if base is not None and ref is not None:
-        return float(base - ref), 0.0
+    if base is not None:
+        ref = _closed_form_risk(theta_star, dist, loss)
+        if ref is not None:
+            return float(base - ref), 0.0
     if rng is None:
         raise ValueError("excess_population_risk: Monte Carlo evaluation needs an rng")
     sample = dist.sample(m_eval, rng)
@@ -158,13 +148,3 @@ def max_abs_gaussian_mean(d):
 
     val, _ = integrate.quad(tail, 0.0, np.inf, limit=200)
     return val
-
-
-_REFERENCE_CACHE = {}
-
-
-def reference_minimizer(key, compute):
-    """Cache for expensive reference solutions, keyed by the caller's string."""
-    if key not in _REFERENCE_CACHE:
-        _REFERENCE_CACHE[key] = compute()
-    return _REFERENCE_CACHE[key]

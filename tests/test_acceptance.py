@@ -258,30 +258,31 @@ def test_criterion_06_zero_noise_equivalence():
 # --------------------------------------------------------------------------
 # 7 & 8. Euclidean rate trends
 # --------------------------------------------------------------------------
+CONVEX_TREND_DOC = {
+    "algorithm": "app_objp",
+    "loss": {"name": "logistic", "feature_dual_bound": 2.0 * math.sqrt(20.0)},
+    "distribution": {
+        "name": "logistic_sphere",
+        "w_star_norm": 0.8,
+        "feature_radius": 2.0 * math.sqrt(20.0),
+    },
+    "geometry": {"p": 2.0, "d": 20},
+    "constraint": {"set": "l2", "radius": 1.0},
+    "n_grid": [128, 256, 512, 1024, 2048, 4096],
+    "eps_grid": [1.0],
+    "delta": 1e-5,
+    "trials": 50,
+    "base_seed": 710,
+    "evaluation": {"policy": "mc", "m_eval": 50_000},
+    "parallelism": PARALLELISM,
+}
+
 _slope_cache = {}
 
 
 def _convex_trend_slope():
     if "convex" not in _slope_cache:
-        doc = {
-            "algorithm": "app_objp",
-            "loss": {"name": "logistic", "feature_dual_bound": 2.0 * math.sqrt(20.0)},
-            "distribution": {
-                "name": "logistic_sphere",
-                "w_star_norm": 0.8,
-                "feature_radius": 2.0 * math.sqrt(20.0),
-            },
-            "geometry": {"p": 2.0, "d": 20},
-            "constraint": {"set": "l2", "radius": 1.0},
-            "n_grid": [128, 256, 512, 1024, 2048, 4096],
-            "eps_grid": [1.0],
-            "delta": 1e-5,
-            "trials": 50,
-            "base_seed": 710,
-            "evaluation": {"policy": "mc", "m_eval": 50_000},
-            "parallelism": PARALLELISM,
-        }
-        records = run_experiment(ExperimentConfig.from_dict(doc))
+        records = run_experiment(ExperimentConfig.from_dict(CONVEX_TREND_DOC))
         _slope_cache["convex"] = fit_slope(records, ["algo"])[("app_objp",)]
     return _slope_cache["convex"]
 
@@ -295,25 +296,27 @@ def test_criterion_07_convex_rate_trend():
     _report(7, "convex rate trend", f"slope {fit.slope:+.3f} (r2={fit.r2:.2f}), {elapsed:.0f}s")
 
 
+STRONGLY_CONVEX_DOC = {
+    "algorithm": "app_objp_sc",
+    "loss": {"name": "mean_point", "domain_radius": 1.4, "constraint_radius": 1.0},
+    "distribution": {"name": "ball_cloud", "mu_scale": 0.4, "spread": 1.0},
+    "geometry": {"p": 2.0, "d": 20},
+    "constraint": {"set": "l2", "radius": 1.0},
+    "n_grid": [128, 256, 512, 1024, 2048, 4096],
+    "eps_grid": [1.0],
+    "delta": 1e-5,
+    "trials": 50,
+    "base_seed": 810,
+    "evaluation": {"policy": "oracle"},
+    "parallelism": PARALLELISM,
+}
+
+
 def test_criterion_08_strongly_convex_improvement():
     t0 = time.time()
-    doc = {
-        "algorithm": "app_objp_sc",
-        "loss": {"name": "mean_point", "domain_radius": 1.4, "constraint_radius": 1.0},
-        "distribution": {"name": "ball_cloud", "mu_scale": 0.4, "spread": 1.0},
-        "geometry": {"p": 2.0, "d": 20},
-        "constraint": {"set": "l2", "radius": 1.0},
-        "n_grid": [128, 256, 512, 1024, 2048, 4096],
-        "eps_grid": [1.0],
-        "delta": 1e-5,
-        "trials": 50,
-        "base_seed": 810,
-        "evaluation": {"policy": "oracle"},
-        "parallelism": PARALLELISM,
-    }
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        records = run_experiment(ExperimentConfig.from_dict(doc))
+        records = run_experiment(ExperimentConfig.from_dict(STRONGLY_CONVEX_DOC))
     fit = fit_slope(records, ["algo"])[("app_objp_sc",)]
     convex = _convex_trend_slope()
     elapsed = time.time() - t0
@@ -330,33 +333,35 @@ def test_criterion_08_strongly_convex_improvement():
 # --------------------------------------------------------------------------
 # 9. Unconstrained lp trend
 # --------------------------------------------------------------------------
+# schedule constant c_t = 5: at c_t = 1 the autoselected regularization
+# weight exceeds any admissible curvature over this whole grid and the
+# risk curve is flat; the constant is an exposed configuration field.
+LP_TREND_DOC = {
+    "algorithm": "noisy_reg_md",
+    "loss": {"name": "pseudo_huber", "huber_delta": 3.0, "feature_dual_bound": 1.0},
+    "distribution": {
+        "name": "heavy_tail_linear",
+        "w_star_norm": 1.0,
+        "sphere_exponent": 3.0,
+        "t_dof": 12.0,
+        "t_scale": 0.3,
+    },
+    "geometry": {"p": 1.5, "d": 20},
+    "constraint": None,
+    "n_grid": [256, 512, 1024, 2048, 4096, 8192],
+    "eps_grid": [0.5, 1.0],
+    "delta": 1e-5,
+    "trials": 50,
+    "base_seed": 910,
+    "evaluation": {"policy": "mc", "m_eval": 50_000},
+    "solver": {"c_t": 5.0},
+    "parallelism": PARALLELISM,
+}
+
+
 def test_criterion_09_lp_trend():
     t0 = time.time()
-    # schedule constant c_t = 5: at c_t = 1 the autoselected regularization
-    # weight exceeds any admissible curvature over this whole grid and the
-    # risk curve is flat; the constant is an exposed configuration field.
-    doc = {
-        "algorithm": "noisy_reg_md",
-        "loss": {"name": "pseudo_huber", "huber_delta": 3.0, "feature_dual_bound": 1.0},
-        "distribution": {
-            "name": "heavy_tail_linear",
-            "w_star_norm": 1.0,
-            "sphere_exponent": 3.0,
-            "t_dof": 12.0,
-            "t_scale": 0.3,
-        },
-        "geometry": {"p": 1.5, "d": 20},
-        "constraint": None,
-        "n_grid": [256, 512, 1024, 2048, 4096, 8192],
-        "eps_grid": [0.5, 1.0],
-        "delta": 1e-5,
-        "trials": 50,
-        "base_seed": 910,
-        "evaluation": {"policy": "mc", "m_eval": 50_000},
-        "solver": {"c_t": 5.0},
-        "parallelism": PARALLELISM,
-    }
-    records = run_experiment(ExperimentConfig.from_dict(doc))
+    records = run_experiment(ExperimentConfig.from_dict(LP_TREND_DOC))
     fits = fit_slope(records, ["eps"])
     by = {}
     for r in records:

@@ -89,6 +89,17 @@ class TestWidthCommand:
         code = main(["width", "--set", "lp", "--d", "4"])
         assert code == 2
 
+    def test_lp_width_uses_p(self, capsys):
+        code = main(["width", "--set", "lp", "--p", "2.0", "--d", "2", "--samples", "20000"])
+        assert code == 0
+        est = float(capsys.readouterr().out.split("estimate:")[1].split("(")[0])
+        assert abs(est - 1.2533) < 0.03
+
+    def test_l2_refuses_p(self, capsys):
+        code = main(["width", "--set", "l2", "--p", "1.5", "--d", "4"])
+        assert code == 2
+        assert "'p'" in capsys.readouterr().err
+
 
 class TestMechCheckCommand:
     @pytest.mark.parametrize("what", ["gg", "gauss", "compose"])

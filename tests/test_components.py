@@ -1,0 +1,186 @@
+"""The component tables: every misconfiguration is refused when the config is parsed."""
+
+import ast
+import copy
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dpsco.bench import runner
+from dpsco.bench.components import ALGORITHMS, CONSTRAINTS, DISTRIBUTIONS, LOSSES
+from dpsco.bench.config import ExperimentConfig
+from dpsco.errors import ConfigError
+from test_acceptance import CONVEX_TREND_DOC, LP_TREND_DOC, STRONGLY_CONVEX_DOC
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _base_doc(**over):
+    doc = {
+        "algorithm": "app_objp_sc",
+        "loss": {"name": "mean_point", "domain_radius": 1.5, "constraint_radius": 1.0},
+        "distribution": {"name": "ball_cloud", "mu_scale": 0.4, "spread": 1.0},
+        "geometry": {"p": 2.0, "d": 4},
+        "constraint": {"set": "l2", "radius": 1.0},
+        "n_grid": [64],
+        "eps_grid": [1.0],
+        "delta": 1e-5,
+        "trials": 1,
+        "base_seed": 7,
+        "evaluation": {"policy": "mc", "m_eval": 1000},
+    }
+    doc.update(over)
+    return doc
+
+
+def _md_doc(**over):
+    md = {
+        "algorithm": "batched_truncated_md",
+        "loss": {"name": "pseudo_huber", "huber_delta": 20.0, "feature_dual_bound": 1.0},
+        "distribution": {"name": "heavy_tail_linear", "w_star_norm": 0.3, "sphere_exponent": 3.0},
+        "geometry": {"p": 1.5, "d": 4},
+        "constraint": {"set": "lp", "radius": 1.0},
+        "solver": {"T": 4},
+    }
+    return _base_doc(**{**md, **over})
+
+
+# Each misconfiguration that used to run silently or fail only inside the
+# first cell, with a word the refusal must name.
+MISCONFIGS = {
+    "loss key typo": (
+        _base_doc(loss={"name": "mean_point", "domain_radus": 1.5}),
+        "domain_radus",
+    ),
+    "logistic-only key on mean_point": (
+        _base_doc(loss={"name": "mean_point", "feature_dual_bound": 2.0}),
+        "feature_dual_bound",
+    ),
+    "mirror-descent solver keys on app_objp_sc": (
+        _base_doc(solver={"T": 10, "c_t": 2.0}),
+        "c_t",
+    ),
+    "p on an l2 constraint": (
+        _base_doc(constraint={"set": "l2", "radius": 1.0, "p": 1.5}),
+        "'p'",
+    ),
+    "missing geometry.p": (_base_doc(geometry={"d": 4}), "'p'"),
+    "noisy_reg_md at p = 2": (
+        _md_doc(algorithm="noisy_reg_md", geometry={"p": 2.0, "d": 4}, constraint=None, solver={}),
+        "p=2.0",
+    ),
+    "constrained algorithm without a constraint": (_md_doc(constraint=None), "constraint"),
+    "oracle risk on heavy_tail_linear": (_md_doc(evaluation={"policy": "oracle"}), "oracle"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISCONFIGS))
+def test_misconfig_refused_at_parse(case):
+    doc, word = MISCONFIGS[case]
+    with pytest.raises(ConfigError, match=re.escape(word)):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_bases_are_valid():
+    ExperimentConfig.from_dict(_base_doc())
+    ExperimentConfig.from_dict(_md_doc())
+
+
+def test_unconstrained_algorithm_refuses_a_constraint():
+    doc = _md_doc(algorithm="noisy_reg_md", solver={})
+    with pytest.raises(ConfigError, match="unconstrained"):
+        ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_runner_binds_every_algorithm_to_its_solver(name):
+    # run_cell looks the solver up by the algorithm's name in the runner.
+    assert getattr(runner, name).__name__ == name
+
+
+def _doc_for_algorithm(name):
+    entry = ALGORITHMS[name]
+    lo, hi = entry.p_range
+    p = 0.5 * (lo + hi) if entry.p_open else lo
+    return _md_doc(
+        algorithm=name,
+        geometry={"p": p, "d": 4},
+        constraint={"set": "l2", "radius": 1.0} if entry.constrained else None,
+        solver={},
+    )
+
+
+def _entry_docs():
+    """(table, name, doc, section) for every table entry: doc parses, and
+    ``doc[section]`` is where that entry's keys go."""
+    for name in ALGORITHMS:
+        yield ALGORITHMS, name, _doc_for_algorithm(name), "solver"
+    for table, section in ((LOSSES, "loss"), (DISTRIBUTIONS, "distribution"), (CONSTRAINTS, "constraint")):
+        for name in table:
+            yield table, name, _base_doc(**{section: {table.tag: name}}), section
+
+
+ENTRIES = {f"{table.kind}:{name}": (table, doc, section) for table, name, doc, section in _entry_docs()}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@settings(max_examples=25, deadline=None)
+@given(key=st.text(min_size=1, max_size=16))
+def test_key_outside_an_entry_is_refused_by_name(entry, key):
+    table, doc, section = ENTRIES[entry]
+    ExperimentConfig.from_dict(doc)
+    accepted = set(table[doc["algorithm"] if section == "solver" else doc[section][table.tag]].keys)
+    if key in accepted or key == table.tag:
+        return
+    bad = copy.deepcopy(doc)
+    bad[section][key] = 1.0
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_dict(bad)
+    assert repr(key) in str(info.value)
+
+
+def _readme_configs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", text, re.S)]
+
+
+def _literal_assignment(path, name):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no literal {name} in {path}")
+
+
+SHIPPED = {
+    "criterion 07": CONVEX_TREND_DOC,
+    "criterion 08": STRONGLY_CONVEX_DOC,
+    "criterion 09": LP_TREND_DOC,
+    "demo 05": _literal_assignment(ROOT / "demos" / "05_benchmark_grid.py", "doc"),
+    **{f"README {i}": doc for i, doc in enumerate(_readme_configs())},
+}
+
+
+def test_readme_has_a_config():
+    assert any(name.startswith("README") for name in SHIPPED)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_config_parses(name):
+    ExperimentConfig.from_dict(SHIPPED[name])
+
+
+def test_lp_constraint_defaults_to_geometry_p():
+    C = CONSTRAINTS.build({"set": "lp", "radius": 0.5}, {"p": 1.5, "d": 3})
+    assert C.exponent == 1.5 and C.radius == 0.5 and C.d == 3
+    assert CONSTRAINTS.build({"set": "lp", "p": 1.2}, {"p": 1.5, "d": 3}).exponent == 1.2
+
+
+def test_distribution_builders_scale_the_diagonal():
+    dist = DISTRIBUTIONS.build({"name": "heavy_tail_linear", "w_star_norm": 0.3}, {"p": 1.5, "d": 4})
+    assert math.sqrt(float(dist.w_star @ dist.w_star)) == pytest.approx(0.3)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dpsco.errors import ConfigError
 from dpsco.problems import (
     L1Ball,
     BallCloud,
@@ -10,6 +11,7 @@ from dpsco.problems import (
     HeavyTailLinear,
     L2Ball,
     LogisticLoss,
+    LpBall,
     LogisticSphere,
     MeanPointLoss,
     PseudoHuberLoss,
@@ -199,30 +201,28 @@ class TestGaussianWidth:
 
 
 class TestReferenceBaseline:
-    def test_fallback_minimizer_for_unknown_optimum(self):
-        from dpsco.problems.risk import constrained_population_minimizer
-
+    def test_unknown_minimizer_is_a_config_error(self):
         class NoOptimumCloud(BallCloud):
-            name = "no_optimum_cloud"
             true_minimizer = None
 
-        dist = NoOptimumCloud.__new__(NoOptimumCloud)
-        inner = BallCloud(np.array([0.3, -0.2]), spread=0.5)
-        dist.__dict__.update(inner.__dict__)
-        loss = MeanPointLoss()
+        dist = NoOptimumCloud(np.array([0.3, -0.2]), spread=0.5)
+        with pytest.raises(ConfigError, match="no known population minimizer"):
+            excess_population_risk(np.zeros(2), dist, MeanPointLoss(), rng=np.random.default_rng(0))
 
-        import dpsco.problems.risk as risk_mod
+    def test_minimizer_outside_the_set_is_a_config_error(self):
+        # ||w_star||_1.5 = 0.5 * 12^(1/3) > 1: projecting w_star onto the ball
+        # is not the constrained optimum of the regression loss.
+        d, p = 12, 1.5
+        dist = HeavyTailLinear(0.5 * np.ones(d) / d ** (1.0 / 3.0), sphere_exponent=3.0)
+        loss = PseudoHuberLoss(huber_delta=10.0, norm_p=p)
+        with pytest.raises(ConfigError, match="outside the constraint set"):
+            excess_population_risk(
+                np.zeros(d), dist, loss, LpBall(p, 1.0, d), m_eval=100, rng=np.random.default_rng(0)
+            )
 
-        orig = risk_mod._erm_baseline
-        risk_mod._erm_baseline = lambda d, l, C, n_ref, seed, iters=5000: orig(
-            d, l, C, n_ref=20_000, seed=seed, iters=500
-        )
-        try:
-            theta = constrained_population_minimizer(dist, None, loss)
-        finally:
-            risk_mod._erm_baseline = orig
-        # baseline solve lands near the true mean
-        assert np.linalg.norm(theta - inner.mu) <= 0.02
-        # and the result is cached: second call is instant and identical
-        theta2 = constrained_population_minimizer(dist, None, loss)
-        np.testing.assert_array_equal(theta, theta2)
+    def test_mean_point_minimizer_is_projected(self):
+        # For the quadratic point loss the projected mean is the constrained optimum.
+        dist = BallCloud(np.array([2.0, 0.0]))
+        excess, se = excess_population_risk(np.array([1.0, 0.0]), dist, MeanPointLoss(), L2Ball(1.0, 2))
+        assert se == 0.0
+        assert excess == pytest.approx(0.0, abs=1e-15)
