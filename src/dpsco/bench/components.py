@@ -84,8 +84,12 @@ class Table(dict):
         return self.select(section.get(self.tag), params), params
 
     def build(self, section, geometry):
+        """The component a section describes; a value its constructor refuses is a ConfigError."""
         entry, params = self.parse(section)
-        return entry.build(geometry, **params)
+        try:
+            return entry.build(geometry, **params)
+        except ValueError as exc:
+            raise ConfigError(f"{self.kind} {section[self.tag]!r}: {exc}") from exc
 
 
 def _diagonal(d, scale):

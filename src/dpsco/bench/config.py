@@ -4,7 +4,10 @@ Unknown keys anywhere in the document are hard errors: a silently ignored
 typo in a schedule constant would corrupt an experiment, so the parser
 refuses instead.  Component names, their keys, each algorithm's geometry
 and constraint needs, and whether a distribution allows oracle evaluation
-come from the tables in ``components``, which the runner builds from too.
+come from the tables in ``components``.  The config builds the loss,
+distribution and constraint set once, so a value a constructor refuses, or
+a population minimizer the evaluation cannot score against, is refused at
+parse time too; the runner runs every cell on those components.
 """
 
 import json
@@ -12,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import ConfigError
+from ..problems.risk import population_minimizer
 from .components import ALGORITHMS, CONSTRAINTS, DISTRIBUTIONS, LOSSES
 
 _TOP_KEYS = {
@@ -53,6 +57,8 @@ class ExperimentConfig:
     evaluation: dict = field(default_factory=lambda: {"policy": "auto", "m_eval": 100_000})
     solver: dict = field(default_factory=dict)
     parallelism: int = 1
+    # (loss, distribution, constraint set or None), built once from the tables
+    components: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_keys(self.geometry, {"p", "d"}, "geometry")
@@ -67,14 +73,15 @@ class ExperimentConfig:
 
         algo = ALGORITHMS.select(self.algorithm, self.solver)
         algo.check_p(self.algorithm, p)
-        LOSSES.parse(self.loss)
-        dist, _ = DISTRIBUTIONS.parse(self.distribution)
         if algo.constrained and self.constraint is None:
             raise ConfigError(f"{self.algorithm} requires a constraint set")
         if not algo.constrained and self.constraint is not None:
             raise ConfigError(f"{self.algorithm} is unconstrained; remove the constraint set")
-        if self.constraint is not None:
-            CONSTRAINTS.parse(self.constraint)
+        loss = LOSSES.build(self.loss, self.geometry)
+        dist = DISTRIBUTIONS.build(self.distribution, self.geometry)
+        C = None if self.constraint is None else CONSTRAINTS.build(self.constraint, self.geometry)
+        population_minimizer(dist, C, loss)
+        self.components = (loss, dist, C)
 
         if not self.n_grid or not self.eps_grid:
             raise ConfigError("n_grid and eps_grid must be nonempty")
@@ -88,7 +95,7 @@ class ExperimentConfig:
         policy = self.evaluation.get("policy")
         if policy not in ("auto", "oracle", "mc"):
             raise ConfigError("evaluation.policy must be auto|oracle|mc")
-        if policy == "oracle" and not dist.oracle:
+        if policy == "oracle" and not DISTRIBUTIONS[self.distribution["name"]].oracle:
             raise ConfigError(
                 f"evaluation.policy 'oracle' but {self.distribution['name']!r} has no "
                 "closed-form excess risk; use 'auto' or 'mc'"

@@ -18,7 +18,7 @@ from ..euclidean import app_objp, app_objp_sc, phased_dp_sgd  # noqa: F401
 from ..mechanisms import PrivacyBudget
 from ..mirror import batched_truncated_md, lipschitz_high_p, noisy_reg_md, shuffled_truncated_md  # noqa: F401
 from ..problems.risk import excess_population_risk
-from .components import ALGORITHMS, CONSTRAINTS, DISTRIBUTIONS, LOSSES
+from .components import ALGORITHMS
 from .config import ExperimentConfig
 from .records import RunRecord
 
@@ -41,9 +41,7 @@ def run_cell(cfg, n_idx, eps_idx, trial):
     eps = float(cfg.eps_grid[eps_idx])
     seed = stable_seed(cfg.base_seed, n_idx, eps_idx, trial)
     budget = PrivacyBudget(eps, cfg.delta)
-    loss = LOSSES.build(cfg.loss, cfg.geometry)
-    dist = DISTRIBUTIONS.build(cfg.distribution, cfg.geometry)
-    C = None if cfg.constraint is None else CONSTRAINTS.build(cfg.constraint, cfg.geometry)
+    loss, dist, C = cfg.components
 
     data = dist.sample(n, np.random.default_rng(stable_seed(seed, "data")))
     rng = np.random.default_rng(stable_seed(seed, "solver"))
@@ -67,11 +65,11 @@ def run_cell(cfg, n_idx, eps_idx, trial):
         )
     wall = (time.perf_counter() - t0) * 1e3
 
-    # Every policy scores with the closed form where one exists; the config
-    # refuses "oracle" where none does.
     m_eval = int(cfg.evaluation.get("m_eval", 100_000))
     eval_rng = np.random.default_rng(stable_seed(seed, "eval"))
-    excess, _ = excess_population_risk(w, dist, loss, C, m_eval=m_eval, rng=eval_rng)
+    excess, _ = excess_population_risk(
+        w, dist, loss, C, m_eval=m_eval, rng=eval_rng, policy=cfg.evaluation["policy"]
+    )
 
     stats = info.get("truncation")
     trunc = None if stats is None else stats.zeroed_fraction

@@ -32,13 +32,66 @@ def project_l1_ball(v, radius):
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
-def project_lp_ball(v, p, radius, tol=1e-10, max_iter=200):
+_EPS = np.finfo(float).eps
+_INNER_CAP = 100
+_OUTER_CAP = 100
+
+
+def _radial_coordinates(a, nu, p):
+    """Solve t + nu*p*t^(p-1) = a for every coordinate of a > 0.
+
+    The left side increases in t from 0 at t = 0 to >= a at t = a, so each
+    root lies in [0, a].  Newton starts at t0 = min(a, (a / (nu*p))^(1/(p-1))),
+    where the left side is already >= a: started at t = a, Newton would
+    shrink t only by a factor of about (p-2)/(p-1) per step at large p.
+    The bracket [lo, hi] is closed, so a converged step landing on one of
+    its ends is kept; a step leaving it is replaced by bisection.  Returns t
+    and the slope 1 + nu*p*(p-1)*t^(p-2) of the left side there.
+    """
+    lo = np.zeros_like(a)
+    hi = a.copy()
+    # t0 overflows to inf (then min gives a) or underflows to 0 (then the
+    # root is below the smallest double); t^(p-2) is inf at t = 0 for p < 2,
+    # where the Newton step is 0.
+    with np.errstate(divide="ignore", over="ignore"):
+        t = np.minimum(a, (a / (nu * p)) ** (1.0 / (p - 1.0)))
+        for _ in range(_INNER_CAP):
+            slope = 1.0 + nu * p * (p - 1.0) * t ** (p - 2.0)
+            f = t + nu * p * t ** (p - 1.0) - a
+            hi = np.where(f >= 0, t, hi)
+            lo = np.where(f <= 0, t, lo)
+            step = t - f / slope
+            step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+            done = np.all(np.abs(step - t) <= 4.0 * _EPS * a)
+            t = step
+            if done:
+                break
+        slope = 1.0 + nu * p * (p - 1.0) * t ** (p - 2.0)
+    return t, slope
+
+
+def project_lp_ball(v, p, radius, tol=1e-10):
     """Euclidean projection onto {||w||_p <= radius} for p in (1, inf).
 
-    Solved through the KKT system w_i + nu * p * |w_i|^(p-1) sign(w_i) = v_i
-    with bisection on the multiplier nu; the returned point satisfies
-    | ||w||_p - radius | <= tol when the constraint is active.  p = 2 is
-    radial scaling, handled exactly.
+    Returns a copy of ``v`` inside the ball and the exact radial scaling at
+    p = 2.  Otherwise the projection is w = sign(v) * t, where t solves the
+    KKT system t_i + nu*p*t_i^(p-1) = |v_i| and the multiplier nu > 0 makes
+    ||t||_p = radius.  Two bracketed Newton solves find it:
+
+    * inner, per coordinate: t(nu) for a given nu (``_radial_coordinates``);
+    * outer, on nu: Newton on g(nu) = (radius / ||t(nu)||_p)^(p-1) - 1 with
+      the implicit derivative dt_i/dnu = -p*t_i^(p-1) / (1 + nu*p*(p-1)*t_i^(p-2)).
+      g is linear in nu where t_i^(p-1) ~ |v_i| / (nu*p) and close to
+      linear near nu = 0.  Since 0 <= t <= |v| and nu*p*t^(p-1) = |v| - t,
+      the dual norm q = p/(p-1) brackets the root:
+      (||v||_p - radius) * k^min(0, 1/q - 1/p) <= nu*p*radius^(p-1) <= ||v||_q,
+      with k the number of nonzero coordinates of v.
+      Newton starts at the lower end; a step leaving the bracket is
+      replaced by bisection.
+
+    The returned point satisfies | ||w||_p - radius | <= tol when the
+    constraint is active.  A solve that cannot reach tol within its fixed
+    iteration caps raises NumericError carrying the residual.
     """
     if not (1.0 < p < math.inf):
         raise ValueError("project_lp_ball: p must be in (1, inf)")
@@ -51,44 +104,38 @@ def project_lp_ball(v, p, radius, tol=1e-10, max_iter=200):
     if p == 2.0:
         return v * (radius / nrm)
 
-    a = np.abs(v)
+    nonzero = v != 0
+    a = np.abs(v[nonzero])
+    q = dual_exponent(p)
+    scale = p * radius ** (p - 1.0)
+    nu_lo = (nrm - radius) * a.size ** min(0.0, 1.0 / q - 1.0 / p) / scale
+    nu_hi = lp_norm(a, q) / scale
 
-    def radial(nu):
-        # Solve t + nu*p*t^(p-1) = a per coordinate (t in [0, a_i]).
-        lo = np.zeros_like(a)
-        hi = a.copy()
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            f = mid + nu * p * mid ** (p - 1.0) - a
-            hi = np.where(f > 0, mid, hi)
-            lo = np.where(f > 0, lo, mid)
-        return 0.5 * (lo + hi)
-
-    # Bracket the multiplier: ||w(0)||_p > radius; grow until below.
-    nu_lo, nu_hi = 0.0, 1.0
-    for _ in range(200):
-        if lp_norm(radial(nu_hi), p) <= radius:
-            break
-        nu_hi *= 2.0
-    else:
-        raise NumericError("project_lp_ball: failed to bracket multiplier")
-
-    w = None
-    for _ in range(max_iter):
-        nu = 0.5 * (nu_lo + nu_hi)
-        w = radial(nu)
-        gap = lp_norm(w, p) - radius
-        if abs(gap) <= tol:
-            return np.sign(v) * w
-        if gap > 0:
+    nu = nu_lo
+    residual = math.inf
+    for _ in range(_OUTER_CAP):
+        t, slope = _radial_coordinates(a, nu, p)
+        norm_t = lp_norm(t, p)
+        residual = abs(norm_t - radius)
+        if residual <= tol:
+            w = np.zeros_like(v)
+            w[nonzero] = np.sign(v[nonzero]) * t
+            return w
+        if norm_t > radius:
             nu_lo = nu
         else:
             nu_hi = nu
-    residual = abs(lp_norm(w, p) - radius)
-    if residual <= tol:
-        return np.sign(v) * w
+        u = t / norm_t
+        g = (radius / norm_t) ** (p - 1.0)
+        dg = g * (p - 1.0) * p * norm_t ** (p - 2.0) * float(np.sum(u ** (2.0 * p - 2.0) / slope))
+        step = nu - (g - 1.0) / dg if dg > 0 else math.nan
+        if not nu_lo <= step <= nu_hi:
+            step = 0.5 * (nu_lo + nu_hi)
+        if step == nu:
+            break
+        nu = step
     raise NumericError(
-        f"project_lp_ball: bisection did not reach tol={tol}", residual=residual
+        f"project_lp_ball: Newton solve did not reach tol={tol}", residual=residual
     )
 
 
@@ -178,11 +225,10 @@ class L1Ball(_NormBall):
 
 
 class LpBall(_NormBall):
-    def __init__(self, exponent, radius, d, tol=1e-10):
+    def __init__(self, exponent, radius, d):
         if not (1.0 < exponent < math.inf):
             raise ValueError("LpBall: exponent must be in (1, inf); use L1Ball/L2Ball otherwise")
         super().__init__(exponent, radius, d)
-        self.tol = tol
 
     def project(self, v):
-        return project_lp_ball(v, self.exponent, self.radius, tol=self.tol)
+        return project_lp_ball(v, self.exponent, self.radius)

@@ -98,6 +98,15 @@ class TestRunner:
         assert not r.refused and r.excess_risk is not None
         assert r.n == 64 and r.epsilon == 1.0
 
+    def test_evaluation_policy_reaches_the_risk(self):
+        def risk(policy):
+            cfg = ExperimentConfig.from_dict(_base_config(evaluation={"policy": policy, "m_eval": 2000}))
+            return run_cell(cfg, 0, 0, 0).excess_risk
+
+        oracle = risk("oracle")
+        assert risk("auto") == oracle
+        assert risk("mc") != oracle
+
     def test_byte_identical_rerun(self, tmp_path):
         cfg = ExperimentConfig.from_dict(_base_config(trials=3, n_grid=[32, 64]))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

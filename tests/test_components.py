@@ -76,6 +76,17 @@ MISCONFIGS = {
     ),
     "constrained algorithm without a constraint": (_md_doc(constraint=None), "constraint"),
     "oracle risk on heavy_tail_linear": (_md_doc(evaluation={"policy": "oracle"}), "oracle"),
+    "heavy-tail noise without a variance": (
+        _md_doc(distribution={"name": "heavy_tail_linear", "t_dof": 2.0}),
+        "dof > 2",
+    ),
+    "minimizer outside the lp ball": (
+        _md_doc(
+            distribution={"name": "heavy_tail_linear", "w_star_norm": 3.0},
+            constraint={"set": "lp", "radius": 0.3},
+        ),
+        "outside the constraint set",
+    ),
 }
 
 

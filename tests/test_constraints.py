@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpsco.problems.constraints import (
     L1Ball,
@@ -70,6 +72,66 @@ class TestLpProjection:
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
             project_lp_ball(np.ones(3), 1.0, 1.0)
+
+    @pytest.mark.parametrize("d", [1, 6, 30])
+    def test_large_p_far_outside(self, d):
+        # Equal magnitudes project to sign(v) * radius * d^(-1/p).  A Newton
+        # solve of t + nu p t^(p-1) = |v| started at t = |v| creeps at p = 20.
+        v = 1e3 * np.where(np.arange(d) % 2, -1.0, 1.0)
+        w = project_lp_ball(v, 20.0, 1.0)
+        np.testing.assert_allclose(w, np.sign(v) * d ** (-1.0 / 20.0), rtol=1e-9)
+        w = project_lp_ball(v * np.linspace(0.5, 1.5, d), 20.0, 1.0)
+        assert abs(lp_norm(w, 20.0) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("tiny", [0.0, 1e-8, -1e-8])
+    def test_tiny_coordinate_near_p_one(self, tiny):
+        p = 1.05
+        v = np.array([tiny, 0.8, -0.6, 0.3])
+        w = project_lp_ball(v, p, 0.5)
+        assert abs(lp_norm(w, p) - 0.5) <= 1e-10
+        assert w[0] * tiny >= 0.0 and abs(w[0]) <= abs(tiny)
+        # KKT: every coordinate off zero has the same multiplier
+        # nu = (|v_i| - |w_i|) / (p |w_i|^(p-1)).
+        a, t = np.abs(v[1:]), np.abs(w[1:])
+        nu = (a - t) / (p * t ** (p - 1.0))
+        np.testing.assert_allclose(nu, nu[0], rtol=1e-8)
+
+
+def _feasible_points(rng, d, p, radius, k):
+    """k points of the lp ball, half of them on its boundary."""
+    z = rng.standard_normal((k, d))
+    z *= radius / lp_norm(z, p)[:, None]
+    return z * np.where(np.arange(k) % 2, 1.0, rng.random(k))[:, None]
+
+
+@st.composite
+def _lp_inputs(draw):
+    d = draw(st.integers(1, 30))
+    coord = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+    v = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+    scale = 10.0 ** draw(st.floats(-6.0, 3.0))
+    p = draw(st.floats(1.05, 20.0))
+    radius = 10.0 ** draw(st.floats(-2.0, 1.0))
+    return v * scale, p, radius, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lp_inputs())
+def test_lp_projection_properties(case):
+    v, p, radius, seed = case
+    w = project_lp_ball(v, p, radius)
+    if lp_norm(v, p) <= radius:
+        np.testing.assert_array_equal(w, v)
+        return
+    assert abs(lp_norm(w, p) - radius) <= 1e-10
+    # signs kept, magnitudes shrunk, zeros stay zero
+    assert np.all(w * v >= 0.0) and np.all(np.abs(w) <= np.abs(v))
+    np.testing.assert_allclose(project_lp_ball(w, p, radius), w, rtol=0.0, atol=1e-9)
+    # variational inequality <v - w, u - w> <= 0 for every u in the ball,
+    # up to rounding that grows with the length of v - w
+    u = _feasible_points(np.random.default_rng(seed), v.size, p, radius, 20)
+    slack = 1e-8 * max(1.0, float(np.linalg.norm(v - w)))
+    assert np.max((u - w) @ (v - w)) <= slack
 
 
 class TestBallSets:

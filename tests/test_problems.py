@@ -170,6 +170,18 @@ class TestPopulationRisk:
         excess, _ = excess_population_risk(dist.true_minimizer, dist, loss)
         assert excess == pytest.approx(0.0, abs=1e-15)
 
+    def test_excess_policies(self):
+        # "mc" samples even where a closed form exists; "auto" takes it.
+        dist = BallCloud(np.array([0.2, -0.1, 0.3]), spread=0.7)
+        loss = MeanPointLoss()
+        w = np.array([0.1, 0.1, 0.1])
+        oracle, oracle_se = excess_population_risk(w, dist, loss, policy="oracle")
+        auto = excess_population_risk(w, dist, loss, policy="auto")
+        mc, se = excess_population_risk(w, dist, loss, m_eval=20_000, rng=np.random.default_rng(6), policy="mc")
+        assert oracle_se == 0.0 and auto == (oracle, 0.0)
+        assert se > 0.0 and mc != oracle
+        assert abs(mc - oracle) <= 4 * se
+
     def test_excess_with_constraint(self):
         dist = BallCloud(np.array([0.5, 0.0]))
         loss = MeanPointLoss()
