@@ -36,6 +36,9 @@ class Component:
 
 @dataclass(frozen=True)
 class Distribution(Component):
+    """``losses`` are the losses whose population minimizer is the distribution's ``true_minimizer``."""
+
+    losses: tuple = ()
     oracle: bool = False  # closed-form excess risk, so evaluation.policy "oracle" is possible
 
 
@@ -115,16 +118,19 @@ DISTRIBUTIONS = Table("distribution", {
     "ball_cloud": Distribution(
         lambda g, mu_scale=0.5, **kw: BallCloud(_diagonal(g["d"], mu_scale), **kw),
         ("mu_scale", "spread"),
+        losses=("mean_point",),
         oracle=True,
     ),
     "logistic_sphere": Distribution(
         lambda g, w_star_norm=0.8, feature_radius=1.0, **kw: LogisticSphere(
             _diagonal(g["d"], w_star_norm), radius=feature_radius, **kw),
         ("w_star_norm", "sphere_exponent", "feature_radius"),
+        losses=("logistic",),
     ),
     "heavy_tail_linear": Distribution(
         lambda g, w_star_norm=0.5, **kw: HeavyTailLinear(_diagonal(g["d"], w_star_norm), **kw),
         ("w_star_norm", "sphere_exponent", "t_dof", "t_scale"),
+        losses=("pseudo_huber",),
     ),
 })
 

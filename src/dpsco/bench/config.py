@@ -3,11 +3,13 @@
 Unknown keys anywhere in the document are hard errors: a silently ignored
 typo in a schedule constant would corrupt an experiment, so the parser
 refuses instead.  Component names, their keys, each algorithm's geometry
-and constraint needs, and whether a distribution allows oracle evaluation
-come from the tables in ``components``.  The config builds the loss,
-distribution and constraint set once, so a value a constructor refuses, or
-a population minimizer the evaluation cannot score against, is refused at
-parse time too; the runner runs every cell on those components.
+and constraint needs, the losses each distribution's population minimizer
+is known for, and whether a distribution allows oracle evaluation come from
+the tables in ``components``.  A solver ``T`` the smallest n cannot serve is
+refused as well.  The config builds the loss, distribution and constraint
+set once, so a value a constructor refuses, or a population minimizer the
+evaluation cannot score against, is refused at parse time too; the runner
+runs every cell on those components.
 """
 
 import json
@@ -40,6 +42,22 @@ def _check_keys(mapping, allowed, where):
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+
+
+def _check_T(algorithm, solver, n_min):
+    """A T the smallest n cannot serve: the truncated solvers split n rows into
+    T nonempty batches, and noisy_reg_md's automatic alpha_reg needs T < n."""
+    T = solver.get("T")
+    if T is None:
+        return
+    if algorithm == "noisy_reg_md":
+        if "alpha_reg" not in solver and T >= n_min:
+            raise ConfigError(
+                f"noisy_reg_md: automatic alpha_reg needs T < n, but T={T} and the smallest n is "
+                f"{n_min}; lower T or set alpha_reg"
+            )
+    elif T > n_min:
+        raise ConfigError(f"{algorithm}: T={T} batches need n >= T, but the smallest n is {n_min}")
 
 
 @dataclass
@@ -79,6 +97,12 @@ class ExperimentConfig:
             raise ConfigError(f"{self.algorithm} is unconstrained; remove the constraint set")
         loss = LOSSES.build(self.loss, self.geometry)
         dist = DISTRIBUTIONS.build(self.distribution, self.geometry)
+        fits = DISTRIBUTIONS[self.distribution["name"]].losses
+        if self.loss["name"] not in fits:
+            raise ConfigError(
+                f"loss {self.loss['name']!r} does not fit distribution {self.distribution['name']!r}, "
+                f"whose population minimizer is known for {list(fits)}"
+            )
         C = None if self.constraint is None else CONSTRAINTS.build(self.constraint, self.geometry)
         population_minimizer(dist, C, loss)
         self.components = (loss, dist, C)
@@ -87,6 +111,7 @@ class ExperimentConfig:
             raise ConfigError("n_grid and eps_grid must be nonempty")
         if any(int(n) != n or n < 1 for n in self.n_grid):
             raise ConfigError("n_grid must contain positive integers")
+        _check_T(self.algorithm, self.solver, min(self.n_grid))
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not 0.0 < self.delta < 1.0:

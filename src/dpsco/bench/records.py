@@ -6,27 +6,12 @@ the one run-to-run nondeterministic value; everything else is a pure
 function of (config, base seed).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
 SCHEMA_LINE = "#schema=1"
-_COLUMNS = [
-    "algorithm",
-    "p",
-    "d",
-    "n",
-    "epsilon",
-    "delta",
-    "trial",
-    "seed",
-    "excess_risk",
-    "trunc_fraction",
-    "wall_ms",
-    "refused",
-    "refusal_reason",
-]
 
 
 @dataclass(frozen=True)
@@ -57,9 +42,23 @@ def without_timing(records):
     return [replace(r, wall_ms=0.0) for r in records]
 
 
+# Column order and per-column parsing both come from RunRecord's fields.
+_COLUMNS = [f.name for f in fields(RunRecord)]
+_PARSE = {
+    str: str,
+    int: int,
+    float: float,
+    bool: lambda s: s == "1",
+    Optional[float]: lambda s: float(s) if s else None,
+}
+_PARSERS = [_PARSE[f.type] for f in fields(RunRecord)]
+
+
 def _fmt(v):
     if v is None:
         return ""
+    if isinstance(v, str):
+        return v.replace("\n", " ")
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, (float, np.floating)):
@@ -73,22 +72,7 @@ def write_records(records, path):
         fh.write(SCHEMA_LINE + "\n")
         fh.write(",".join(_COLUMNS) + "\n")
         for r in records:
-            row = [
-                r.algorithm,
-                _fmt(r.p),
-                _fmt(r.d),
-                _fmt(r.n),
-                _fmt(r.epsilon),
-                _fmt(r.delta),
-                _fmt(r.trial),
-                _fmt(r.seed),
-                _fmt(r.excess_risk),
-                _fmt(r.trunc_fraction),
-                _fmt(r.wall_ms),
-                _fmt(r.refused),
-                r.refusal_reason.replace("\n", " "),
-            ]
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(_fmt(getattr(r, c)) for c in _COLUMNS) + "\n")
 
 
 def read_records(path):
@@ -105,22 +89,6 @@ def read_records(path):
             line = line.rstrip("\n")
             if not line:
                 continue
-            f = line.split(",", len(_COLUMNS) - 1)
-            out.append(
-                RunRecord(
-                    algorithm=f[0],
-                    p=float(f[1]),
-                    d=int(f[2]),
-                    n=int(f[3]),
-                    epsilon=float(f[4]),
-                    delta=float(f[5]),
-                    trial=int(f[6]),
-                    seed=int(f[7]),
-                    excess_risk=float(f[8]) if f[8] else None,
-                    trunc_fraction=float(f[9]) if f[9] else None,
-                    wall_ms=float(f[10]),
-                    refused=f[11] == "1",
-                    refusal_reason=f[12],
-                )
-            )
+            values = line.split(",", len(_COLUMNS) - 1)
+            out.append(RunRecord(**{c: parse(v) for c, parse, v in zip(_COLUMNS, _PARSERS, values)}))
     return out

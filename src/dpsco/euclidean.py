@@ -40,7 +40,6 @@ class ObjPConfig:
     lambda_reg: Optional[float] = None
     noise_multiplier: float = 1.0
     check_release_distance: bool = True
-    width_samples: int = 20_000
 
     def __post_init__(self):
         if self.alpha_opt is not None and not (0.0 < self.alpha_opt <= 1.0):
@@ -86,10 +85,10 @@ def inner_solve(obj, C, alpha, start):
     return _pgd(obj, C, start, pgd_iteration_count(obj, C, alpha))
 
 
-def _gaussian_width_estimate(C, m):
+def _gaussian_width_estimate(C):
     # Deterministic internal seed: the width only sets the default accuracy
     # ceiling, and a fixed seed keeps solver outputs reproducible.
-    est, _ = gaussian_width_mc(C, m, np.random.default_rng(20_170_419))
+    est, _ = gaussian_width_mc(C, 20_000, np.random.default_rng(20_170_419))
     return est
 
 
@@ -188,7 +187,7 @@ def app_objp(data, loss, C, cfg, rng):
         )
     _warn_large_n(n, r, beta, D, L, d, budget)
 
-    width = _gaussian_width_estimate(C, cfg.width_samples)
+    width = _gaussian_width_estimate(C)
     alpha = cfg.alpha_opt if cfg.alpha_opt is not None else _alpha_ceiling(L, D, n, budget, width)
 
     sigma1 = math.sqrt(128.0 * L**2 * math.log(2.5 / budget.delta)) / budget.epsilon
@@ -238,7 +237,7 @@ def app_objp_sc(data, loss, C, cfg, rng):
         )
     _warn_large_n(n, r, beta, D, L, d, budget)
 
-    width = _gaussian_width_estimate(C, cfg.width_samples)
+    width = _gaussian_width_estimate(C)
     alpha = (
         cfg.alpha_opt
         if cfg.alpha_opt is not None

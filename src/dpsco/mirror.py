@@ -5,12 +5,13 @@ Three variants share the machinery here:
 * ``noisy_reg_md`` -- unconstrained, Lipschitz losses: each step solves a
   regularized linearized subproblem in closed form through the mirror map
   and adds generalized Gaussian noise to the gradient.
-* ``shuffled_truncated_md`` -- constrained, heavy-tailed gradients: the data
-  is shuffled once and processed in one pass over batches, per-sample
-  gradients are truncated to bound sensitivity, and per-sample noise is
-  calibrated with amplification by shuffling (high-privacy regime only).
-* ``batched_truncated_md`` -- same loop without shuffling; one noise draw
-  per batch under parallel composition, valid for any epsilon in (0, 1).
+* ``shuffled_truncated_md`` and ``batched_truncated_md`` -- constrained,
+  heavy-tailed gradients, one pass of the shared loop ``_truncated_md``:
+  per-sample gradients truncated to bound sensitivity, a noisy constrained
+  mirror step per batch, and the average of the iterates.  The shuffled
+  solver permutes the data and adds per-sample noise amplified by shuffling
+  (high-privacy regime only); the batched one adds one draw per batch under
+  parallel composition, valid for any epsilon in (0, 1).
 
 ``lambda`` is an overloaded symbol in this corner of the literature; here
 ``lambda_trunc`` always means the truncation offset and ``lambda_reg`` a
@@ -34,7 +35,7 @@ __all__ = [
     "MDConfig",
     "TruncationStats",
     "noisy_reg_md",
-    "truncate_gradient",
+    "truncate_gradients",
     "mirror_step_constrained",
     "shuffled_truncated_md",
     "batched_truncated_md",
@@ -83,8 +84,6 @@ class TruncationStats:
     max_pre_norm: float = 0.0
 
     def update(self, norms, kept_mask):
-        norms = np.atleast_1d(norms)
-        kept_mask = np.atleast_1d(kept_mask)
         self.total += norms.size
         self.zeroed += int((~kept_mask).sum())
         if norms.size:
@@ -174,42 +173,32 @@ def regularized_md_step_residual(w_next, w_prev, grad_with_noise, beta, alpha, s
     return float(np.linalg.norm(res))
 
 
-def truncate_gradient(g, threshold, dual_exponent, stats=None):
-    """Zero out g when its dual norm exceeds the threshold (inclusive keep).
+def truncate_gradients(G, threshold, dual_exponent, stats):
+    """Zero every row of G whose dual norm exceeds the threshold (inclusive keep).
 
-    Returns the (possibly zeroed) gradient; updates ``stats`` in place when
-    given.
+    Returns the truncated copy of the batch and counts its rows in ``stats``.
     """
     if threshold <= 0:
-        raise ValueError("truncate_gradient: threshold must be > 0")
-    nrm = float(lp_norm(g, dual_exponent))
-    keep = nrm <= threshold
-    if stats is not None:
-        stats.update(np.array([nrm]), np.array([keep]))
-    return g if keep else np.zeros_like(g)
-
-
-def _truncate_batch(G, threshold, dual_exponent, stats):
+        raise ValueError("truncate_gradients: threshold must be > 0")
     norms = lp_norm(G, dual_exponent, axis=-1)
     keep = norms <= threshold
     stats.update(norms, keep)
     out = np.where(keep[:, None], G, 0.0)
     # The truncation bound must hold with probability 1.
-    post = lp_norm(out, dual_exponent, axis=-1)
-    if np.any(post > threshold * (1 + 1e-12)):
+    if np.any(lp_norm(out, dual_exponent, axis=-1) > threshold * (1 + 1e-12)):
         raise AssertionError("truncation invariant violated")
     return out
 
 
-def mirror_step_constrained(g_hat, w_prev, gamma, C, spec, tol=None, cap=10_000):
+def mirror_step_constrained(g_hat, w_prev, gamma, C, spec, tol=None):
     """Constrained mirror-descent step.
 
     Minimizes <g_hat, w> + gamma * D_Phi(w, w_prev) over C.  The
     unconstrained minimizer has the closed form
     (grad Phi)^{-1}(grad Phi(w_prev) - g_hat/gamma); if it is feasible it is
     returned directly.  Otherwise projected gradient descent with Armijo
-    backtracking runs until the Frank-Wolfe gap certifies suboptimality
-    <= tol.  Returns (w, residual).
+    backtracking runs (at most 10 000 iterations) until the Frank-Wolfe gap
+    certifies suboptimality <= tol.  Returns (w, residual).
     """
     if tol is None:
         tol = 1e-8 * gamma * C.diameter_primal(spec.p) ** 2
@@ -230,7 +219,7 @@ def mirror_step_constrained(g_hat, w_prev, gamma, C, spec, tol=None, cap=10_000)
     # Base step: the potential's curvature scales like gamma * weight.
     eta = 1.0 / (gamma * max(1.0, spec.potential_weight))
     residual = math.inf
-    for _ in range(cap):
+    for _ in range(10_000):
         gw = grad(w)
         residual = float(gw @ w + C.support(-gw))
         if residual <= tol:
@@ -251,21 +240,42 @@ def mirror_step_constrained(g_hat, w_prev, gamma, C, spec, tol=None, cap=10_000)
     if residual <= tol:
         return w, residual
     raise NumericError(
-        f"mirror step did not reach tol={tol:.3e} within cap={cap}", residual=residual
+        f"mirror step did not reach tol={tol:.3e} within 10000 iterations", residual=residual
     )
 
 
-def _batch_bounds(n, T):
-    """T batches of floor(n/T); the remainder joins the last batch."""
-    b = n // T
-    bounds = [(i * b, (i + 1) * b) for i in range(T)]
-    lo, _ = bounds[-1]
-    bounds[-1] = (lo, n)
-    return b, bounds
+def _batch_size(n, T):
+    if T > n:
+        raise ValueError(f"T={T} batches need n >= T rows; got n={n}")
+    return n // T
 
 
-def _lambda_floor(beta, M):
-    return max(beta, 1.0) * M
+def _truncated_md(data, loss, C, cfg, T, lam, threshold, privatize):
+    """One constrained mirror step per batch: the pass both truncated solvers share.
+
+    Batch t is rows [t b, (t+1) b) of ``data``, b = floor(n/T), with the
+    remainder in the last batch.  Its per-sample gradients are truncated at
+    ``threshold`` and ``privatize`` turns them into the noisy gradient for a
+    step with gamma (default sqrt(T)).  Returns the plain average of the
+    iterates and the info fields both solvers report.
+    """
+    n, space = data.n, cfg.space
+    b = _batch_size(n, T)
+    gamma = cfg.gamma if cfg.gamma is not None else math.sqrt(T)
+    stats = TruncationStats()
+    w = np.zeros(data.d)
+    avg = _WeightedAverage(1.0)  # uniform gamma_t => plain average
+    residuals = []
+    for t in range(T):
+        lo, hi = t * b, n if t == T - 1 else (t + 1) * b
+        y = None if data.y is None else data.y[lo:hi]
+        G = truncate_gradients(loss.grads(w, data.X[lo:hi], y), threshold, space.q, stats)
+        w, res = mirror_step_constrained(privatize(G), w, gamma, C, space)
+        residuals.append(res)
+        avg.add(w)
+    info = {"T": T, "lambda_trunc": lam, "threshold": threshold, "gamma": gamma,
+            "truncation": stats, "max_step_residual": max(residuals)}
+    return avg.value, info
 
 
 def shuffled_truncated_md(data, loss, C, cfg, budget, rng):
@@ -290,7 +300,7 @@ def shuffled_truncated_md(data, loss, C, cfg, budget, rng):
             cfg.c_lambda
             * math.sqrt(n * budget.epsilon)
             / (kappa**2 * d * logd) ** 0.25,
-            _lambda_floor(beta, M),
+            max(beta, 1.0) * M,  # floor: the threshold is at least 2 beta M
         )
     threshold = beta * M + lam
 
@@ -306,41 +316,19 @@ def shuffled_truncated_md(data, loss, C, cfg, budget, rng):
     if T is None:
         raw = cfg.c_t * M**2 * n**2 * budget.epsilon**2 / (lam**2 * d * logd)
         T = int(min(max(1, round(raw)), n))
-    gamma = cfg.gamma if cfg.gamma is not None else math.sqrt(T)
 
     perm = rng.permutation(n)  # Fisher-Yates under the hood; rng-injected
-    shuffled = data.subset(perm)
-    _, bounds = _batch_bounds(n, T)
     noise = GGNoiseSpec(sigma2=calib.sigma**2, r=space.r_noise, d=d) if calib.sigma > 0 else None
 
-    stats = TruncationStats()
-    w = np.zeros(d)
-    avg = _WeightedAverage(1.0)  # uniform gamma_t => plain average
-    residuals = []
-    for lo, hi in bounds:
-        X = shuffled.X[lo:hi]
-        y = None if shuffled.y is None else shuffled.y[lo:hi]
-        G = loss.grads(w, X, y)
-        G = _truncate_batch(G, threshold, space.q, stats)
-        Z = cfg.c_noise * gg_sample(noise, rng, size=hi - lo) if noise is not None else 0.0
-        g_hat = (G + Z).mean(axis=0) if noise is not None else G.mean(axis=0)
-        w, res = mirror_step_constrained(g_hat, w, gamma, C, space)
-        residuals.append(res)
-        avg.add(w)
+    def privatize(G):  # one draw per sample, before averaging
+        if noise is None:
+            return G.mean(axis=0)
+        return (G + cfg.c_noise * gg_sample(noise, rng, size=len(G))).mean(axis=0)
 
-    out = avg.value
+    out, info = _truncated_md(data.subset(perm), loss, C, cfg, T, lam, threshold, privatize)
     if not C.contains(out, slack=1e-9):
         raise AssertionError("averaged iterate left the constraint set")
-    info = {
-        "T": T,
-        "lambda_trunc": lam,
-        "threshold": threshold,
-        "sigma": calib.sigma,
-        "gamma": gamma,
-        "truncation": stats,
-        "max_step_residual": max(residuals) if residuals else 0.0,
-        "regime_valid": calib.valid,
-    }
+    info.update(sigma=calib.sigma, regime_valid=calib.valid)
     return out, info
 
 
@@ -364,7 +352,7 @@ def batched_truncated_md(data, loss, C, cfg, budget, rng):
         lam = max(
             cfg.c_lambda
             * (math.sqrt(n * budget.epsilon) * M / (kappa * (d * logd) ** 0.25)) ** (2.0 / 3.0),
-            _lambda_floor(beta, M),
+            max(beta, 1.0) * M,  # floor: the threshold is at least 2 beta M
         )
     threshold = beta * M + lam
 
@@ -375,35 +363,17 @@ def batched_truncated_md(data, loss, C, cfg, budget, rng):
         if T > n:
             warnings.warn(f"schedule T={T} exceeds n={n}; clamping to n", stacklevel=2)
             T = n
-    gamma = cfg.gamma if cfg.gamma is not None else math.sqrt(T)
 
-    b, bounds = _batch_bounds(n, T)
+    b = _batch_size(n, T)
     sigma2 = kappa * threshold**2 * logd / (b**2 * budget.epsilon**2)
     noise = GGNoiseSpec(sigma2=sigma2, r=space.r_noise, d=d)
 
-    stats = TruncationStats()
-    w = np.zeros(d)
-    avg = _WeightedAverage(1.0)
-    residuals = []
-    for lo, hi in bounds:
-        X = data.X[lo:hi]
-        y = None if data.y is None else data.y[lo:hi]
-        G = _truncate_batch(loss.grads(w, X, y), threshold, space.q, stats)
-        g_hat = G.mean(axis=0) + cfg.c_noise * gg_sample(noise, rng)
-        w, res = mirror_step_constrained(g_hat, w, gamma, C, space)
-        residuals.append(res)
-        avg.add(w)
+    def privatize(G):  # one draw per batch mean
+        return G.mean(axis=0) + cfg.c_noise * gg_sample(noise, rng)
 
-    info = {
-        "T": T,
-        "lambda_trunc": lam,
-        "threshold": threshold,
-        "sigma2_step": sigma2,
-        "gamma": gamma,
-        "truncation": stats,
-        "max_step_residual": max(residuals) if residuals else 0.0,
-    }
-    return avg.value, info
+    out, info = _truncated_md(data, loss, C, cfg, T, lam, threshold, privatize)
+    info["sigma2_step"] = sigma2
+    return out, info
 
 
 def lipschitz_high_p(data, loss, budget, rng, eta=None, noise_multiplier=1.0):

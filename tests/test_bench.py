@@ -73,6 +73,23 @@ class TestRecordsCsv:
         write_records(records, path)
         assert read_records(path) == records
 
+    def test_schema_1_bytes(self, tmp_path):
+        records = [
+            RunRecord("app_objp", 2.0, 4, 64, 1.0, 1e-5, 0, 123, 0.0123456789012345, None, 4.25),
+            RunRecord(
+                "shuffled_truncated_md", 1.5, 10, 64, 0.5, 1e-5, 2, 789, None, None, 1.0,
+                refused=True, refusal_reason="outside regime,\nmax eps 0.1",
+            ),
+        ]
+        path = tmp_path / "runs.csv"
+        write_records(records, path)
+        assert path.read_bytes() == (
+            b"#schema=1\n"
+            b"algorithm,p,d,n,epsilon,delta,trial,seed,excess_risk,trunc_fraction,wall_ms,refused,refusal_reason\n"
+            b"app_objp,2.0,4,64,1.0,1e-05,0,123,0.0123456789012345,,4.25,0,\n"
+            b"shuffled_truncated_md,1.5,10,64,0.5,1e-05,2,789,,,1.0,1,outside regime, max eps 0.1\n"
+        )
+
     def test_schema_line_present(self, tmp_path):
         path = tmp_path / "runs.csv"
         write_records([], path)

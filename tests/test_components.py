@@ -50,6 +50,19 @@ def _md_doc(**over):
     return _base_doc(**{**md, **over})
 
 
+def _tight_md_doc(**over):
+    """The benchmark's constrained grid (lp ball of radius 0.3 at p = 1.8) with a T
+    larger than its only n."""
+    tight = {
+        "distribution": {"name": "heavy_tail_linear", "w_star_norm": 0.2, "sphere_exponent": 2.25},
+        "geometry": {"p": 1.8, "d": 6},
+        "constraint": {"set": "lp", "radius": 0.3},
+        "n_grid": [16],
+        "solver": {"T": 20, "lambda_trunc": 1.0},
+    }
+    return _md_doc(**{**tight, **over})
+
+
 # Each misconfiguration that used to run silently or fail only inside the
 # first cell, with a word the refusal must name.
 MISCONFIGS = {
@@ -86,6 +99,26 @@ MISCONFIGS = {
             constraint={"set": "lp", "radius": 0.3},
         ),
         "outside the constraint set",
+    ),
+    "more batches than the smallest n (batched)": (_tight_md_doc(), "T=20"),
+    "more batches than the smallest n (shuffled)": (
+        _tight_md_doc(
+            algorithm="shuffled_truncated_md",
+            solver={"T": 20, "lambda_trunc": 1.0, "bypass_regime_check": True},
+        ),
+        "T=20",
+    ),
+    "noisy_reg_md automatic alpha_reg with T = n": (
+        _md_doc(algorithm="noisy_reg_md", constraint=None, n_grid=[16], solver={"T": 16}),
+        "alpha_reg",
+    ),
+    "mean_point on logistic_sphere": (
+        _base_doc(distribution={"name": "logistic_sphere"}),
+        "does not fit",
+    ),
+    "logistic on ball_cloud": (
+        _base_doc(algorithm="app_objp", loss={"name": "logistic"}),
+        "does not fit",
     ),
 }
 
@@ -131,12 +164,27 @@ def _entry_docs():
     ``doc[section]`` is where that entry's keys go."""
     for name in ALGORITHMS:
         yield ALGORITHMS, name, _doc_for_algorithm(name), "solver"
-    for table, section in ((LOSSES, "loss"), (DISTRIBUTIONS, "distribution"), (CONSTRAINTS, "constraint")):
-        for name in table:
-            yield table, name, _base_doc(**{section: {table.tag: name}}), section
+    # A loss and a distribution are tested in a pairing the parser accepts.
+    for name, entry in DISTRIBUTIONS.items():
+        for loss in entry.losses:
+            yield LOSSES, loss, _base_doc(loss={"name": loss}, distribution={"name": name}), "loss"
+        doc = _base_doc(loss={"name": entry.losses[0]}, distribution={"name": name})
+        yield DISTRIBUTIONS, name, doc, "distribution"
+    for name in CONSTRAINTS:
+        yield CONSTRAINTS, name, _base_doc(constraint={"set": name}), "constraint"
 
 
 ENTRIES = {f"{table.kind}:{name}": (table, doc, section) for table, name, doc, section in _entry_docs()}
+
+
+def test_every_loss_fits_a_distribution():
+    assert {loss for entry in DISTRIBUTIONS.values() for loss in entry.losses} == set(LOSSES)
+
+
+def test_a_t_every_n_can_serve_parses():
+    ExperimentConfig.from_dict(_tight_md_doc(solver={"T": 16, "lambda_trunc": 1.0}))
+    doc = _md_doc(algorithm="noisy_reg_md", constraint=None, n_grid=[16], solver={"T": 16, "alpha_reg": 0.1})
+    ExperimentConfig.from_dict(doc)
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))

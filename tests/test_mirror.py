@@ -16,7 +16,7 @@ from dpsco.mirror import (
     noisy_reg_md,
     regularized_md_step_residual,
     shuffled_truncated_md,
-    truncate_gradient,
+    truncate_gradients,
 )
 from dpsco.euclidean import phased_dp_sgd
 from dpsco.problems import (
@@ -165,31 +165,45 @@ class TestNoisyRegMD:
 
 class TestTruncation:
     def test_boundary_inclusive(self):
-        g = np.array([3.0, 4.0])  # ||g||_2 = 5
+        g = np.array([[3.0, 4.0]])  # ||g||_2 = 5
         stats = TruncationStats()
-        out = truncate_gradient(g, 5.0, 2.0, stats)
+        out = truncate_gradients(g, 5.0, 2.0, stats)
         np.testing.assert_array_equal(out, g)
         assert stats.zeroed == 0
 
     def test_above_threshold_zeroed(self):
-        g = np.array([3.0, 4.0])
+        g = np.array([[3.0, 4.0]])
         stats = TruncationStats()
-        out = truncate_gradient(g, 5.0 / (1 + 1e-9), 2.0, stats)
-        np.testing.assert_array_equal(out, np.zeros(2))
+        out = truncate_gradients(g, 5.0 / (1 + 1e-9), 2.0, stats)
+        np.testing.assert_array_equal(out, np.zeros((1, 2)))
         assert stats.zeroed == 1
 
     def test_zero_gradient_unchanged(self):
-        out = truncate_gradient(np.zeros(3), 1.0, 1.5)
-        np.testing.assert_array_equal(out, np.zeros(3))
+        out = truncate_gradients(np.zeros((1, 3)), 1.0, 1.5, TruncationStats())
+        np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
     def test_stats_accumulate(self):
         stats = TruncationStats()
-        truncate_gradient(np.array([10.0, 0.0]), 1.0, 2.0, stats)
-        truncate_gradient(np.array([0.1, 0.0]), 1.0, 2.0, stats)
+        truncate_gradients(np.array([[10.0, 0.0]]), 1.0, 2.0, stats)
+        truncate_gradients(np.array([[0.1, 0.0]]), 1.0, 2.0, stats)
         assert stats.total == 2
         assert stats.zeroed == 1
         assert stats.max_pre_norm == pytest.approx(10.0)
         assert stats.zeroed_fraction == pytest.approx(0.5)
+
+    def test_batch_straddling_the_threshold(self):
+        # dual exponent 3: row norms 2, (1 + 8)^(1/3), 0 and 3 against threshold 2
+        G = np.array([[2.0, 0.0], [1.0, -2.0], [0.0, 0.0], [0.0, 3.0]])
+        stats = TruncationStats(total=1, zeroed=1, max_pre_norm=1.5)
+        out = truncate_gradients(G, 2.0, 3.0, stats)
+        np.testing.assert_array_equal(out, [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        assert (stats.total, stats.zeroed) == (5, 3)
+        assert stats.max_pre_norm == pytest.approx(3.0)
+        np.testing.assert_array_equal(G[1], [1.0, -2.0])  # the input batch is left as it was
+
+    def test_nonpositive_threshold_refused(self):
+        with pytest.raises(ValueError, match="threshold"):
+            truncate_gradients(np.ones((2, 2)), 0.0, 2.0, TruncationStats())
 
 
 class TestMirrorStep:
@@ -368,6 +382,30 @@ class TestBatchedTruncatedMD:
         cfg = MDConfig(space=space, lambda_trunc=2.0, c_t=1e9)
         with pytest.warns(UserWarning, match="clamping"):
             batched_truncated_md(data, loss, C, cfg, PrivacyBudget(0.5, 1e-5), np.random.default_rng(8))
+
+
+SHARED_INFO = {"T", "lambda_trunc", "threshold", "gamma", "truncation", "max_step_residual"}
+
+
+class TestTruncatedSolverInfo:
+    def test_info_keys(self):
+        space, _, data, loss, C = _heavy_setup(n=128, d=4)
+        cfg = MDConfig(space=space, T=4, lambda_trunc=2.0, bypass_regime_check=True)
+        b = PrivacyBudget(0.5, 1e-5)
+        _, shuffled = shuffled_truncated_md(data, loss, C, cfg, b, np.random.default_rng(0))
+        _, batched = batched_truncated_md(data, loss, C, cfg, b, np.random.default_rng(0))
+        assert set(shuffled) == SHARED_INFO | {"sigma", "regime_valid"}
+        assert set(batched) == SHARED_INFO | {"sigma2_step"}
+        for info in (shuffled, batched):
+            assert isinstance(info["truncation"], TruncationStats)
+            assert info["truncation"].total == 128
+
+    @pytest.mark.parametrize("solve", [shuffled_truncated_md, batched_truncated_md])
+    def test_more_batches_than_rows_refused(self, solve):
+        space, _, data, loss, C = _heavy_setup(n=16, d=4)
+        cfg = MDConfig(space=space, T=17, lambda_trunc=2.0, bypass_regime_check=True)
+        with pytest.raises(ValueError, match="need n >= T"):
+            solve(data, loss, C, cfg, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0))
 
 
 class TestHighP:
