@@ -5,11 +5,12 @@ typo in a schedule constant would corrupt an experiment, so the parser
 refuses instead.  Component names, their keys, each algorithm's geometry
 and constraint needs, the losses each distribution's population minimizer
 is known for, and whether a distribution allows oracle evaluation come from
-the tables in ``components``.  A solver ``T`` the smallest n cannot serve is
-refused as well.  The config builds the loss, distribution and constraint
-set once, so a value a constructor refuses, or a population minimizer the
-evaluation cannot score against, is refused at parse time too; the runner
-runs every cell on those components.
+the tables in ``components``.  A solver ``T`` that is not a positive
+integer, or that the smallest n cannot serve, is refused as well.  The
+config builds the loss, distribution and constraint set once, so a value a
+constructor refuses, or a population minimizer the evaluation cannot score
+against, is refused at parse time too; the runner runs every cell on those
+components.
 """
 
 import json
@@ -45,11 +46,14 @@ def _check_keys(mapping, allowed, where):
 
 
 def _check_T(algorithm, solver, n_min):
-    """A T the smallest n cannot serve: the truncated solvers split n rows into
-    T nonempty batches, and noisy_reg_md's automatic alpha_reg needs T < n."""
+    """A T that is not a positive integer, or one the smallest n cannot serve:
+    the truncated solvers split n rows into T nonempty batches, and
+    noisy_reg_md's automatic alpha_reg needs T < n."""
     T = solver.get("T")
     if T is None:
         return
+    if isinstance(T, bool) or not isinstance(T, int) or T < 1:
+        raise ConfigError(f"{algorithm}: solver.T must be a positive integer, got {T!r}")
     if algorithm == "noisy_reg_md":
         if "alpha_reg" not in solver and T >= n_min:
             raise ConfigError(

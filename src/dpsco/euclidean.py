@@ -87,9 +87,14 @@ def inner_solve(obj, C, alpha, start):
 
 def _gaussian_width_estimate(C):
     # Deterministic internal seed: the width only sets the default accuracy
-    # ceiling, and a fixed seed keeps solver outputs reproducible.
-    est, _ = gaussian_width_mc(C, 20_000, np.random.default_rng(20_170_419))
-    return est
+    # ceiling, and a fixed seed keeps solver outputs reproducible.  The
+    # estimate is a function of C alone, so it is drawn on the first solve
+    # with C and kept on C for the solves that follow.
+    width = getattr(C, "_gaussian_width", None)
+    if width is None:
+        width, _ = gaussian_width_mc(C, 20_000, np.random.default_rng(20_170_419))
+        C._gaussian_width = width
+    return width
 
 
 def _alpha_ceiling(L, D, n, budget, width):

@@ -210,7 +210,11 @@ class L2Ball(_NormBall):
 
     def project(self, v):
         v = np.asarray(v, dtype=float)
-        nrm = lp_norm(v, 2.0)
+        nrm = math.sqrt(v @ v)
+        if not math.isfinite(nrm):
+            # NaN/inf entries: lp_norm raises its ValueError.  A finite v whose
+            # squared norm overflows keeps lp_norm's inf (and projects to 0).
+            nrm = lp_norm(v, 2.0)
         if nrm <= self.radius:
             return v.copy()
         return v * (self.radius / nrm)

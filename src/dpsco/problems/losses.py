@@ -7,12 +7,17 @@ declared constants are promises the paired data distribution must certify
 (see ``dpsco.problems.distributions``); tests sample-check them.
 
 All evaluation is vectorized over the rows of a dataset: ``values`` returns
-per-sample losses (n,), ``grads`` per-sample gradients (n, d).
+per-sample losses (n,).  ``grads(w, X, y=None, mean=False)`` returns the
+per-sample gradients (n, d), or with ``mean=True`` their mean (d,), which
+the shipped losses compute in matrix-vector form (``X.T @ coef / n``)
+without building the (n, d) array.  A custom loss must accept the
+``mean`` keyword: ``empirical_grad`` always passes it.
 """
 
 import math
 
 import numpy as np
+from scipy.special import expit
 
 __all__ = ["LossModel", "LogisticLoss", "MeanPointLoss", "PseudoHuberLoss"]
 
@@ -32,6 +37,10 @@ class LossModel:
         Exponent of the norm the L/beta constants refer to.
     hessian_rank : int or None
         Upper bound on rank of the per-sample Hessian; None means full.
+
+    Subclasses implement ``values(w, X, y=None)``, the per-sample losses
+    (n,), and ``grads(w, X, y=None, mean=False)``: the per-sample gradients
+    (n, d), or their mean over the rows (d,) when ``mean`` is true.
     """
 
     lipschitz = math.inf
@@ -43,7 +52,7 @@ class LossModel:
     def values(self, w, X, y=None):
         raise NotImplementedError
 
-    def grads(self, w, X, y=None):
+    def grads(self, w, X, y=None, mean=False):
         raise NotImplementedError
 
     def value(self, w, x, y=None):
@@ -61,6 +70,13 @@ class LossModel:
         if self.hessian_rank is None:
             return d
         return min(d, 2 * self.hessian_rank)
+
+
+def _linear_grads(coef, X, mean):
+    """Gradients coef_i * x_i of a loss of <w, x_i>: per row, or their mean."""
+    if mean:
+        return X.T @ coef / X.shape[0]
+    return coef[:, None] * X
 
 
 class LogisticLoss(LossModel):
@@ -85,22 +101,12 @@ class LogisticLoss(LossModel):
         margins = y * (X @ w)
         return np.logaddexp(0.0, -margins)
 
-    def grads(self, w, X, y=None):
+    def grads(self, w, X, y=None, mean=False):
         if y is None:
             raise ValueError("LogisticLoss requires labels")
-        margins = y * (X @ w)
         # d/du log(1+e^{-u}) = -sigmoid(-u)
-        coef = -y * _sigmoid(-margins)
-        return coef[:, None] * X
-
-
-def _sigmoid(u):
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+        coef = -y * expit(-y * (X @ w))
+        return _linear_grads(coef, X, mean)
 
 
 class MeanPointLoss(LossModel):
@@ -123,7 +129,9 @@ class MeanPointLoss(LossModel):
         diff = w[None, :] - X
         return 0.5 * (diff * diff).sum(axis=1)
 
-    def grads(self, w, X, y=None):
+    def grads(self, w, X, y=None, mean=False):
+        if mean:
+            return w - X.mean(axis=0)
         return w[None, :] - X
 
 
@@ -152,10 +160,10 @@ class PseudoHuberLoss(LossModel):
         dh = self.huber_delta
         return dh**2 * (np.sqrt(1.0 + (res / dh) ** 2) - 1.0)
 
-    def grads(self, w, X, y=None):
+    def grads(self, w, X, y=None, mean=False):
         if y is None:
             raise ValueError("PseudoHuberLoss requires labels")
         res = X @ w - y
         dh = self.huber_delta
         coef = res / np.sqrt(1.0 + (res / dh) ** 2)
-        return coef[:, None] * X
+        return _linear_grads(coef, X, mean)

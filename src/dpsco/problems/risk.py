@@ -36,10 +36,10 @@ def empirical_risk(w, data, loss):
 
 
 def empirical_grad(w, data, loss):
-    """Mean per-sample gradient over the dataset."""
+    """Mean per-sample gradient over the dataset, from one ``loss.grads`` call."""
     if data.n < 1:
         raise ValueError("empirical_grad: empty dataset")
-    return loss.grads(np.asarray(w, dtype=float), data.X, data.y).mean(axis=0)
+    return loss.grads(np.asarray(w, dtype=float), data.X, data.y, mean=True)
 
 
 def _closed_form_risk(w, dist, loss):

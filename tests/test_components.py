@@ -112,6 +112,9 @@ MISCONFIGS = {
         _md_doc(algorithm="noisy_reg_md", constraint=None, n_grid=[16], solver={"T": 16}),
         "alpha_reg",
     ),
+    "fractional solver T": (_md_doc(solver={"T": 4.5}), "T must be a positive integer"),
+    "boolean solver T": (_md_doc(solver={"T": True}), "T must be a positive integer"),
+    "zero solver T": (_md_doc(solver={"T": 0}), "T must be a positive integer"),
     "mean_point on logistic_sphere": (
         _base_doc(distribution={"name": "logistic_sphere"}),
         "does not fit",

@@ -159,6 +159,11 @@ class TestBallSets:
             y = rng.standard_normal(6)
             assert x @ y <= ball.gauge(x) * ball.support(y) + 1e-9
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_l2_projection_refuses_non_finite_input(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            L2Ball(1.0, 3).project(np.array([0.5, bad, 0.0]))
+
     def test_support_positively_homogeneous(self):
         ball = L1Ball(1.0, 5)
         xi = np.array([1.0, -2.0, 0.5, 0.0, 3.0])

@@ -24,7 +24,7 @@ from dpsco.problems import (
     HeavyTailLinear,
     L2Ball,
     LpBall,
-    LossModel,
+    MeanPointLoss,
     PseudoHuberLoss,
     empirical_grad,
     empirical_risk,
@@ -34,23 +34,13 @@ from dpsco.spaces import SpaceSpec, bregman, grad_phi, inv_grad_phi, lp_norm
 HUGE_EPS = PrivacyBudget(1e6, 1e-5)
 
 
-class QuadLoss(LossModel):
+class QuadLoss(MeanPointLoss):
     """1-D style quadratic point loss with constants declared for any p."""
 
-    hessian_rank = None
-
     def __init__(self, norm_p, lipschitz=2.0):
+        super().__init__()
         self.norm_p = norm_p
         self.lipschitz = lipschitz
-        self.smoothness = 1.0
-        self.strong_convexity = 1.0
-
-    def values(self, w, X, y=None):
-        diff = w[None, :] - X
-        return 0.5 * (diff * diff).sum(axis=1)
-
-    def grads(self, w, X, y=None):
-        return w[None, :] - X
 
 
 class TestWeightedAverage:

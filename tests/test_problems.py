@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpsco.errors import ConfigError
 from dpsco.problems import (
@@ -78,6 +81,64 @@ class TestGradientConsistency:
             y = float(rng.choice([-1.0, 1.0])) if labeled else None
             fd = _fd_grad(loss, w, x, y)
             np.testing.assert_allclose(loss.gradient(w, x, y), fd, rtol=1e-5, atol=1e-7)
+
+
+def _loss_case(name, n, d, w_norm, seed):
+    """A shipped loss with matching data and a w of l2 norm ``w_norm``; for the
+    logistic loss the rows lie on the unit sphere, so the margins reach w_norm."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    y = rng.choice([-1.0, 1.0], size=n)
+    w = rng.standard_normal(d)
+    w *= w_norm / np.linalg.norm(w)
+    if name == "logistic":
+        return LogisticLoss(), w, X / np.linalg.norm(X, axis=1, keepdims=True), y
+    if name == "mean_point":
+        return MeanPointLoss(), w, X, None
+    return PseudoHuberLoss(huber_delta=2.0), w, X, 3.0 * y
+
+
+_LOSS_NAMES = ("logistic", "mean_point", "pseudo_huber")
+
+
+class TestMeanGradient:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(_LOSS_NAMES),
+        n=st.integers(1, 64),
+        d=st.integers(1, 12),
+        w_norm=st.floats(0.0, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mean_matches_per_sample_mean(self, name, n, d, w_norm, seed):
+        loss, w, X, y = _loss_case(name, n, d, w_norm, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow at margins up to 1e3
+            per_sample = loss.grads(w, X, y)
+            mean = loss.grads(w, X, y, mean=True)
+        assert per_sample.shape == (n, d) and mean.shape == (d,)
+        scale = max(1.0, float(np.abs(per_sample).max()))
+        np.testing.assert_allclose(mean, per_sample.mean(axis=0), rtol=0.0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("name", _LOSS_NAMES)
+    def test_empirical_grad_is_one_full_batch_call(self, name, monkeypatch):
+        # One grads call on the whole X per empirical gradient, with X passed
+        # positionally: a profiler wrapping grads counts rows from that argument.
+        loss, w, X, y = _loss_case(name, 40, 5, 2.0, 0)
+        data = Dataset(X, y)
+        calls = []
+        original = type(loss).grads
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(type(loss), "grads", spy)
+        g = empirical_grad(w, data, loss)
+        assert len(calls) == 1
+        args, kwargs = calls[0]
+        assert args[2] is data.X and kwargs == {"mean": True}
+        np.testing.assert_allclose(g, original(loss, w, X, y).mean(axis=0), rtol=0.0, atol=1e-12)
 
 
 class TestDeclaredConstants:
