@@ -210,11 +210,11 @@ class L2Ball(_NormBall):
 
     def project(self, v):
         v = np.asarray(v, dtype=float)
-        nrm = math.sqrt(v @ v)
+        # hypot scales as it sums, so a finite v whose squared norm would
+        # overflow or underflow still gets its norm, without a warning.
+        nrm = math.hypot(*v.tolist())
         if not math.isfinite(nrm):
-            # NaN/inf entries: lp_norm raises its ValueError.  A finite v whose
-            # squared norm overflows keeps lp_norm's inf (and projects to 0).
-            nrm = lp_norm(v, 2.0)
+            nrm = lp_norm(v, 2.0)  # NaN/inf entries: raises its ValueError
         if nrm <= self.radius:
             return v.copy()
         return v * (self.radius / nrm)

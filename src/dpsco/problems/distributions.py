@@ -27,7 +27,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dataset:
-    """n rows of d-dimensional features with optional labels."""
+    """n rows of d-dimensional features with optional labels.
+
+    ``X`` is kept as a read-only view: a dataset's rows do not change once it
+    is built, so a loss may compute a statistic of them once per dataset.
+    """
 
     X: np.ndarray
     y: Optional[np.ndarray] = None
@@ -38,6 +42,8 @@ class Dataset:
             raise ValueError("Dataset: X must be (n, d) with n >= 1")
         if not np.all(np.isfinite(X)):
             raise ValueError("Dataset: non-finite feature entries")
+        X = X.view()
+        X.flags.writeable = False
         object.__setattr__(self, "X", X)
         if self.y is not None:
             y = np.asarray(self.y, dtype=float)

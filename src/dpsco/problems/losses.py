@@ -119,6 +119,7 @@ class MeanPointLoss(LossModel):
 
     hessian_rank = None  # identity Hessian: full rank
     norm_p = 2.0
+    _mean_of = None  # (X, its column mean) for the last read-only X seen
 
     def __init__(self, domain_radius=1.0, constraint_radius=1.0):
         self.lipschitz = float(domain_radius) + float(constraint_radius)
@@ -131,8 +132,17 @@ class MeanPointLoss(LossModel):
 
     def grads(self, w, X, y=None, mean=False):
         if mean:
-            return w - X.mean(axis=0)
+            return w - self._column_mean(X)
         return w[None, :] - X
+
+    def _column_mean(self, X):
+        # A Dataset's X is read-only, so its mean is computed once per dataset
+        # rather than once per solver step; any other X is averaged each call.
+        if X.flags.writeable:
+            return X.mean(axis=0)
+        if self._mean_of is None or self._mean_of[0] is not X:
+            self._mean_of = (X, X.mean(axis=0))
+        return self._mean_of[1]
 
 
 class PseudoHuberLoss(LossModel):

@@ -51,9 +51,8 @@ def lp_norm(v, p, axis=-1):
         return a.max(axis=axis)
     if p == 1:
         return a.sum(axis=axis)
-    if p == 2:
-        return np.sqrt((a * a).sum(axis=axis))
-    # Scale out the max to keep a**p in range for extreme exponents.
+    # Scale out the max to keep a**p in range, p = 2 included: the squares of
+    # 1e200 overflow and those of 1e-200 underflow.
     m = a.max(axis=axis, keepdims=True)
     safe = np.where(m > 0, m, 1.0)
     s = ((a / safe) ** p).sum(axis=axis)

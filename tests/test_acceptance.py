@@ -508,12 +508,12 @@ def test_criterion_12_sensitivity_brute_force():
     G = np.zeros(d)  # conditioning on the linear perturbation
 
     def release(dataset_rows):
-        from dpsco.euclidean import _perturbed_objective, _pgd, pgd_iteration_count
+        from dpsco.euclidean import _perturbed_objective, inner_solve
 
         dat = Dataset(dataset_rows)
         obj = _perturbed_objective(dat, loss, G, lam)
-        theta2 = _pgd(obj, C, np.zeros(d), pgd_iteration_count(obj, C, alpha))
-        theta1 = _pgd(obj, C, theta2, pgd_iteration_count(obj, C, alpha * 1e-8))
+        theta2 = inner_solve(obj, C, alpha, np.zeros(d))
+        theta1 = inner_solve(obj, C, alpha * 1e-8, theta2)
         return theta2 - theta1
 
     base_rel = release(base)

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +166,13 @@ class TestBallSets:
     def test_l2_projection_refuses_non_finite_input(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             L2Ball(1.0, 3).project(np.array([0.5, bad, 0.0]))
+
+    def test_l2_projection_of_huge_input_lies_on_the_sphere(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = L2Ball(1.0, 20).project(np.full(20, 1e200))
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+        np.testing.assert_allclose(w, np.full(20, 1.0 / math.sqrt(20.0)), rtol=1e-12)
 
     def test_support_positively_homogeneous(self):
         ball = L1Ball(1.0, 5)

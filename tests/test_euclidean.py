@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
+from dpsco.bench import ExperimentConfig
 from dpsco.errors import RefusalError
 from dpsco.euclidean import (
     ObjPConfig,
     SmoothObjective,
+    _advance,
+    _v_fista,
     app_objp,
     app_objp_sc,
+    inner_iteration_count,
     inner_solve,
     phased_dp_sgd,
 )
@@ -17,12 +23,14 @@ from dpsco.mechanisms import PrivacyBudget
 from dpsco.problems import (
     BallCloud,
     Dataset,
+    L1Ball,
     L2Ball,
     LogisticLoss,
     LogisticSphere,
     MeanPointLoss,
     empirical_risk,
 )
+from test_acceptance import CONVEX_TREND_DOC
 
 HUGE_EPS = PrivacyBudget(1e6, 1e-5)
 
@@ -78,6 +86,113 @@ class TestInnerSolve:
     def test_bad_alpha_rejected(self):
         with pytest.raises(ValueError):
             inner_solve(_quadratic([0.0]), L2Ball(1.0, 1), 0.0, np.zeros(1))
+
+
+def _random_quadratic(rng, d, kappa):
+    """0.5 (w - c)' A (w - c) with the eigenvalues of A spread over [beta / kappa, beta]."""
+    beta = rng.uniform(0.5, 5.0)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    A = (Q * np.geomspace(beta / kappa, beta, d)) @ Q.T
+    c = rng.standard_normal(d)
+    c *= rng.uniform(0.0, 3.0) / np.linalg.norm(c)  # outside the unit ball about half the time
+    return SmoothObjective(
+        value=lambda w: 0.5 * float((w - c) @ A @ (w - c)),
+        grad=lambda w: A @ (w - c),
+        smoothness=beta,
+        strong_convexity=beta / kappa,
+    )
+
+
+def _pgd_count(obj, C, alpha):
+    """Certified count of plain projected gradient: ceil(kappa ln(beta ||C||^2 / 2 alpha))."""
+    kappa = obj.smoothness / obj.strong_convexity
+    return math.ceil(kappa * math.log(obj.smoothness * C.diameter_l2**2 / (2.0 * alpha)))
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("make_set", [L2Ball, L1Ball])
+    @pytest.mark.parametrize("kappa", [1.0, 4.0, 100.0, 1e4])
+    def test_value_gap_at_the_count(self, kappa, make_set):
+        rng = np.random.default_rng(int(kappa) + len(make_set.__name__))
+        for d, alpha in ((2, 1e-3), (9, 1e-6), (20, 1e-9)):
+            C = make_set(1.0, d)
+            obj = _random_quadratic(rng, d, kappa)
+            start = C.project(4.0 * rng.standard_normal(d)) * rng.uniform()  # anywhere in C
+            k = inner_iteration_count(obj, C, alpha)
+            w = inner_solve(obj, C, alpha, start)
+            reference = _advance(_v_fista(obj, C, start), 20 * k, None)
+            assert C.gauge(w) <= 1.0 + 1e-12
+            assert obj.value(w) - obj.value(reference) <= alpha
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kappa=st.floats(4.0, 1e4),
+        beta=st.floats(0.1, 10.0),
+        radius=st.floats(0.5, 10.0),
+        alpha=st.floats(1e-12, 1e-3),
+    )
+    def test_count_below_projected_gradient(self, kappa, beta, radius, alpha):
+        obj = SmoothObjective(value=None, grad=None, smoothness=beta, strong_convexity=beta / kappa)
+        C = L2Ball(radius, 3)
+        assert inner_iteration_count(obj, C, alpha) < _pgd_count(obj, C, alpha)
+
+    def test_count_grows_with_sqrt_kappa(self):
+        C = L2Ball(1.0, 3)
+        counts = [
+            inner_iteration_count(SmoothObjective(None, None, 1.0, 1.0 / kappa), C, 1e-6)
+            for kappa in (1.0, 100.0, 1e4)
+        ]
+        log_arg = math.log(4.0 / 2e-6)
+        assert counts == [1 + math.ceil(math.sqrt(k) * log_arg) for k in (1.0, 100.0, 1e4)]
+
+    def test_bad_constants_rejected(self):
+        with pytest.raises(ValueError, match="strongly convex"):
+            inner_iteration_count(SmoothObjective(None, None, 1.0, 0.0), L2Ball(1.0, 2), 1e-6)
+        with pytest.raises(ValueError, match="alpha"):
+            inner_iteration_count(_quadratic([0.0, 0.0]), L2Ball(1.0, 2), -1.0)
+
+
+def _inner_constants(loss, lam):
+    """Curvature constants of the perturbed objective handed to the inner loop."""
+    return SmoothObjective(
+        value=None,
+        grad=None,
+        smoothness=loss.smoothness + 2.0 * lam,
+        strong_convexity=loss.strong_convexity + 2.0 * lam,
+    )
+
+
+_OBJP_INFO = {"lam", "alpha", "sigma1", "sigma2", "width", "inner_iters", "surrogate_iters"}
+_RELEASE_INFO = {"release_distance", "release_bound"}
+
+
+class TestInnerCounts:
+    def test_criterion_07_config_at_largest_n(self):
+        cfg = ExperimentConfig.from_dict(CONVEX_TREND_DOC)
+        loss, dist, C = cfg.components
+        n = max(cfg.n_grid)
+        data = dist.sample(n, np.random.default_rng(7))
+        budget = PrivacyBudget(cfg.eps_grid[0], cfg.delta)
+        _, info = app_objp(data, loss, C, ObjPConfig(budget=budget), np.random.default_rng(8))
+        assert set(info) == _OBJP_INFO | _RELEASE_INFO
+        assert info["release_distance"] <= info["release_bound"]
+        obj = _inner_constants(loss, info["lam"])
+        k = inner_iteration_count(obj, C, info["alpha"])
+        assert info["inner_iters"] == k < _pgd_count(obj, C, info["alpha"]) / 8
+        assert info["surrogate_iters"] == inner_iteration_count(obj, C, info["alpha"] / 100) - k
+
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("solver, own_keys", [(app_objp, set()), (app_objp_sc, {"delta_c"})])
+    def test_info_records_the_counts(self, solver, own_keys, check):
+        data, loss, C, _ = _mean_point_setup(n=512)
+        cfg = ObjPConfig(budget=PrivacyBudget(1.0, 1e-5), check_release_distance=check)
+        _, info = solver(data, loss, C, cfg, np.random.default_rng(12))
+        assert set(info) == _OBJP_INFO | own_keys | (_RELEASE_INFO if check else set())
+        obj = _inner_constants(loss, info["lam"])
+        k = inner_iteration_count(obj, C, info["alpha"])
+        assert info["inner_iters"] == k
+        extra = inner_iteration_count(obj, C, info["alpha"] / 100) - k if check else 0
+        assert info["surrogate_iters"] == extra
 
 
 def _mean_point_setup(n=64, d=5, seed=1, spread=0.5, mu_scale=0.4):

@@ -140,6 +140,27 @@ class TestMeanGradient:
         assert args[2] is data.X and kwargs == {"mean": True}
         np.testing.assert_allclose(g, original(loss, w, X, y).mean(axis=0), rtol=0.0, atol=1e-12)
 
+    def test_mean_point_follows_each_dataset(self):
+        # The column mean of a dataset is kept between solver steps; another
+        # dataset, or a writable array that changed, must not see a stale one.
+        loss = MeanPointLoss()
+        rng = np.random.default_rng(5)
+        a, b = (Dataset(rng.standard_normal((30, 4))) for _ in range(2))
+        w = rng.standard_normal(4)
+        for data in (a, b, a):
+            np.testing.assert_array_equal(empirical_grad(w, data, loss), w - data.X.mean(axis=0))
+        X = rng.standard_normal((30, 4))
+        first = loss.grads(w, X, mean=True)
+        X += 1.0
+        np.testing.assert_allclose(loss.grads(w, X, mean=True), first - 1.0, rtol=0.0, atol=1e-12)
+
+    def test_dataset_rows_are_read_only(self):
+        X = np.ones((3, 2))
+        data = Dataset(X)
+        with pytest.raises(ValueError):
+            data.X[0, 0] = 2.0
+        assert X.flags.writeable  # the caller's own array is not locked
+
 
 class TestDeclaredConstants:
     def test_logistic_gradient_bound(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ class TestLpNorm:
     def test_extreme_scale(self):
         v = np.array([1e200, 1e200])
         assert np.isfinite(lp_norm(v, 1.1))
+
+    def test_l2_neither_overflows_nor_underflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = lp_norm(np.full(20, 1e200), 2)
+            tiny = lp_norm(np.full(3, 1e-200), 2)
+        np.testing.assert_allclose(big, math.sqrt(20.0) * 1e200, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(tiny, math.sqrt(3.0) * 1e-200, rtol=1e-12, atol=0.0)
 
 
 class TestSpaceSpec:
