@@ -15,21 +15,60 @@ from ..spaces import dual_exponent, lp_norm
 __all__ = ["ConstraintSet", "L2Ball", "L1Ball", "LpBall", "project_l1_ball", "project_lp_ball"]
 
 
+def _project_rescaled(project, v, *lengths):
+    """``project(v, *lengths)`` for a finite v whose norm overflows.
+
+    ``lengths`` are the radius and any absolute tolerance.  Uses the exact
+    identity P_{R B}(v) = c P_{(R/c) B}(v/c) with c = 2^k > v.size: each
+    |v_i / c| is below max|v| / v.size, so even the l1 norm of v / c is
+    finite, and dividing by a power of two rounds nothing above the
+    subnormal range.  NaN or inf entries raise ValueError.
+    """
+    if not np.all(np.isfinite(v)):
+        raise ValueError("projection: input has non-finite entries")
+    c = math.ldexp(1.0, v.size.bit_length())
+    return c * project(v / c, *(x / c for x in lengths))
+
+
+def _project_l2_ball(v, radius):
+    """Euclidean projection onto {||w||_2 <= radius}: radial scaling."""
+    # hypot scales as it sums, so a finite v whose squared norm would
+    # overflow or underflow still gets its norm, without a warning.
+    nrm = math.hypot(*v.tolist())
+    if nrm <= radius:
+        return v.copy()
+    if not math.isfinite(nrm):
+        return _project_rescaled(_project_l2_ball, v, radius)
+    return v * (radius / nrm)
+
+
 def project_l1_ball(v, radius):
-    """Euclidean projection onto {||w||_1 <= radius} by sort-and-threshold."""
+    """Euclidean projection onto {||w||_1 <= radius} by sort-and-threshold.
+
+    The projection is sign(v) * max(|v| - theta, 0), with theta the largest
+    threshold that leaves an l1 norm of ``radius``.  It is computed as
+    top - level from the gaps top - |v_i| below the largest entry ``top``,
+    so that when ||v||_1 >> radius the kept coordinates are not the small
+    difference of two large numbers.
+    """
     if radius <= 0:
         raise ValueError("project_l1_ball: radius must be > 0")
     v = np.asarray(v, dtype=float)
     a = np.abs(v)
+    top = float(a.max())
+    # ||v||_1 and every partial sum of gaps below are at most d * top.
+    if not math.isfinite(top * v.size):
+        return _project_rescaled(project_l1_ball, v, radius)
     if a.sum() <= radius:
         return v.copy()
-    u = np.sort(a)[::-1]
-    cum = np.cumsum(u) - radius
-    idx = np.arange(1, v.size + 1)
-    mask = u > cum / idx
-    rho = idx[mask][-1]
-    theta = cum[rho - 1] / rho
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+    gaps = np.sort(top - a)
+    # Keeping the k largest entries needs level (radius + sum of their gaps) / k;
+    # they are kept while their largest gap is below it, which holds for a
+    # prefix of k that always contains k = 1 (gap 0 < radius).
+    level = (radius + np.cumsum(gaps)) / np.arange(1, v.size + 1)
+    kept = gaps < level
+    rho = v.size if kept.all() else int(np.argmin(kept))
+    return np.sign(v) * np.maximum(level[rho - 1] - (top - a), 0.0)
 
 
 _EPS = np.finfo(float).eps
@@ -98,9 +137,12 @@ def project_lp_ball(v, p, radius, tol=1e-10):
     if radius <= 0 or tol <= 0:
         raise ValueError("project_lp_ball: radius and tol must be > 0")
     v = np.asarray(v, dtype=float)
-    nrm = lp_norm(v, p)
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf, handled below
+        nrm = lp_norm(v, p)
     if nrm <= radius:
         return v.copy()
+    if not math.isfinite(nrm):
+        return _project_rescaled(lambda u, r, t: project_lp_ball(u, p, r, t), v, radius, tol)
     if p == 2.0:
         return v * (radius / nrm)
 
@@ -209,15 +251,7 @@ class L2Ball(_NormBall):
         super().__init__(2.0, radius, d)
 
     def project(self, v):
-        v = np.asarray(v, dtype=float)
-        # hypot scales as it sums, so a finite v whose squared norm would
-        # overflow or underflow still gets its norm, without a warning.
-        nrm = math.hypot(*v.tolist())
-        if not math.isfinite(nrm):
-            nrm = lp_norm(v, 2.0)  # NaN/inf entries: raises its ValueError
-        if nrm <= self.radius:
-            return v.copy()
-        return v * (self.radius / nrm)
+        return _project_l2_ball(np.asarray(v, dtype=float), self.radius)
 
 
 class L1Ball(_NormBall):

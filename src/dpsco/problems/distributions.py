@@ -4,6 +4,10 @@ Distributions certify the constants their paired loss declares: bounded
 feature norms for the Lipschitz losses, an analytic second-moment bound on
 gradient noise for the heavy-tailed generator.  Sampling is deterministic
 given (distribution parameters, seed).
+
+Importing the module loads numpy only.  The one quadrature here, the
+heavy-tailed population risk at the minimizer, imports its integrator when
+it runs.
 """
 
 import math
@@ -11,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, stats
 
 from ..mechanisms import sample_lr_sphere
 
@@ -86,6 +89,18 @@ def dataset_from_csv(path):
     if header and header[-1] == "y":
         return Dataset(mat[:, :-1], mat[:, -1])
     return Dataset(mat)
+
+
+def _student_t_pdf(r, dof, scale):
+    """Density at r of scale * T with T a Student-t variable of ``dof`` degrees."""
+    z = r / scale
+    log_norm = (
+        math.lgamma((dof + 1.0) / 2.0)
+        - math.lgamma(dof / 2.0)
+        - 0.5 * math.log(dof * math.pi)
+        - math.log(scale)
+    )
+    return math.exp(log_norm - (dof + 1.0) / 2.0 * math.log1p(z * z / dof))
 
 
 def _uniform_ball(d, rng, size, exponent=2.0):
@@ -215,16 +230,18 @@ class HeavyTailLinear:
         The residual at w decomposes as <w - w_star, z> + noise; for w =
         w_star it reduces to E[loss_1d(noise)], computed by quadrature
         against the t density.  Only that case has a closed form; other
-        points go through Monte Carlo.
+        points return None, and go through Monte Carlo, before the
+        integrator is imported.
         """
         w = np.asarray(w, dtype=float)
         if not np.allclose(w, self.w_star):
             return None
-        dens = stats.t(self.t_dof, scale=self.t_scale).pdf
-        dh = loss.huber_delta
+        from scipy import integrate
+
+        dof, scale, dh = self.t_dof, self.t_scale, loss.huber_delta
 
         def f(r):
-            return dh**2 * (math.sqrt(1.0 + (r / dh) ** 2) - 1.0) * dens(r)
+            return dh**2 * (math.sqrt(1.0 + (r / dh) ** 2) - 1.0) * _student_t_pdf(r, dof, scale)
 
         val, _ = integrate.quad(f, -np.inf, np.inf, limit=200)
         return val

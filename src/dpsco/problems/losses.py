@@ -12,12 +12,13 @@ per-sample gradients (n, d), or with ``mean=True`` their mean (d,), which
 the shipped losses compute in matrix-vector form (``X.T @ coef / n``)
 without building the (n, d) array.  A custom loss must accept the
 ``mean`` keyword: ``empirical_grad`` always passes it.
+
+The module needs numpy only: the logistic sigmoid is the private ``_expit``.
 """
 
 import math
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = ["LossModel", "LogisticLoss", "MeanPointLoss", "PseudoHuberLoss"]
 
@@ -72,6 +73,16 @@ class LossModel:
         return min(d, 2 * self.hessian_rank)
 
 
+def _expit(x):
+    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise.
+
+    Below x = -709, exp(-x) overflows to inf and the result is exactly 0; the
+    overflow is expected there, so it raises no warning.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _linear_grads(coef, X, mean):
     """Gradients coef_i * x_i of a loss of <w, x_i>: per row, or their mean."""
     if mean:
@@ -105,7 +116,7 @@ class LogisticLoss(LossModel):
         if y is None:
             raise ValueError("LogisticLoss requires labels")
         # d/du log(1+e^{-u}) = -sigmoid(-u)
-        coef = -y * expit(-y * (X @ w))
+        coef = -y * _expit(-y * (X @ w))
         return _linear_grads(coef, X, mean)
 
 

@@ -5,13 +5,15 @@ one; otherwise they fall back to fresh-sample Monte Carlo.  Excess risk is
 always estimated with common random numbers (the same evaluation sample
 scores both the candidate and the reference minimizer), which removes the
 shared bias and shrinks the variance of the difference.
+
+Importing the module loads numpy only.  ``max_abs_gaussian_mean``, the one
+function here that integrates numerically, imports its integrator at its
+first call.
 """
 
 import math
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erf, gammaln
 
 from ..errors import ConfigError
 from .distributions import BallCloud, HeavyTailLinear
@@ -147,7 +149,7 @@ def gaussian_width_mc(C, m, rng, batch=20_000):
 
 def chi_mean(d):
     """E ||xi||_2 for a standard Gaussian in R^d: sqrt(2) Gamma((d+1)/2) / Gamma(d/2)."""
-    return math.sqrt(2.0) * math.exp(gammaln((d + 1) / 2.0) - gammaln(d / 2.0))
+    return math.sqrt(2.0) * math.exp(math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0))
 
 
 def max_abs_gaussian_mean(d):
@@ -156,9 +158,10 @@ def max_abs_gaussian_mean(d):
     Integrates the tail formula E M = int_0^inf (1 - P(M <= t)) dt with
     P(M <= t) = erf(t / sqrt 2)^d.
     """
+    from scipy import integrate
 
     def tail(t):
-        return 1.0 - erf(t / math.sqrt(2.0)) ** d
+        return 1.0 - math.erf(t / math.sqrt(2.0)) ** d
 
     val, _ = integrate.quad(tail, 0.0, np.inf, limit=200)
     return val

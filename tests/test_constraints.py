@@ -174,6 +174,34 @@ class TestBallSets:
         assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
         np.testing.assert_allclose(w, np.full(20, 1.0 / math.sqrt(20.0)), rtol=1e-12)
 
+    @pytest.mark.parametrize("entry", [1e300, 1e308])
+    @pytest.mark.parametrize(
+        "ball,exponent",
+        [(L2Ball(1.0, 20), 2.0), (L1Ball(1.0, 20), 1.0), (LpBall(1.5, 1.0, 20), 1.5)],
+        ids=["l2", "l1", "lp1.5"],
+    )
+    def test_projection_of_huge_input(self, ball, exponent, entry):
+        # At 1e308 the norm itself overflows; at 1e300 the l1 threshold would
+        # be the difference of two numbers near 1e301.  Both project to the
+        # point with all coordinates equal on the sphere.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = ball.project(np.full(20, entry))
+        np.testing.assert_allclose(w, np.full(20, 20.0 ** (-1.0 / exponent)), rtol=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "ball", [L2Ball(1.0, 20), L1Ball(1.0, 20), LpBall(1.5, 1.0, 20)], ids=["l2", "l1", "lp1.5"]
+    )
+    def test_projection_refuses_non_finite_input(self, ball, bad):
+        v = np.full(20, 1e308)
+        v[3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u in (v, np.where(np.isfinite(v), 0.5, v)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    ball.project(u)
+
     def test_support_positively_homogeneous(self):
         ball = L1Ball(1.0, 5)
         xi = np.array([1.0, -2.0, 0.5, 0.0, 3.0])

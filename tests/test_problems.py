@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, special, stats
 
 from dpsco.errors import ConfigError
 from dpsco.problems import (
@@ -28,6 +29,8 @@ from dpsco.problems import (
     max_abs_gaussian_mean,
     population_risk,
 )
+from dpsco.problems.distributions import _student_t_pdf
+from dpsco.problems.losses import _expit
 from dpsco.spaces import lp_norm
 
 
@@ -201,6 +204,40 @@ class TestDeclaredConstants:
         assert MeanPointLoss().rank_bound(20) == 20
 
 
+class TestNumpyReplacements:
+    """The numpy/math forms the package uses in place of scipy's."""
+
+    def test_expit_matches_scipy(self):
+        x = np.linspace(-40.0, 40.0, 100_001)
+        np.testing.assert_allclose(_expit(x), special.expit(x), rtol=1e-15, atol=0.0)
+
+    def test_expit_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _expit(np.array([-1e3, 1e3]))
+        assert out[0] == 0.0 and out[1] == 1.0
+
+    @pytest.mark.parametrize("dof", [2.5, 3.0, 12.0])
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
+    def test_student_t_pdf_matches_scipy(self, dof, scale):
+        r = np.linspace(-40.0, 40.0, 401)
+        ours = [_student_t_pdf(float(x), dof, scale) for x in r]
+        np.testing.assert_allclose(ours, stats.t(dof, scale=scale).pdf(r), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("t_dof,t_scale,huber_delta", [(3.0, 1.0, 20.0), (2.5, 0.3, 2.0), (12.0, 3.0, 5.0)])
+    def test_heavy_tail_risk_at_minimizer_matches_scipy(self, t_dof, t_scale, huber_delta):
+        dist = HeavyTailLinear(np.array([0.3, -0.1, 0.2]), sphere_exponent=3.0, t_dof=t_dof, t_scale=t_scale)
+        loss = PseudoHuberLoss(huber_delta=huber_delta)
+        dens = stats.t(t_dof, scale=t_scale).pdf
+
+        def f(r):
+            return huber_delta**2 * (math.sqrt(1.0 + (r / huber_delta) ** 2) - 1.0) * dens(r)
+
+        ref, _ = integrate.quad(f, -np.inf, np.inf, limit=200)
+        assert dist.population_risk(dist.w_star, loss) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert dist.population_risk(dist.w_star + 0.1, loss) is None
+
+
 class TestDatasetCsv:
     def test_roundtrip_with_labels(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -276,6 +313,11 @@ class TestGaussianWidth:
     def test_l2_ball_closed_form(self):
         # E ||xi||_2 in d=2: sqrt(2) Gamma(3/2) / Gamma(1) = sqrt(pi/2)
         assert chi_mean(2) == pytest.approx(math.sqrt(math.pi / 2.0))
+        # Against scipy's gammaln; exp turns the rounding of log-gammas near
+        # 400 (d = 200) into a relative error of about 1e-13.
+        for d in (1, 5, 20, 200):
+            ref = math.sqrt(2.0) * math.exp(special.gammaln((d + 1) / 2.0) - special.gammaln(d / 2.0))
+            assert chi_mean(d) == pytest.approx(ref, rel=1e-12)
         C = L2Ball(1.0, 2)
         est, se = gaussian_width_mc(C, 100_000, np.random.default_rng(7))
         assert abs(est - chi_mean(2)) <= 3 * se
