@@ -156,8 +156,8 @@ def _mirror_descent(solve, data, loss, C, geometry, budget, rng, **kw):
 
 _OBJP_KEYS = ("alpha_opt", "lambda_reg", "noise_multiplier", "check_release_distance")
 _SGD_KEYS = ("eta", "noise_multiplier")
-_TRUNCATED_KEYS = ("T", "gamma", "lambda_trunc", "c_t", "c_lambda", "c_noise")
-_SHUFFLED_KEYS = _TRUNCATED_KEYS + ("c_shuffle", "c_eps", "bypass_regime_check")
+_TRUNCATED_KEYS = ("T", "gamma", "lambda_trunc", "c_t", "c_noise")
+_SHUFFLED_KEYS = _TRUNCATED_KEYS + ("bypass_regime_check",)
 _BELOW_TWO = {"p_range": (1.0, 2.0), "p_open": True}
 
 ALGORITHMS = Table("algorithm", {

@@ -14,33 +14,18 @@ components.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from ..errors import ConfigError
 from ..problems.risk import population_minimizer
 from .components import ALGORITHMS, CONSTRAINTS, DISTRIBUTIONS, LOSSES
 
-_TOP_KEYS = {
-    "algorithm",
-    "loss",
-    "distribution",
-    "geometry",
-    "constraint",
-    "n_grid",
-    "eps_grid",
-    "delta",
-    "trials",
-    "base_seed",
-    "evaluation",
-    "solver",
-    "parallelism",
-}
 _EVAL_KEYS = {"policy", "m_eval"}
 
 
 def _check_keys(mapping, allowed, where):
-    unknown = set(mapping) - allowed
+    unknown = set(mapping).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
@@ -152,18 +137,10 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
     def to_dict(self):
-        return {
-            "algorithm": self.algorithm,
-            "loss": self.loss,
-            "distribution": self.distribution,
-            "geometry": self.geometry,
-            "constraint": self.constraint,
-            "n_grid": list(self.n_grid),
-            "eps_grid": list(self.eps_grid),
-            "delta": self.delta,
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "evaluation": self.evaluation,
-            "solver": self.solver,
-            "parallelism": self.parallelism,
-        }
+        doc = {key: getattr(self, key) for key in _TOP_KEYS}
+        doc.update(n_grid=list(self.n_grid), eps_grid=list(self.eps_grid))
+        return doc
+
+
+# The document keys are the fields a config is built from (not the components it builds).
+_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.init)

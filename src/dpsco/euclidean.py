@@ -2,13 +2,21 @@
 
 Objective perturbation privatizes constrained ERM by adding a random linear
 term and a ridge penalty, minimizing to a certified accuracy alpha, then
-perturbing and projecting the result.  The inner optimizer is accelerated
-projected gradient with constant momentum (V-FISTA, Beck 2017, First-Order
-Methods in Optimization, section 10.7.7), run for a deterministic iteration
-count derived from its linear convergence rate, so the accuracy certificate
-is unconditional and the number of steps does not depend on the data.
+perturbing and projecting the result: the approximate-minima perturbation of
+Iyengar et al. 2019.  ``app_objp`` (convex losses) and ``app_objp_sc``
+(strongly convex losses) run it through one body, ``_perturb_solve_release``;
+each supplies only its ridge schedule, the curvature its smoothness
+precondition counts (lambda, or lambda + Delta), its default accuracy
+ceiling and its release scale (1 / lambda, or ||C||_2^2 / Delta_C).
+
+The inner optimizer is accelerated projected gradient with constant momentum
+(V-FISTA, Beck 2017, First-Order Methods in Optimization, section 10.7.7),
+run for a deterministic iteration count derived from its linear convergence
+rate, so the accuracy certificate is unconditional and the number of steps
+does not depend on the data.
 """
 
+import functools
 import itertools
 import math
 import warnings
@@ -191,7 +199,34 @@ def _solve_with_surrogate(obj, C, alpha, start, check, release_bound):
     return theta2, info
 
 
-def _warn_large_n(n, r, beta, D, L, d, budget):
+def _perturb_solve_release(
+    data, loss, C, cfg, rng, lam, curvature, alpha_ceiling, release_curvature, n_min=None
+):
+    """Approximate-minima perturbation (Iyengar et al. 2019), shared by both solvers.
+
+    Refuses unless beta <= eps * n * curvature / r, the smoothness
+    precondition that makes the perturbed-objective release private; the
+    refusal names ``n_min``, by default ceil(r beta / (eps * curvature)).
+    Then it adds the linear term G / n, G ~ N(0, sigma1^2 I), and the ridge
+    lam ||w||^2 to the empirical risk, solves to accuracy alpha (default
+    ``alpha_ceiling(L, D, n, budget, width)``), and releases C.project(theta2 + H),
+    H ~ N(0, sigma2^2 I) with sigma2^2 proportional to alpha / release_curvature.
+    """
+    budget = cfg.budget
+    n, d = data.n, data.d
+    L, beta = loss.lipschitz, loss.smoothness
+    r = loss.rank_bound(d)
+    D = C.diameter_l2
+
+    if beta > budget.epsilon * n * curvature / r:
+        if n_min is None:  # no n suffices without curvature
+            n_min = math.ceil(r * beta / (budget.epsilon * curvature)) if curvature > 0 else math.inf
+        raise RefusalError(
+            f"smoothness precondition failed: beta={beta:.3g} > eps*n*curvature/r="
+            f"{budget.epsilon * n * curvature / r:.3g} (curvature {curvature:.3g}); "
+            f"need n >= {n_min}",
+            requirement=n_min,
+        )
     if n < r**2 * beta**2 * D**2 / (budget.epsilon**2 * L**2):
         warnings.warn(
             "n below the large-n regime of the utility guarantee "
@@ -204,104 +239,73 @@ def _warn_large_n(n, r, beta, D, L, d, budget):
             stacklevel=3,
         )
 
-
-def app_objp(data, loss, C, cfg, rng):
-    """Approximate objective perturbation for convex smooth Lipschitz losses.
-
-    Returns (theta_hat, info).  Raises RefusalError when the smoothness
-    precondition beta <= eps * n * lambda / r fails, since that condition is
-    what makes the perturbed-objective release private.
-    """
-    budget = cfg.budget
-    n, d = data.n, data.d
-    L, beta = loss.lipschitz, loss.smoothness
-    r = loss.rank_bound(d)
-    D = C.diameter_l2
-
-    lam = cfg.lambda_reg if cfg.lambda_reg is not None else L / (math.sqrt(n) * D)
-    if beta > budget.epsilon * n * lam / r:
-        n_min = math.ceil((r * beta * D / (budget.epsilon * L)) ** 2)
-        raise RefusalError(
-            f"smoothness precondition failed: beta={beta:.3g} > eps*n*lambda/r="
-            f"{budget.epsilon * n * lam / r:.3g}; need n >= {n_min}",
-            requirement=n_min,
-        )
-    _warn_large_n(n, r, beta, D, L, d, budget)
-
     width = _gaussian_width_estimate(C)
-    alpha = cfg.alpha_opt if cfg.alpha_opt is not None else _alpha_ceiling(L, D, n, budget, width)
+    alpha = cfg.alpha_opt if cfg.alpha_opt is not None else alpha_ceiling(L, D, n, budget, width)
 
     sigma1 = math.sqrt(128.0 * L**2 * math.log(2.5 / budget.delta)) / budget.epsilon
     G = cfg.noise_multiplier * sigma1 * rng.standard_normal(d)
     obj = _perturbed_objective(data, loss, G, lam)
 
-    release_bound = math.sqrt(2.0 * alpha / lam)
+    release_bound = math.sqrt(2.0 * alpha / release_curvature)
     theta2, info = _solve_with_surrogate(
         obj, C, alpha, np.zeros(d), cfg.check_release_distance, release_bound
     )
 
-    sigma2 = math.sqrt(64.0 * alpha * math.log(2.5 / budget.delta) / lam) / budget.epsilon
+    sigma2 = (
+        math.sqrt(64.0 * alpha * math.log(2.5 / budget.delta) / release_curvature)
+        / budget.epsilon
+    )
     H = cfg.noise_multiplier * sigma2 * rng.standard_normal(d)
     theta_hat = C.project(theta2 + H)
     info.update(lam=lam, alpha=alpha, sigma1=sigma1, sigma2=sigma2, width=width)
     return theta_hat, info
 
 
+def app_objp(data, loss, C, cfg, rng):
+    """Approximate objective perturbation for convex smooth Lipschitz losses.
+
+    The ridge alone supplies the curvature: the default lambda is
+    L / (sqrt(n) ||C||_2), and the release scale is 1 / lambda.  Returns
+    (theta_hat, info).  Raises RefusalError when the smoothness precondition
+    beta <= eps * n * lambda / r fails, since that condition is what makes
+    the perturbed-objective release private.
+    """
+    lam, n_min = cfg.lambda_reg, None
+    if lam is None:
+        L, D = loss.lipschitz, C.diameter_l2
+        lam = L / (math.sqrt(data.n) * D)
+        # With this schedule the precondition reads n >= (r beta D / (eps L))^2.
+        r = loss.rank_bound(data.d)
+        n_min = math.ceil((r * loss.smoothness * D / (cfg.budget.epsilon * L)) ** 2)
+    return _perturb_solve_release(
+        data, loss, C, cfg, rng, lam,
+        curvature=lam, alpha_ceiling=_alpha_ceiling, release_curvature=lam, n_min=n_min,
+    )
+
+
 def app_objp_sc(data, loss, C, cfg, rng):
     """Objective perturbation for strongly convex losses.
 
-    The loss's own curvature replaces most (or all) of the ridge term:
-    lambda = max{r beta / (eps n) - Delta, 0}, and the output-perturbation
-    scale uses the strong convexity measured in the Minkowski norm of C.
+    The loss's own curvature Delta replaces most (or all) of the ridge term:
+    lambda = max{r beta / (eps n) - Delta, 0}, the precondition counts
+    lambda + Delta, and the release scale is ||C||_2^2 / Delta_C, with
+    Delta_C the strong convexity measured in the Minkowski norm of C.
     """
-    budget = cfg.budget
-    n, d = data.n, data.d
-    L, beta = loss.lipschitz, loss.smoothness
     delta2 = loss.strong_convexity
     if delta2 <= 0:
         raise ValueError("app_objp_sc requires a strongly convex loss")
     delta_c = delta2 * C.c_min**2  # modulus w.r.t. the Minkowski norm of C
-    r = loss.rank_bound(d)
-    D = C.diameter_l2
-
-    lam = (
-        cfg.lambda_reg
-        if cfg.lambda_reg is not None
-        else max(r * beta / (budget.epsilon * n) - delta2, 0.0)
+    lam = cfg.lambda_reg
+    if lam is None:
+        r = loss.rank_bound(data.d)
+        lam = max(r * loss.smoothness / (cfg.budget.epsilon * data.n) - delta2, 0.0)
+    theta_hat, info = _perturb_solve_release(
+        data, loss, C, cfg, rng, lam,
+        curvature=lam + delta2,
+        alpha_ceiling=functools.partial(_alpha_ceiling_sc, delta_c=delta_c),
+        release_curvature=delta_c / C.diameter_l2**2,
     )
-    if beta > budget.epsilon * n * (lam + delta2) / r:
-        n_min = math.ceil(r * beta / (budget.epsilon * (lam + delta2)))
-        raise RefusalError(
-            f"smoothness precondition failed: beta={beta:.3g} > eps*n*(lambda+Delta)/r; "
-            f"need n >= {n_min}",
-            requirement=n_min,
-        )
-    _warn_large_n(n, r, beta, D, L, d, budget)
-
-    width = _gaussian_width_estimate(C)
-    alpha = (
-        cfg.alpha_opt
-        if cfg.alpha_opt is not None
-        else _alpha_ceiling_sc(L, D, n, budget, width, delta_c)
-    )
-
-    sigma1 = math.sqrt(128.0 * L**2 * math.log(2.5 / budget.delta)) / budget.epsilon
-    G = cfg.noise_multiplier * sigma1 * rng.standard_normal(d)
-    obj = _perturbed_objective(data, loss, G, lam)
-
-    # Calibration-level bound on ||theta2 - theta1||_2 via the C-norm curvature.
-    release_bound = math.sqrt(2.0 * alpha * D**2 / delta_c)
-    theta2, info = _solve_with_surrogate(
-        obj, C, alpha, np.zeros(d), cfg.check_release_distance, release_bound
-    )
-
-    sigma2 = (
-        math.sqrt(64.0 * alpha * math.log(2.5 / budget.delta) * D**2 / delta_c)
-        / budget.epsilon
-    )
-    H = cfg.noise_multiplier * sigma2 * rng.standard_normal(d)
-    theta_hat = C.project(theta2 + H)
-    info.update(lam=lam, alpha=alpha, sigma1=sigma1, sigma2=sigma2, width=width, delta_c=delta_c)
+    info["delta_c"] = delta_c
     return theta_hat, info
 
 

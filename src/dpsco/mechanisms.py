@@ -158,24 +158,23 @@ class ShuffleCalibration:
     max_epsilon: float
 
 
-def shuffle_calibrate(n, budget, sensitivity_star, kappa, c_sigma=1.0, c_eps=1.0):
+def shuffle_calibrate(n, budget, sensitivity_star, kappa):
     """Per-sample noise scale under amplification by shuffling.
 
-    sigma = c_sigma * kappa * s * sqrt(ln(1/delta) * ln(n/delta)) / (eps * sqrt(n)).
+    sigma = kappa * s * sqrt(ln(1/delta) * ln(n/delta)) / (eps * sqrt(n)).
 
     The amplification argument only covers the high-privacy regime; the
-    calibration is ``valid`` iff eps <= c_eps * sqrt(ln(n/delta) / n).
+    calibration is ``valid`` iff eps <= sqrt(ln(n/delta) / n).
     Callers must refuse to run when ``valid`` is False.
     """
     if n < 2:
         raise ValueError("shuffle_calibrate: n must be >= 2")
     log_nd = math.log(n / budget.delta)
     sigma = (
-        c_sigma
-        * kappa
+        kappa
         * sensitivity_star
         * math.sqrt(math.log(1.0 / budget.delta) * log_nd)
         / (budget.epsilon * math.sqrt(n))
     )
-    max_eps = c_eps * math.sqrt(log_nd / n)
+    max_eps = math.sqrt(log_nd / n)
     return ShuffleCalibration(sigma=sigma, valid=budget.epsilon <= max_eps, max_epsilon=max_eps)

@@ -48,11 +48,10 @@ class MDConfig:
     """Mirror-descent solver configuration.
 
     ``T``, ``alpha_reg``, ``gamma`` and ``lambda_trunc`` default to the
-    schedules the utility analysis prescribes; every hidden constant in
-    those schedules is exposed (``c_*``) so bound sensitivity can be
-    explored.  ``c_noise`` scales the noise draws themselves (0 reproduces
-    the matched-seed noiseless reference).  ``bypass_regime_check`` disables
-    the shuffling high-privacy gate -- for reference runs only, never for a
+    schedules the utility analysis prescribes; ``c_t`` scales the default
+    T.  ``c_noise`` scales the noise draws themselves (0 reproduces the
+    matched-seed noiseless reference).  ``bypass_regime_check`` disables the
+    shuffling high-privacy gate -- for reference runs only, never for a
     private release.
     """
 
@@ -62,10 +61,7 @@ class MDConfig:
     gamma: Optional[float] = None
     lambda_trunc: Optional[float] = None
     c_t: float = 1.0
-    c_lambda: float = 1.0
     c_noise: float = 1.0
-    c_shuffle: float = 1.0
-    c_eps: float = 1.0
     bypass_regime_check: bool = False
 
     def __post_init__(self):
@@ -202,11 +198,10 @@ def mirror_step_constrained(g_hat, w_prev, gamma, C, spec, tol=None):
     """
     if tol is None:
         tol = 1e-8 * gamma * C.diameter_primal(spec.p) ** 2
-    u = inv_grad_phi(grad_phi(w_prev, spec) - g_hat / gamma, spec)
+    gp_prev = grad_phi(w_prev, spec)
+    u = inv_grad_phi(gp_prev - g_hat / gamma, spec)
     if C.contains(u, slack=1e-12):
         return u, 0.0
-
-    gp_prev = grad_phi(w_prev, spec)
 
     def value(w):
         return float(g_hat @ w + gamma * bregman(w, w_prev, spec))
@@ -283,7 +278,7 @@ def shuffled_truncated_md(data, loss, C, cfg, budget, rng):
 
     Privacy comes from per-sample generalized Gaussian noise amplified by
     shuffling, which is only valid in the high-privacy regime
-    eps <= c_eps * sqrt(ln(n/delta)/n); outside it the solver refuses.
+    eps <= sqrt(ln(n/delta)/n); outside it the solver refuses.
     """
     space = cfg.space
     if not (1.0 < space.p < 2.0):
@@ -297,14 +292,12 @@ def shuffled_truncated_md(data, loss, C, cfg, budget, rng):
     lam = cfg.lambda_trunc
     if lam is None:
         lam = max(
-            cfg.c_lambda
-            * math.sqrt(n * budget.epsilon)
-            / (kappa**2 * d * logd) ** 0.25,
+            math.sqrt(n * budget.epsilon) / (kappa**2 * d * logd) ** 0.25,
             max(beta, 1.0) * M,  # floor: the threshold is at least 2 beta M
         )
     threshold = beta * M + lam
 
-    calib = shuffle_calibrate(n, budget, threshold, kappa, c_sigma=cfg.c_shuffle, c_eps=cfg.c_eps)
+    calib = shuffle_calibrate(n, budget, threshold, kappa)
     if not calib.valid and not cfg.bypass_regime_check:
         raise RefusalError(
             f"epsilon={budget.epsilon:.4g} outside the shuffling amplification regime; "
@@ -350,8 +343,7 @@ def batched_truncated_md(data, loss, C, cfg, budget, rng):
     lam = cfg.lambda_trunc
     if lam is None:
         lam = max(
-            cfg.c_lambda
-            * (math.sqrt(n * budget.epsilon) * M / (kappa * (d * logd) ** 0.25)) ** (2.0 / 3.0),
+            (math.sqrt(n * budget.epsilon) * M / (kappa * (d * logd) ** 0.25)) ** (2.0 / 3.0),
             max(beta, 1.0) * M,  # floor: the threshold is at least 2 beta M
         )
     threshold = beta * M + lam

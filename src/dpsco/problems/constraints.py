@@ -76,37 +76,44 @@ _INNER_CAP = 100
 _OUTER_CAP = 100
 
 
-def _radial_coordinates(a, nu, p):
-    """Solve t + nu*p*t^(p-1) = a for every coordinate of a > 0.
+def _radial_coordinates(a, m, p, radius):
+    """Solve t + m * (t / radius)^(p-1) = a for every coordinate of a > 0.
 
-    The left side increases in t from 0 at t = 0 to >= a at t = a, so each
-    root lies in [0, a].  Newton starts at t0 = min(a, (a / (nu*p))^(1/(p-1))),
-    where the left side is already >= a: started at t = a, Newton would
-    shrink t only by a factor of about (p-2)/(p-1) per step at large p.
-    The bracket [lo, hi] is closed, so a converged step landing on one of
-    its ends is kept; a step leaving it is replaced by bisection.  Returns t
-    and the slope 1 + nu*p*(p-1)*t^(p-2) of the left side there.
+    The left side increases in t from 0 at t = 0 and is >= a at
+    t0 = min(a, radius * (a / m)^(1/(p-1))), so each root lies in [0, t0]:
+    started at t = a, Newton would shrink t only by a factor of about
+    (p-2)/(p-1) per step at large p.  Newton runs on the left side divided
+    by a, A + B - 1 with A = t / a and B = m (t / radius)^(p-1) / a, which
+    both lie in [0, 1] on [0, t0], so no intermediate quantity leaves the
+    float range however large a / t is; a Newton step subtracts
+    t (A + B - 1) / (A + (p-1) B) from t.  The bracket [lo, hi] is closed, so
+    a converged step landing on one of its ends is kept; a step leaving it
+    is replaced by bisection.  Returns t and the elasticity
+    -d ln t / d ln m = B / (A + (p-1) B), taken at the iterate before the
+    last (which moved t by at most 4 eps a), and 0 where t = 0.
     """
-    lo = np.zeros_like(a)
-    hi = a.copy()
     # t0 overflows to inf (then min gives a) or underflows to 0 (then the
-    # root is below the smallest double); t^(p-2) is inf at t = 0 for p < 2,
-    # where the Newton step is 0.
-    with np.errstate(divide="ignore", over="ignore"):
-        t = np.minimum(a, (a / (nu * p)) ** (1.0 / (p - 1.0)))
+    # root is below the smallest double and the bracket keeps t at 0, where
+    # the Newton step is 0/0).
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        hi = np.minimum(a, radius * (a / m) ** (1.0 / (p - 1.0)))
+        lo = np.zeros_like(a)
+        t = hi
+        close = 4.0 * _EPS * a
         for _ in range(_INNER_CAP):
-            slope = 1.0 + nu * p * (p - 1.0) * t ** (p - 2.0)
-            f = t + nu * p * t ** (p - 1.0) - a
+            A = t / a
+            B = m * (t / radius) ** (p - 1.0) / a
+            f = A + B - 1.0
+            den = A + (p - 1.0) * B
             hi = np.where(f >= 0, t, hi)
             lo = np.where(f <= 0, t, lo)
-            step = t - f / slope
+            step = t - t * f / den
             step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-            done = np.all(np.abs(step - t) <= 4.0 * _EPS * a)
+            done = np.all(np.abs(step - t) <= close)
             t = step
             if done:
                 break
-        slope = 1.0 + nu * p * (p - 1.0) * t ** (p - 2.0)
-    return t, slope
+    return t, np.divide(B, den, out=np.zeros_like(a), where=den > 0)
 
 
 def project_lp_ball(v, p, radius, tol=1e-10):
@@ -115,15 +122,19 @@ def project_lp_ball(v, p, radius, tol=1e-10):
     Returns a copy of ``v`` inside the ball and the exact radial scaling at
     p = 2.  Otherwise the projection is w = sign(v) * t, where t solves the
     KKT system t_i + nu*p*t_i^(p-1) = |v_i| and the multiplier nu > 0 makes
-    ||t||_p = radius.  Two bracketed Newton solves find it:
+    ||t||_p = radius.  The multiplier is solved for as m = nu*p*radius^(p-1),
+    which has the units of v and stays in the float range whenever ||v||_q
+    does (nu itself overflows when ||v||_q / radius^(p-1) does).  Two
+    bracketed Newton solves find it:
 
-    * inner, per coordinate: t(nu) for a given nu (``_radial_coordinates``);
-    * outer, on nu: Newton on g(nu) = (radius / ||t(nu)||_p)^(p-1) - 1 with
-      the implicit derivative dt_i/dnu = -p*t_i^(p-1) / (1 + nu*p*(p-1)*t_i^(p-2)).
-      g is linear in nu where t_i^(p-1) ~ |v_i| / (nu*p) and close to
-      linear near nu = 0.  Since 0 <= t <= |v| and nu*p*t^(p-1) = |v| - t,
-      the dual norm q = p/(p-1) brackets the root:
-      (||v||_p - radius) * k^min(0, 1/q - 1/p) <= nu*p*radius^(p-1) <= ||v||_q,
+    * inner, per coordinate: t(m) for a given m (``_radial_coordinates``);
+    * outer, on m: Newton on g(m) = (radius / ||t(m)||_p)^(p-1) - 1 with
+      m g'(m) = (p-1) (g+1) sum_i u_i^p e_i, u = t / ||t||_p and e_i the
+      elasticity -d ln t_i / d ln m.  g is linear in m where
+      t_i^(p-1) ~ |v_i| radius^(p-1) / m and close to linear near m = 0.
+      Since 0 <= t <= |v| and m (t/radius)^(p-1) = |v| - t, the dual norm
+      q = p/(p-1) brackets the root:
+      (||v||_p - radius) * k^min(0, 1/q - 1/p) <= m <= ||v||_q,
       with k the number of nonzero coordinates of v.
       Newton starts at the lower end; a step leaving the bracket is
       replaced by bisection.
@@ -149,14 +160,13 @@ def project_lp_ball(v, p, radius, tol=1e-10):
     nonzero = v != 0
     a = np.abs(v[nonzero])
     q = dual_exponent(p)
-    scale = p * radius ** (p - 1.0)
-    nu_lo = (nrm - radius) * a.size ** min(0.0, 1.0 / q - 1.0 / p) / scale
-    nu_hi = lp_norm(a, q) / scale
+    m_lo = (nrm - radius) * a.size ** min(0.0, 1.0 / q - 1.0 / p)
+    m_hi = lp_norm(a, q)
 
-    nu = nu_lo
+    m = m_lo
     residual = math.inf
     for _ in range(_OUTER_CAP):
-        t, slope = _radial_coordinates(a, nu, p)
+        t, elasticity = _radial_coordinates(a, m, p, radius)
         norm_t = lp_norm(t, p)
         residual = abs(norm_t - radius)
         if residual <= tol:
@@ -164,18 +174,17 @@ def project_lp_ball(v, p, radius, tol=1e-10):
             w[nonzero] = np.sign(v[nonzero]) * t
             return w
         if norm_t > radius:
-            nu_lo = nu
+            m_lo = m
         else:
-            nu_hi = nu
-        u = t / norm_t
+            m_hi = m
         g = (radius / norm_t) ** (p - 1.0)
-        dg = g * (p - 1.0) * p * norm_t ** (p - 2.0) * float(np.sum(u ** (2.0 * p - 2.0) / slope))
-        step = nu - (g - 1.0) / dg if dg > 0 else math.nan
-        if not nu_lo <= step <= nu_hi:
-            step = 0.5 * (nu_lo + nu_hi)
-        if step == nu:
+        dg = g * (p - 1.0) * float(np.sum((t / norm_t) ** p * elasticity))  # m g'(m)
+        step = m - m * (g - 1.0) / dg if dg > 0 else math.nan
+        if not m_lo <= step <= m_hi:
+            step = 0.5 * (m_lo + m_hi)
+        if step == m:
             break
-        nu = step
+        m = step
     raise NumericError(
         f"project_lp_ball: Newton solve did not reach tol={tol}", residual=residual
     )

@@ -78,18 +78,14 @@ class SpaceSpec:
         Primal norm exponent, in (1, inf].
     d : int
         Ambient dimension.
-    log_coef : float, default 2.0
-        Coefficient of the ln(d) cap in the regularity constant.  The
-        literature is not unanimous about this constant; it only shifts
-        leading factors, so it is kept configurable.
 
     Attributes (derived)
     --------------------
     q : dual exponent, 1/p + 1/q = 1.
     kappa : regularity constant of the dual space,
-        min{1/(p-1), log_coef * ln d} for 1 < p < 2 (the cap is skipped at
-        d = 1 where ln d = 0 would be degenerate).  For p >= 2 it is the
-        primal-space constant min{p-1, log_coef * ln d}, floored at 1.
+        min{1/(p-1), 2 ln d} for 1 < p < 2 (the cap is skipped at d = 1
+        where ln d = 0 would be degenerate).  For p >= 2 it is the
+        primal-space constant min{p-1, 2 ln d}, floored at 1.
     r_noise : norm index of the generalized Gaussian noise, kappa + 1 on
         the dual side for 1 < p < 2.
     s : mirror-potential norm index (p for 1 < p < 2, else 2).
@@ -98,7 +94,6 @@ class SpaceSpec:
 
     p: float
     d: int
-    log_coef: float = 2.0
     q: float = field(init=False)
     kappa: float = field(init=False)
     r_noise: float = field(init=False)
@@ -113,10 +108,10 @@ class SpaceSpec:
         object.__setattr__(self, "d", int(self.d))
         q = dual_exponent(self.p)
         object.__setattr__(self, "q", q)
-        cap = self.log_coef * math.log(self.d) if self.d >= 2 else math.inf
+        cap = 2.0 * math.log(self.d) if self.d >= 2 else math.inf
         if self.p < 2:
             kappa = min(1.0 / (self.p - 1.0), cap)
-            r_noise = kappa + 1.0  # == min{q, log_coef*ln(d) + 1}
+            r_noise = kappa + 1.0  # == min{q, 2 ln(d) + 1}
             s = self.p
             weight = 1.0 / (self.p - 1.0)
         else:

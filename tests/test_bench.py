@@ -9,6 +9,7 @@ from dpsco.bench.records import RunRecord, read_records, without_timing, write_r
 from dpsco.bench.runner import run_cell, run_experiment, stable_seed
 from dpsco.bench.slopes import fit_slope
 from dpsco.errors import ConfigError
+from test_acceptance import CONVEX_TREND_DOC, LP_TREND_DOC, STRONGLY_CONVEX_DOC
 
 
 def _base_config(**over):
@@ -54,9 +55,12 @@ class TestConfig:
             ExperimentConfig.from_dict(_base_config(delta=2.0))
 
     def test_valid_roundtrip(self):
-        cfg = ExperimentConfig.from_dict(_base_config())
-        again = ExperimentConfig.from_dict(cfg.to_dict())
-        assert again.to_dict() == cfg.to_dict()
+        for doc in (_base_config(), CONVEX_TREND_DOC, STRONGLY_CONVEX_DOC, LP_TREND_DOC):
+            cfg = ExperimentConfig.from_dict(copy.deepcopy(doc))
+            out = cfg.to_dict()
+            # Every key of the document comes back as given; the rest are the defaults.
+            assert {k: out[k] for k in doc} == doc
+            assert ExperimentConfig.from_dict(out).to_dict() == out
 
 
 class TestRecordsCsv:

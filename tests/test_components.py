@@ -123,6 +123,15 @@ MISCONFIGS = {
         _base_doc(algorithm="app_objp", loss={"name": "logistic"}),
         "does not fit",
     ),
+    "c_lambda on batched_truncated_md": (_md_doc(solver={"T": 4, "c_lambda": 2.0}), "c_lambda"),
+    "c_shuffle on shuffled_truncated_md": (
+        _md_doc(algorithm="shuffled_truncated_md", solver={"T": 4, "c_shuffle": 0.5}),
+        "c_shuffle",
+    ),
+    "c_eps on shuffled_truncated_md": (
+        _md_doc(algorithm="shuffled_truncated_md", solver={"T": 4, "c_eps": 10.0}),
+        "c_eps",
+    ),
 }
 
 

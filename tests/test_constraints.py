@@ -174,20 +174,27 @@ class TestBallSets:
         assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
         np.testing.assert_allclose(w, np.full(20, 1.0 / math.sqrt(20.0)), rtol=1e-12)
 
-    @pytest.mark.parametrize("entry", [1e300, 1e308])
+    @pytest.mark.parametrize("entry", [1e300, 1e305, 1e308])
     @pytest.mark.parametrize(
         "ball,exponent",
-        [(L2Ball(1.0, 20), 2.0), (L1Ball(1.0, 20), 1.0), (LpBall(1.5, 1.0, 20), 1.5)],
-        ids=["l2", "l1", "lp1.5"],
+        [
+            (L2Ball(1.0, 20), 2.0),
+            (L1Ball(1.0, 20), 1.0),
+            (LpBall(1.5, 1.0, 20), 1.5),
+            (LpBall(3.0, 1.0, 20), 3.0),
+            (LpBall(3.0, 1e-3, 20), 3.0),
+        ],
+        ids=["l2", "l1", "lp1.5", "lp3", "lp3-small"],
     )
     def test_projection_of_huge_input(self, ball, exponent, entry):
         # At 1e308 the norm itself overflows; at 1e300 the l1 threshold would
-        # be the difference of two numbers near 1e301.  Both project to the
-        # point with all coordinates equal on the sphere.
+        # be the difference of two numbers near 1e301; at p = 3 the KKT
+        # multiplier nu = ||v||_q / (p R^(p-1)) leaves the float range.  All
+        # project to the point with all coordinates equal on the sphere.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w = ball.project(np.full(20, entry))
-        np.testing.assert_allclose(w, np.full(20, 20.0 ** (-1.0 / exponent)), rtol=1e-9)
+        np.testing.assert_allclose(w, np.full(20, ball.radius * 20.0 ** (-1.0 / exponent)), rtol=1e-9)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,23 @@ class TestAppObjP:
         with pytest.raises(RefusalError) as exc:
             app_objp(data, loss, C, cfg, np.random.default_rng(6))
         assert exc.value.requirement is not None  # names the minimum n
+
+    @pytest.mark.parametrize("solver", [app_objp, app_objp_sc])
+    def test_refusal_names_the_n_that_runs(self, solver):
+        # With an explicit ridge the precondition is n >= r beta / (eps * curvature):
+        # 5 / (0.1 * 1e-3) = 50 000 for the convex solver, 5 / (0.1 * 1.001) for the
+        # strongly convex one.
+        cfg = ObjPConfig(budget=PrivacyBudget(0.1, 1e-5), lambda_reg=1e-3)
+        data, loss, C, _ = _mean_point_setup(n=8)
+        with pytest.raises(RefusalError) as exc:
+            solver(data, loss, C, cfg, np.random.default_rng(6))
+        n_min = exc.value.requirement
+        assert f"need n >= {n_min}" in str(exc.value)
+        data, _, _, _ = _mean_point_setup(n=n_min)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # below the utility regime; privacy holds
+            w, _ = solver(data, loss, C, cfg, np.random.default_rng(6))
+        assert C.contains(w)
 
     def test_release_distance_assertion_runs(self):
         data, loss, C, _ = _mean_point_setup()

@@ -99,10 +99,6 @@ class TestSpaceSpec:
         with pytest.raises(ValueError):
             SpaceSpec(1.5, 0)
 
-    def test_log_coef_configurable(self):
-        loose = SpaceSpec(1.1, 50, log_coef=2.0 * math.e)
-        assert loose.kappa > SpaceSpec(1.1, 50).kappa
-
 
 def _fd_grad(f, w, h=1e-6):
     g = np.zeros_like(w)
