@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from dpsco.euclidean import ObjPConfig, app_objp, app_objp_sc
+from dpsco.euclidean import app_objp, app_objp_sc
 from dpsco.mechanisms import PrivacyBudget
 from dpsco.problems import (
     BallCloud,
@@ -33,8 +33,7 @@ print("eps     excess population risk (MC, 5 seeds)")
 for eps in (0.25, 0.5, 1.0, 4.0, 1e6):
     vals = []
     for seed in range(5):
-        cfg = ObjPConfig(budget=PrivacyBudget(eps, 1e-5))
-        w, _ = app_objp(data, loss, C, cfg, np.random.default_rng(seed))
+        w, _ = app_objp(data, loss, C, PrivacyBudget(eps, 1e-5), np.random.default_rng(seed))
         exc, _ = excess_population_risk(
             w, dist, loss, C, m_eval=50_000, rng=np.random.default_rng(1000 + seed)
         )
@@ -46,13 +45,12 @@ mp_dist = BallCloud(0.4 * np.ones(d) / math.sqrt(d), spread=1.0)
 mp_loss = MeanPointLoss(domain_radius=mp_dist.feature_radius(), constraint_radius=1.0)
 mp_data = mp_dist.sample(n, np.random.default_rng(8))
 for eps in (0.5, 1.0, 1e6):
-    cfg = ObjPConfig(budget=PrivacyBudget(eps, 1e-5))
-    w, info = app_objp_sc(mp_data, mp_loss, C, cfg, np.random.default_rng(0))
+    w, info = app_objp_sc(mp_data, mp_loss, C, PrivacyBudget(eps, 1e-5), np.random.default_rng(0))
     exc, _ = excess_population_risk(w, mp_dist, mp_loss, C)
     print(f"eps={eps:<8g} lambda={info['lam']:.3g}  excess={exc:.5f}")
 
 # Noiseless limit: the output approaches the projected sample mean.
-cfg = ObjPConfig(budget=PrivacyBudget(1e6, 1e-5), alpha_opt=1e-10)
-w, _ = app_objp_sc(mp_data, mp_loss, C, cfg, np.random.default_rng(0))
+w, _ = app_objp_sc(mp_data, mp_loss, C, PrivacyBudget(1e6, 1e-5), np.random.default_rng(0),
+                   alpha_opt=1e-10)
 gap = np.linalg.norm(w - C.project(mp_data.X.mean(axis=0)))
 print(f"\nnoiseless limit vs projected sample mean: ||.||_2 gap = {gap:.2e}")

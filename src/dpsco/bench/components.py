@@ -4,10 +4,12 @@ Each table maps a component name to its builder and the keys it accepts.
 ``ExperimentConfig`` validates a document against these tables and the
 runner builds every cell from the same entries, so a key is accepted exactly
 when a builder consumes it.  Builders pass on only the keys a config gives:
-every default lives in the constructor, config class or solver signature
-that consumes it.
+every default lives in the constructor or solver signature that consumes it.
+An algorithm entry is read from its solver's signature, which is the one
+place that lists the solver's options.
 """
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -15,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConfigError
-from ..euclidean import ObjPConfig
-from ..mirror import MDConfig
+from ..euclidean import app_objp, app_objp_sc, phased_dp_sgd
+from ..mirror import batched_truncated_md, lipschitz_high_p, noisy_reg_md, shuffled_truncated_md
 from ..problems.constraints import L1Ball, L2Ball, LpBall
 from ..problems.distributions import BallCloud, HeavyTailLinear, LogisticSphere
 from ..problems.losses import LogisticLoss, MeanPointLoss, PseudoHuberLoss
@@ -43,17 +45,32 @@ class Distribution(Component):
 
 
 @dataclass(frozen=True)
-class Algorithm(Component):
-    """``build(solve, data, loss, C, geometry, budget, rng, **solver)`` calls the
-    solver ``solve``; ``keys`` are the solver keys it accepts.
+class Algorithm:
+    """How a config calls a solver, read from the solver's signature by ``of``.
 
-    A ``constrained`` algorithm requires a constraint set and the others
-    refuse one.  Geometry p must lie in ``p_range``, open when ``p_open``.
+    ``keys`` are its keyword-only parameters.  A solver with a ``C``
+    parameter is ``constrained``: it requires a constraint set and the others
+    refuse one.  One with a ``space`` parameter is handed the geometry's
+    SpaceSpec.  Geometry p must lie in ``p_range``, open when ``p_open``.
     """
 
-    constrained: bool = False
+    keys: tuple
+    constrained: bool
+    takes_space: bool
     p_range: tuple = (2.0, 2.0)
     p_open: bool = False
+
+    @classmethod
+    def of(cls, solver, **kw):
+        params = inspect.signature(solver).parameters
+        return cls(tuple(solver.__kwdefaults__), "C" in params, "space" in params, **kw)
+
+    def run(self, solve, data, loss, C, geometry, budget, rng, **options):
+        """``solve(data, loss, [C,] [space,] budget, rng, **options)``."""
+        args = [data, loss] + ([C] if self.constrained else [])
+        if self.takes_space:
+            args.append(SpaceSpec(geometry["p"], geometry["d"]))
+        return solve(*args, budget, rng, **options)
 
     def check_p(self, name, p):
         lo, hi = self.p_range
@@ -141,31 +158,14 @@ CONSTRAINTS = Table("constraint set", {
 }, tag="set")
 
 
-def _objective_perturbation(solve, data, loss, C, geometry, budget, rng, **kw):
-    return solve(data, loss, C, ObjPConfig(budget=budget, **kw), rng)
-
-
-def _phased_sgd(solve, data, loss, C, geometry, budget, rng, **kw):
-    return solve(data, loss, budget, rng, **kw)
-
-
-def _mirror_descent(solve, data, loss, C, geometry, budget, rng, **kw):
-    cfg = MDConfig(space=SpaceSpec(geometry["p"], geometry["d"]), **kw)
-    return solve(data, loss, cfg, budget, rng) if C is None else solve(data, loss, C, cfg, budget, rng)
-
-
-_OBJP_KEYS = ("alpha_opt", "lambda_reg", "noise_multiplier", "check_release_distance")
-_SGD_KEYS = ("eta", "noise_multiplier")
-_TRUNCATED_KEYS = ("T", "gamma", "lambda_trunc", "c_t", "c_noise")
-_SHUFFLED_KEYS = _TRUNCATED_KEYS + ("bypass_regime_check",)
 _BELOW_TWO = {"p_range": (1.0, 2.0), "p_open": True}
 
 ALGORITHMS = Table("algorithm", {
-    "app_objp": Algorithm(_objective_perturbation, _OBJP_KEYS, constrained=True),
-    "app_objp_sc": Algorithm(_objective_perturbation, _OBJP_KEYS, constrained=True),
-    "phased_dp_sgd": Algorithm(_phased_sgd, _SGD_KEYS),
-    "lipschitz_high_p": Algorithm(_phased_sgd, _SGD_KEYS, p_range=(2.0, math.inf)),
-    "noisy_reg_md": Algorithm(_mirror_descent, ("T", "alpha_reg", "c_t", "c_noise"), **_BELOW_TWO),
-    "shuffled_truncated_md": Algorithm(_mirror_descent, _SHUFFLED_KEYS, constrained=True, **_BELOW_TWO),
-    "batched_truncated_md": Algorithm(_mirror_descent, _TRUNCATED_KEYS, constrained=True, **_BELOW_TWO),
+    "app_objp": Algorithm.of(app_objp),
+    "app_objp_sc": Algorithm.of(app_objp_sc),
+    "phased_dp_sgd": Algorithm.of(phased_dp_sgd),
+    "lipschitz_high_p": Algorithm.of(lipschitz_high_p, p_range=(2.0, math.inf)),
+    "noisy_reg_md": Algorithm.of(noisy_reg_md, **_BELOW_TWO),
+    "shuffled_truncated_md": Algorithm.of(shuffled_truncated_md, **_BELOW_TWO),
+    "batched_truncated_md": Algorithm.of(batched_truncated_md, **_BELOW_TWO),
 })

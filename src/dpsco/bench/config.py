@@ -5,9 +5,10 @@ typo in a schedule constant would corrupt an experiment, so the parser
 refuses instead.  Component names, their keys, each algorithm's geometry
 and constraint needs, the losses each distribution's population minimizer
 is known for, and whether a distribution allows oracle evaluation come from
-the tables in ``components``.  A solver ``T`` that is not a positive
-integer, or that the smallest n cannot serve, is refused as well.  The
-config builds the loss, distribution and constraint set once, so a value a
+the tables in ``components``.  A solver option out of its range (the
+shared ``dpsco.options.check_options``, which the solvers run too), or a
+``T`` that the smallest n cannot serve, is refused as well.  The config
+builds the loss, distribution and constraint set once, so a value a
 constructor refuses, or a population minimizer the evaluation cannot score
 against, is refused at parse time too; the runner runs every cell on those
 components.
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from ..errors import ConfigError
+from ..options import check_options
 from ..problems.risk import population_minimizer
 from .components import ALGORITHMS, CONSTRAINTS, DISTRIBUTIONS, LOSSES
 
@@ -31,14 +33,11 @@ def _check_keys(mapping, allowed, where):
 
 
 def _check_T(algorithm, solver, n_min):
-    """A T that is not a positive integer, or one the smallest n cannot serve:
-    the truncated solvers split n rows into T nonempty batches, and
-    noisy_reg_md's automatic alpha_reg needs T < n."""
+    """A T the smallest n cannot serve: the truncated solvers split n rows
+    into T nonempty batches, and noisy_reg_md's automatic alpha_reg needs T < n."""
     T = solver.get("T")
     if T is None:
         return
-    if isinstance(T, bool) or not isinstance(T, int) or T < 1:
-        raise ConfigError(f"{algorithm}: solver.T must be a positive integer, got {T!r}")
     if algorithm == "noisy_reg_md":
         if "alpha_reg" not in solver and T >= n_min:
             raise ConfigError(
@@ -79,6 +78,10 @@ class ExperimentConfig:
             raise ConfigError(f"geometry.d must be a positive integer, got {d!r}")
 
         algo = ALGORITHMS.select(self.algorithm, self.solver)
+        try:
+            check_options(**self.solver)
+        except ValueError as exc:
+            raise ConfigError(f"{self.algorithm}: solver.{exc}") from exc
         algo.check_p(self.algorithm, p)
         if algo.constrained and self.constraint is None:
             raise ConfigError(f"{self.algorithm} requires a constraint set")

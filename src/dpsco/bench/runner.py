@@ -54,7 +54,7 @@ def run_cell(cfg, n_idx, eps_idx, trial):
                   n=n, epsilon=eps, delta=cfg.delta, trial=trial, seed=seed)
     t0 = time.perf_counter()
     try:
-        w, info = ALGORITHMS[cfg.algorithm].build(
+        w, info = ALGORITHMS[cfg.algorithm].run(
             solve, data, loss, C, cfg.geometry, budget, rng, **cfg.solver
         )
     except RefusalError as exc:

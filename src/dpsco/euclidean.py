@@ -14,6 +14,8 @@ The inner optimizer is accelerated projected gradient with constant momentum
 run for a deterministic iteration count derived from its linear convergence
 rate, so the accuracy certificate is unconditional and the number of steps
 does not depend on the data.
+
+Solver options are keyword-only arguments, with their defaults in the signature.
 """
 
 import functools
@@ -21,40 +23,14 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import RefusalError
-from .mechanisms import PrivacyBudget
+from .options import check_options
 from .problems.risk import empirical_grad, empirical_risk, gaussian_width_mc
 
-__all__ = ["ObjPConfig", "SmoothObjective", "inner_solve", "app_objp", "app_objp_sc", "phased_dp_sgd"]
-
-
-@dataclass
-class ObjPConfig:
-    """Configuration for the objective-perturbation solvers.
-
-    ``alpha_opt`` is the optimization accuracy handed to the inner solver;
-    when None it defaults to the utility-driven ceiling, which involves the
-    (estimated) Gaussian width of the constraint set.  ``lambda_reg`` is the
-    ridge coefficient; None selects the standard schedule for each solver.
-    ``noise_multiplier`` scales the noise draws (0 gives the matched-seed
-    noiseless reference path).  ``check_release_distance`` re-solves to
-    higher accuracy and asserts the certified bound on the distance between
-    the released approximate minimizer and the exact one.
-    """
-
-    budget: PrivacyBudget
-    alpha_opt: Optional[float] = None
-    lambda_reg: Optional[float] = None
-    noise_multiplier: float = 1.0
-    check_release_distance: bool = True
-
-    def __post_init__(self):
-        if self.alpha_opt is not None and not (0.0 < self.alpha_opt <= 1.0):
-            raise ValueError("ObjPConfig: alpha_opt must be in (0, 1]")
+__all__ = ["SmoothObjective", "inner_solve", "app_objp", "app_objp_sc", "phased_dp_sgd"]
 
 
 @dataclass
@@ -200,7 +176,8 @@ def _solve_with_surrogate(obj, C, alpha, start, check, release_bound):
 
 
 def _perturb_solve_release(
-    data, loss, C, cfg, rng, lam, curvature, alpha_ceiling, release_curvature, n_min=None
+    data, loss, C, budget, rng, lam, curvature, alpha_ceiling, release_curvature,
+    alpha_opt, noise_multiplier, check_release_distance, n_min=None,
 ):
     """Approximate-minima perturbation (Iyengar et al. 2019), shared by both solvers.
 
@@ -208,11 +185,11 @@ def _perturb_solve_release(
     precondition that makes the perturbed-objective release private; the
     refusal names ``n_min``, by default ceil(r beta / (eps * curvature)).
     Then it adds the linear term G / n, G ~ N(0, sigma1^2 I), and the ridge
-    lam ||w||^2 to the empirical risk, solves to accuracy alpha (default
-    ``alpha_ceiling(L, D, n, budget, width)``), and releases C.project(theta2 + H),
-    H ~ N(0, sigma2^2 I) with sigma2^2 proportional to alpha / release_curvature.
+    lam ||w||^2 to the empirical risk, solves to accuracy alpha (``alpha_opt``,
+    or ``alpha_ceiling(L, D, n, budget, width)`` when it is None), and releases
+    C.project(theta2 + H), H ~ N(0, sigma2^2 I) with sigma2^2 proportional to
+    alpha / release_curvature.  Both draws are scaled by ``noise_multiplier``.
     """
-    budget = cfg.budget
     n, d = data.n, data.d
     L, beta = loss.lipschitz, loss.smoothness
     r = loss.rank_bound(d)
@@ -240,28 +217,29 @@ def _perturb_solve_release(
         )
 
     width = _gaussian_width_estimate(C)
-    alpha = cfg.alpha_opt if cfg.alpha_opt is not None else alpha_ceiling(L, D, n, budget, width)
+    alpha = alpha_opt if alpha_opt is not None else alpha_ceiling(L, D, n, budget, width)
 
     sigma1 = math.sqrt(128.0 * L**2 * math.log(2.5 / budget.delta)) / budget.epsilon
-    G = cfg.noise_multiplier * sigma1 * rng.standard_normal(d)
+    G = noise_multiplier * sigma1 * rng.standard_normal(d)
     obj = _perturbed_objective(data, loss, G, lam)
 
     release_bound = math.sqrt(2.0 * alpha / release_curvature)
     theta2, info = _solve_with_surrogate(
-        obj, C, alpha, np.zeros(d), cfg.check_release_distance, release_bound
+        obj, C, alpha, np.zeros(d), check_release_distance, release_bound
     )
 
     sigma2 = (
         math.sqrt(64.0 * alpha * math.log(2.5 / budget.delta) / release_curvature)
         / budget.epsilon
     )
-    H = cfg.noise_multiplier * sigma2 * rng.standard_normal(d)
+    H = noise_multiplier * sigma2 * rng.standard_normal(d)
     theta_hat = C.project(theta2 + H)
     info.update(lam=lam, alpha=alpha, sigma1=sigma1, sigma2=sigma2, width=width)
     return theta_hat, info
 
 
-def app_objp(data, loss, C, cfg, rng):
+def app_objp(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None,
+             noise_multiplier=1.0, check_release_distance=True):
     """Approximate objective perturbation for convex smooth Lipschitz losses.
 
     The ridge alone supplies the curvature: the default lambda is
@@ -269,54 +247,69 @@ def app_objp(data, loss, C, cfg, rng):
     (theta_hat, info).  Raises RefusalError when the smoothness precondition
     beta <= eps * n * lambda / r fails, since that condition is what makes
     the perturbed-objective release private.
+
+    ``alpha_opt`` in (0, 1] is the inner accuracy (None: the utility-driven
+    ceiling, through the estimated Gaussian width of C) and ``lambda_reg``
+    >= 0 the ridge (None: the schedule).  ``noise_multiplier`` scales both
+    draws; 0 gives the matched-seed noiseless reference.
+    ``check_release_distance`` solves on to alpha/100 and asserts the
+    certified distance between the released and the exact minimizer.
     """
-    lam, n_min = cfg.lambda_reg, None
+    check_options(alpha_opt=alpha_opt, lambda_reg=lambda_reg)
+    lam, n_min = lambda_reg, None
     if lam is None:
         L, D = loss.lipschitz, C.diameter_l2
         lam = L / (math.sqrt(data.n) * D)
         # With this schedule the precondition reads n >= (r beta D / (eps L))^2.
         r = loss.rank_bound(data.d)
-        n_min = math.ceil((r * loss.smoothness * D / (cfg.budget.epsilon * L)) ** 2)
+        n_min = math.ceil((r * loss.smoothness * D / (budget.epsilon * L)) ** 2)
     return _perturb_solve_release(
-        data, loss, C, cfg, rng, lam,
-        curvature=lam, alpha_ceiling=_alpha_ceiling, release_curvature=lam, n_min=n_min,
+        data, loss, C, budget, rng, lam, curvature=lam, alpha_ceiling=_alpha_ceiling,
+        release_curvature=lam, alpha_opt=alpha_opt, noise_multiplier=noise_multiplier,
+        check_release_distance=check_release_distance, n_min=n_min,
     )
 
 
-def app_objp_sc(data, loss, C, cfg, rng):
+def app_objp_sc(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None,
+                noise_multiplier=1.0, check_release_distance=True):
     """Objective perturbation for strongly convex losses.
 
     The loss's own curvature Delta replaces most (or all) of the ridge term:
     lambda = max{r beta / (eps n) - Delta, 0}, the precondition counts
     lambda + Delta, and the release scale is ||C||_2^2 / Delta_C, with
-    Delta_C the strong convexity measured in the Minkowski norm of C.
+    Delta_C the strong convexity measured in the Minkowski norm of C.  The
+    options are those of ``app_objp``; ``lambda_reg`` = 0 runs on Delta alone.
     """
+    check_options(alpha_opt=alpha_opt, lambda_reg=lambda_reg)
     delta2 = loss.strong_convexity
     if delta2 <= 0:
         raise ValueError("app_objp_sc requires a strongly convex loss")
     delta_c = delta2 * C.c_min**2  # modulus w.r.t. the Minkowski norm of C
-    lam = cfg.lambda_reg
+    lam = lambda_reg
     if lam is None:
         r = loss.rank_bound(data.d)
-        lam = max(r * loss.smoothness / (cfg.budget.epsilon * data.n) - delta2, 0.0)
+        lam = max(r * loss.smoothness / (budget.epsilon * data.n) - delta2, 0.0)
     theta_hat, info = _perturb_solve_release(
-        data, loss, C, cfg, rng, lam,
+        data, loss, C, budget, rng, lam,
         curvature=lam + delta2,
         alpha_ceiling=functools.partial(_alpha_ceiling_sc, delta_c=delta_c),
-        release_curvature=delta_c / C.diameter_l2**2,
+        release_curvature=delta_c / C.diameter_l2**2, alpha_opt=alpha_opt,
+        noise_multiplier=noise_multiplier, check_release_distance=check_release_distance,
     )
     info["delta_c"] = delta_c
     return theta_hat, info
 
 
-def phased_dp_sgd(data, loss, budget, rng, eta=None, noise_multiplier=1.0):
+def phased_dp_sgd(data, loss, budget, rng, *, eta=None, noise_multiplier=1.0):
     """Phased one-pass DP-SGD (unconstrained).
 
     Runs ceil(log2 n) phases on disjoint, geometrically shrinking shards;
     each phase averages its one-pass SGD iterates and perturbs the average
     with Gaussian noise whose scale shrinks 4x per phase.  Returns
-    (w_k, info).
+    (w_k, info).  ``eta`` > 0 is the base step size (None selects the
+    schedule) and ``noise_multiplier`` scales the noise draws.
     """
+    check_options(eta=eta)
     n, d = data.n, data.d
     L, beta = loss.lipschitz, loss.smoothness
     if eta is None:

@@ -13,6 +13,12 @@ Three variants share the machinery here:
   (high-privacy regime only); the batched one adds one draw per batch under
   parallel composition, valid for any epsilon in (0, 1).
 
+Each solver takes the geometry ``space`` (a ``SpaceSpec``) positionally and
+its options as keyword-only arguments.  ``T``, ``alpha_reg``, ``gamma`` and
+``lambda_trunc`` default to the schedules the utility analysis prescribes,
+``c_t`` scales the default T, and ``noise_multiplier`` scales the noise
+draws (0 reproduces the matched-seed noiseless reference).
+
 ``lambda`` is an overloaded symbol in this corner of the literature; here
 ``lambda_trunc`` always means the truncation offset and ``lambda_reg`` a
 ridge weight, so the two cannot be silently confused.
@@ -21,18 +27,17 @@ ridge weight, so the two cannot be silently confused.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import NumericError, RefusalError
 from .euclidean import phased_dp_sgd
 from .mechanisms import GGNoiseSpec, gg_sample, shuffle_calibrate
+from .options import check_options
 from .problems.risk import empirical_grad
 from .spaces import bregman, grad_phi, inv_grad_phi, lp_norm
 
 __all__ = [
-    "MDConfig",
     "TruncationStats",
     "noisy_reg_md",
     "truncate_gradients",
@@ -41,34 +46,6 @@ __all__ = [
     "batched_truncated_md",
     "lipschitz_high_p",
 ]
-
-
-@dataclass
-class MDConfig:
-    """Mirror-descent solver configuration.
-
-    ``T``, ``alpha_reg``, ``gamma`` and ``lambda_trunc`` default to the
-    schedules the utility analysis prescribes; ``c_t`` scales the default
-    T.  ``c_noise`` scales the noise draws themselves (0 reproduces the
-    matched-seed noiseless reference).  ``bypass_regime_check`` disables the
-    shuffling high-privacy gate -- for reference runs only, never for a
-    private release.
-    """
-
-    space: object
-    T: Optional[int] = None
-    alpha_reg: Optional[float] = None
-    gamma: Optional[float] = None
-    lambda_trunc: Optional[float] = None
-    c_t: float = 1.0
-    c_noise: float = 1.0
-    bypass_regime_check: bool = False
-
-    def __post_init__(self):
-        if self.T is not None and self.T < 1:
-            raise ValueError("MDConfig: T must be >= 1")
-        if self.alpha_reg is not None and self.alpha_reg <= 0:
-            raise ValueError("MDConfig: alpha_reg must be > 0")
 
 
 @dataclass
@@ -111,7 +88,8 @@ class _WeightedAverage:
             self.value = (1.0 - frac) * self.value + frac * np.asarray(w, dtype=float)
 
 
-def noisy_reg_md(data, loss, cfg, budget, rng):
+def noisy_reg_md(data, loss, space, budget, rng, *, T=None, alpha_reg=None, c_t=1.0,
+                 noise_multiplier=1.0):
     """Noisy regularized mirror descent, unconstrained, 1 < p < 2.
 
     Each step minimizes
@@ -121,7 +99,7 @@ def noisy_reg_md(data, loss, cfg, budget, rng):
     The output is the geometrically weighted average of w_2..w_{T+1} with
     ratio (2 beta + alpha) / (2 beta).
     """
-    space = cfg.space
+    check_options(T=T, alpha_reg=alpha_reg)
     if not (1.0 < space.p < 2.0):
         raise ValueError("noisy_reg_md requires 1 < p < 2")
     if getattr(loss, "norm_p", None) != space.p:
@@ -132,30 +110,28 @@ def noisy_reg_md(data, loss, cfg, budget, rng):
     L, beta = loss.lipschitz, loss.smoothness
     kappa = space.kappa
 
-    T = cfg.T
     if T is None:
-        raw = cfg.c_t * (
+        raw = c_t * (
             n * budget.epsilon * kappa / math.sqrt(d * math.log(1.0 / budget.delta))
         ) ** 0.4
         T = max(1, min(math.ceil(raw), max(1, n - 1)))
-    alpha = cfg.alpha_reg
-    if alpha is None:
+    if alpha_reg is None:
         if T >= n:
             raise ValueError("automatic alpha_reg needs T < n; pass alpha_reg explicitly")
-        alpha = (4.0 * beta / T) * math.log2(n / T)
+        alpha_reg = (4.0 * beta / T) * math.log2(n / T)
 
     sigma2 = 64.0 * L**2 * kappa * T * math.log(1.0 / budget.delta) / (n**2 * budget.epsilon**2)
     noise = GGNoiseSpec(sigma2=sigma2, r=space.r_noise, d=d)
 
     w = np.zeros(d)
-    avg = _WeightedAverage((2.0 * beta + alpha) / (2.0 * beta))
+    avg = _WeightedAverage((2.0 * beta + alpha_reg) / (2.0 * beta))
     for _ in range(T):
-        g_t = cfg.c_noise * gg_sample(noise, rng)
+        g_t = noise_multiplier * gg_sample(noise, rng)
         dual = beta * grad_phi(w, space) - empirical_grad(w, data, loss) - g_t
-        w = inv_grad_phi(dual / (beta + alpha), space)
+        w = inv_grad_phi(dual / (beta + alpha_reg), space)
         avg.add(w)
 
-    info = {"T": T, "alpha_reg": alpha, "sigma2": sigma2, "r_noise": space.r_noise}
+    info = {"T": T, "alpha_reg": alpha_reg, "sigma2": sigma2, "r_noise": space.r_noise}
     return avg.value, info
 
 
@@ -245,7 +221,7 @@ def _batch_size(n, T):
     return n // T
 
 
-def _truncated_md(data, loss, C, cfg, T, lam, threshold, privatize):
+def _truncated_md(data, loss, C, space, T, gamma, lam, threshold, privatize):
     """One constrained mirror step per batch: the pass both truncated solvers share.
 
     Batch t is rows [t b, (t+1) b) of ``data``, b = floor(n/T), with the
@@ -254,9 +230,9 @@ def _truncated_md(data, loss, C, cfg, T, lam, threshold, privatize):
     step with gamma (default sqrt(T)).  Returns the plain average of the
     iterates and the info fields both solvers report.
     """
-    n, space = data.n, cfg.space
+    n = data.n
     b = _batch_size(n, T)
-    gamma = cfg.gamma if cfg.gamma is not None else math.sqrt(T)
+    gamma = math.sqrt(T) if gamma is None else gamma
     stats = TruncationStats()
     w = np.zeros(data.d)
     avg = _WeightedAverage(1.0)  # uniform gamma_t => plain average
@@ -273,14 +249,18 @@ def _truncated_md(data, loss, C, cfg, T, lam, threshold, privatize):
     return avg.value, info
 
 
-def shuffled_truncated_md(data, loss, C, cfg, budget, rng):
+def shuffled_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=None,
+                          lambda_trunc=None, c_t=1.0, noise_multiplier=1.0,
+                          bypass_regime_check=False):
     """Shuffled, truncated, noisy one-pass mirror descent (1 < p < 2).
 
     Privacy comes from per-sample generalized Gaussian noise amplified by
     shuffling, which is only valid in the high-privacy regime
     eps <= sqrt(ln(n/delta)/n); outside it the solver refuses.
+    ``bypass_regime_check`` disables that gate -- for reference runs only,
+    never for a private release.
     """
-    space = cfg.space
+    check_options(T=T, gamma=gamma)
     if not (1.0 < space.p < 2.0):
         raise ValueError("shuffled_truncated_md requires 1 < p < 2")
     n, d = data.n, data.d
@@ -289,25 +269,23 @@ def shuffled_truncated_md(data, loss, C, cfg, budget, rng):
     M = C.diameter_primal(space.p)
     logd = math.log(1.0 / budget.delta)
 
-    lam = cfg.lambda_trunc
-    if lam is None:
-        lam = max(
+    if lambda_trunc is None:
+        lambda_trunc = max(
             math.sqrt(n * budget.epsilon) / (kappa**2 * d * logd) ** 0.25,
             max(beta, 1.0) * M,  # floor: the threshold is at least 2 beta M
         )
-    threshold = beta * M + lam
+    threshold = beta * M + lambda_trunc
 
     calib = shuffle_calibrate(n, budget, threshold, kappa)
-    if not calib.valid and not cfg.bypass_regime_check:
+    if not calib.valid and not bypass_regime_check:
         raise RefusalError(
             f"epsilon={budget.epsilon:.4g} outside the shuffling amplification regime; "
             f"maximum admissible epsilon at n={n} is {calib.max_epsilon:.4g}",
             requirement=calib.max_epsilon,
         )
 
-    T = cfg.T
     if T is None:
-        raw = cfg.c_t * M**2 * n**2 * budget.epsilon**2 / (lam**2 * d * logd)
+        raw = c_t * M**2 * n**2 * budget.epsilon**2 / (lambda_trunc**2 * d * logd)
         T = int(min(max(1, round(raw)), n))
 
     perm = rng.permutation(n)  # Fisher-Yates under the hood; rng-injected
@@ -316,22 +294,25 @@ def shuffled_truncated_md(data, loss, C, cfg, budget, rng):
     def privatize(G):  # one draw per sample, before averaging
         if noise is None:
             return G.mean(axis=0)
-        return (G + cfg.c_noise * gg_sample(noise, rng, size=len(G))).mean(axis=0)
+        return (G + noise_multiplier * gg_sample(noise, rng, size=len(G))).mean(axis=0)
 
-    out, info = _truncated_md(data.subset(perm), loss, C, cfg, T, lam, threshold, privatize)
+    out, info = _truncated_md(
+        data.subset(perm), loss, C, space, T, gamma, lambda_trunc, threshold, privatize
+    )
     if not C.contains(out, slack=1e-9):
         raise AssertionError("averaged iterate left the constraint set")
     info.update(sigma=calib.sigma, regime_valid=calib.valid)
     return out, info
 
 
-def batched_truncated_md(data, loss, C, cfg, budget, rng):
+def batched_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=None,
+                         lambda_trunc=None, c_t=1.0, noise_multiplier=1.0):
     """Truncated batched mirror descent without shuffling (any 0 < eps < 1).
 
     Disjoint batches compose in parallel, so each step adds a single
     generalized Gaussian draw calibrated to the batch-mean sensitivity.
     """
-    space = cfg.space
+    check_options(T=T, gamma=gamma)
     if not (1.0 < space.p < 2.0):
         raise ValueError("batched_truncated_md requires 1 < p < 2")
     n, d = data.n, data.d
@@ -340,17 +321,15 @@ def batched_truncated_md(data, loss, C, cfg, budget, rng):
     M = C.diameter_primal(space.p)
     logd = math.log(1.0 / budget.delta)
 
-    lam = cfg.lambda_trunc
-    if lam is None:
-        lam = max(
+    if lambda_trunc is None:
+        lambda_trunc = max(
             (math.sqrt(n * budget.epsilon) * M / (kappa * (d * logd) ** 0.25)) ** (2.0 / 3.0),
             max(beta, 1.0) * M,  # floor: the threshold is at least 2 beta M
         )
-    threshold = beta * M + lam
+    threshold = beta * M + lambda_trunc
 
-    T = cfg.T
     if T is None:
-        raw = cfg.c_t * n * budget.epsilon / (M * lam * math.sqrt(d * logd))
+        raw = c_t * n * budget.epsilon / (M * lambda_trunc * math.sqrt(d * logd))
         T = max(1, round(raw))
         if T > n:
             warnings.warn(f"schedule T={T} exceeds n={n}; clamping to n", stacklevel=2)
@@ -361,14 +340,14 @@ def batched_truncated_md(data, loss, C, cfg, budget, rng):
     noise = GGNoiseSpec(sigma2=sigma2, r=space.r_noise, d=d)
 
     def privatize(G):  # one draw per batch mean
-        return G.mean(axis=0) + cfg.c_noise * gg_sample(noise, rng)
+        return G.mean(axis=0) + noise_multiplier * gg_sample(noise, rng)
 
-    out, info = _truncated_md(data, loss, C, cfg, T, lam, threshold, privatize)
+    out, info = _truncated_md(data, loss, C, space, T, gamma, lambda_trunc, threshold, privatize)
     info["sigma2_step"] = sigma2
     return out, info
 
 
-def lipschitz_high_p(data, loss, budget, rng, eta=None, noise_multiplier=1.0):
+def lipschitz_high_p(data, loss, budget, rng, *, eta=None, noise_multiplier=1.0):
     """Lipschitz DP-SCO for 2 <= p <= inf via the Euclidean phased solver.
 
     For p >= 2 the dual exponent is <= 2, so the declared constants are

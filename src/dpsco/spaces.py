@@ -135,7 +135,7 @@ class SpaceSpec:
 def _signed_power(v, expo):
     """|v_i|^expo * sign(v_i), with tiny magnitudes flushed to zero.
 
-    Inputs are scaled by their max magnitude so the power never leaves the
+    The caller scales v by its max magnitude first, so the power stays in the
     representable range even for expo around 10 (p close to 1).
     """
     a = np.abs(v)
@@ -166,10 +166,9 @@ def _norm_power_gradient(v, expo_norm, expo_coord, weight, axis=-1):
     u = v / safe
     nr = lp_norm(u, expo_norm, axis=axis)
     nr = np.expand_dims(np.asarray(nr), axis=axis)
-    with np.errstate(divide="ignore"):
-        scale = np.where(nr > 0, np.where(nr > 0, nr, 1.0) ** (2.0 - expo_norm), 1.0)
-    out = weight * safe * scale * _signed_power(u, expo_coord)
-    return np.where(nr > 0, out, 0.0)
+    # nr is 0 only where u is 0, whose signed powers are 0 already.
+    scale = np.where(nr > 0, nr, 1.0) ** (2.0 - expo_norm)
+    return weight * safe * scale * _signed_power(u, expo_coord)
 
 
 def grad_phi(w, spec, axis=-1):

@@ -17,7 +17,7 @@ from dpsco.bench.config import ExperimentConfig
 from dpsco.bench.runner import run_experiment
 from dpsco.bench.slopes import fit_slope
 from dpsco.errors import RefusalError
-from dpsco.euclidean import ObjPConfig, app_objp, app_objp_sc, phased_dp_sgd
+from dpsco.euclidean import app_objp, app_objp_sc, phased_dp_sgd
 from dpsco.mechanisms import (
     GGNoiseSpec,
     PrivacyBudget,
@@ -25,7 +25,6 @@ from dpsco.mechanisms import (
     gg_sample,
 )
 from dpsco.mirror import (
-    MDConfig,
     batched_truncated_md,
     noisy_reg_md,
     shuffled_truncated_md,
@@ -198,20 +197,16 @@ def test_criterion_06_zero_noise_equivalence():
     gaps = {}
 
     data, loss, C = _logistic_instance()
-    w_dp, _ = app_objp(data, loss, C, ObjPConfig(huge, alpha_opt=1e-10), np.random.default_rng(1))
+    w_dp, _ = app_objp(data, loss, C, huge, np.random.default_rng(1), alpha_opt=1e-10)
     w_ref, _ = app_objp(
-        data, loss, C,
-        ObjPConfig(huge, alpha_opt=1e-10, noise_multiplier=0.0),
-        np.random.default_rng(1),
+        data, loss, C, huge, np.random.default_rng(1), alpha_opt=1e-10, noise_multiplier=0.0
     )
     gaps["app_objp"] = abs(empirical_risk(w_dp, data, loss) - empirical_risk(w_ref, data, loss))
 
     data, loss, C = _mean_point_instance()
-    w_dp, _ = app_objp_sc(data, loss, C, ObjPConfig(huge, alpha_opt=1e-10), np.random.default_rng(2))
+    w_dp, _ = app_objp_sc(data, loss, C, huge, np.random.default_rng(2), alpha_opt=1e-10)
     w_ref, _ = app_objp_sc(
-        data, loss, C,
-        ObjPConfig(huge, alpha_opt=1e-10, noise_multiplier=0.0),
-        np.random.default_rng(2),
+        data, loss, C, huge, np.random.default_rng(2), alpha_opt=1e-10, noise_multiplier=0.0
     )
     gaps["app_objp_sc"] = abs(empirical_risk(w_dp, data, loss) - empirical_risk(w_ref, data, loss))
 
@@ -222,24 +217,25 @@ def test_criterion_06_zero_noise_equivalence():
     )
 
     space, data, loss, C = _heavy_instance()
-    cfg = MDConfig(space=space, T=64)
-    ref_cfg = MDConfig(space=space, T=64, c_noise=0.0)
-    w_dp, _ = noisy_reg_md(data, loss, cfg, huge, np.random.default_rng(4))
-    w_ref, _ = noisy_reg_md(data, loss, ref_cfg, huge, np.random.default_rng(4))
+    w_dp, _ = noisy_reg_md(data, loss, space, huge, np.random.default_rng(4), T=64)
+    w_ref, _ = noisy_reg_md(
+        data, loss, space, huge, np.random.default_rng(4), T=64, noise_multiplier=0.0
+    )
     gaps["noisy_reg_md"] = abs(empirical_risk(w_dp, data, loss) - empirical_risk(w_ref, data, loss))
 
-    cfg = MDConfig(space=space, T=16, bypass_regime_check=True)
-    ref_cfg = MDConfig(space=space, T=16, c_noise=0.0, bypass_regime_check=True)
-    w_dp, _ = shuffled_truncated_md(data, loss, C, cfg, huge, np.random.default_rng(5))
-    w_ref, _ = shuffled_truncated_md(data, loss, C, ref_cfg, huge, np.random.default_rng(5))
+    opts = dict(T=16, bypass_regime_check=True)
+    w_dp, _ = shuffled_truncated_md(data, loss, C, space, huge, np.random.default_rng(5), **opts)
+    w_ref, _ = shuffled_truncated_md(
+        data, loss, C, space, huge, np.random.default_rng(5), **opts, noise_multiplier=0.0
+    )
     gaps["shuffled_truncated_md"] = abs(
         empirical_risk(w_dp, data, loss) - empirical_risk(w_ref, data, loss)
     )
 
-    cfg = MDConfig(space=space, T=16)
-    ref_cfg = MDConfig(space=space, T=16, c_noise=0.0)
-    w_dp, _ = batched_truncated_md(data, loss, C, cfg, huge, np.random.default_rng(6))
-    w_ref, _ = batched_truncated_md(data, loss, C, ref_cfg, huge, np.random.default_rng(6))
+    w_dp, _ = batched_truncated_md(data, loss, C, space, huge, np.random.default_rng(6), T=16)
+    w_ref, _ = batched_truncated_md(
+        data, loss, C, space, huge, np.random.default_rng(6), T=16, noise_multiplier=0.0
+    )
     gaps["batched_truncated_md"] = abs(
         empirical_risk(w_dp, data, loss) - empirical_risk(w_ref, data, loss)
     )
@@ -396,17 +392,20 @@ def test_criterion_10_truncation_invariant():
     budget = PrivacyBudget(0.5, 1e-5)
     fracs = []
     for lam in (1.0, 2.0, 4.0, 8.0):
-        cfg = MDConfig(space=space, T=8, lambda_trunc=lam)
         # any violation of the post-truncation bound raises inside the solver
-        _, info = batched_truncated_md(data, loss, C, cfg, budget, np.random.default_rng(11))
+        _, info = batched_truncated_md(
+            data, loss, C, space, budget, np.random.default_rng(11), T=8, lambda_trunc=lam
+        )
         stats_obj = info["truncation"]
         assert stats_obj.total == 2048 * 1  # one pass over the data
         fracs.append(stats_obj.zeroed_fraction)
     assert all(a > b for a, b in zip(fracs, fracs[1:])), fracs
 
     # shuffled variant under the same invariant
-    cfg = MDConfig(space=space, T=8, lambda_trunc=2.0, bypass_regime_check=True)
-    _, info = shuffled_truncated_md(data, loss, C, cfg, budget, np.random.default_rng(12))
+    _, info = shuffled_truncated_md(
+        data, loss, C, space, budget, np.random.default_rng(12),
+        T=8, lambda_trunc=2.0, bypass_regime_check=True,
+    )
     assert info["truncation"].max_pre_norm > 0
     elapsed = time.time() - t0
     assert elapsed < 120.0
@@ -433,21 +432,21 @@ def test_criterion_11_privacy_regime_gating():
     data_small = dist.sample(1000, np.random.default_rng(111))
     with pytest.raises(RefusalError):
         shuffled_truncated_md(
-            data_small, loss, C, MDConfig(space=space, T=4),
-            PrivacyBudget(0.5, 1e-5), np.random.default_rng(1),
+            data_small, loss, C, space,
+            PrivacyBudget(0.5, 1e-5), np.random.default_rng(1), T=4,
         )
 
     data_big = dist.sample(100_000, np.random.default_rng(112))
     _, info = shuffled_truncated_md(
-        data_big, loss, C, MDConfig(space=space, T=4),
-        PrivacyBudget(0.01, 1e-5), np.random.default_rng(2),
+        data_big, loss, C, space,
+        PrivacyBudget(0.01, 1e-5), np.random.default_rng(2), T=4,
     )
     assert info["regime_valid"]
 
     for data, eps in ((data_small, 0.5), (data_big, 0.01)):
         batched_truncated_md(
-            data, loss, C, MDConfig(space=space, T=4),
-            PrivacyBudget(eps, 1e-5), np.random.default_rng(3),
+            data, loss, C, space,
+            PrivacyBudget(eps, 1e-5), np.random.default_rng(3), T=4,
         )
     elapsed = time.time() - t0
     _report(

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import inspect
 import json
 import math
 import re
@@ -132,6 +133,21 @@ MISCONFIGS = {
         _md_doc(algorithm="shuffled_truncated_md", solver={"T": 4, "c_eps": 10.0}),
         "c_eps",
     ),
+    "negative lambda_reg": (_base_doc(solver={"lambda_reg": -0.5}), "lambda_reg must be >= 0"),
+    "alpha_opt above 1": (_base_doc(solver={"alpha_opt": 2.0}), "alpha_opt must be in (0, 1]"),
+    "negative alpha_reg on noisy_reg_md": (
+        _md_doc(algorithm="noisy_reg_md", constraint=None, solver={"alpha_reg": -1}),
+        "alpha_reg must be > 0",
+    ),
+    "negative gamma on batched_truncated_md": (
+        _md_doc(solver={"T": 4, "gamma": -1}),
+        "gamma must be > 0",
+    ),
+    "negative eta on phased_dp_sgd": (
+        _base_doc(algorithm="phased_dp_sgd", constraint=None, solver={"eta": -1}),
+        "eta must be > 0",
+    ),
+    "c_noise, renamed noise_multiplier": (_md_doc(solver={"T": 4, "c_noise": 0.0}), "c_noise"),
 }
 
 
@@ -155,8 +171,20 @@ def test_unconstrained_algorithm_refuses_a_constraint():
 
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_runner_binds_every_algorithm_to_its_solver(name):
-    # run_cell looks the solver up by the algorithm's name in the runner.
-    assert getattr(runner, name).__name__ == name
+    # run_cell looks the solver up by the algorithm's name in the runner, and
+    # the entry accepts exactly the solver's keyword-only parameters.
+    solver = getattr(runner, name)
+    assert solver.__name__ == name
+    params = inspect.signature(solver).parameters.values()
+    assert set(ALGORITHMS[name].keys) == {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+
+
+def test_signature_flags_match_the_solver_families():
+    # Read from the signatures: which solvers take a constraint set C and which a SpaceSpec.
+    constrained = {name for name, entry in ALGORITHMS.items() if entry.constrained}
+    mirror = {name for name, entry in ALGORITHMS.items() if entry.takes_space}
+    assert constrained == {"app_objp", "app_objp_sc", "shuffled_truncated_md", "batched_truncated_md"}
+    assert mirror == {"noisy_reg_md", "shuffled_truncated_md", "batched_truncated_md"}
 
 
 def _doc_for_algorithm(name):

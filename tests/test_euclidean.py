@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,6 @@ from scipy import optimize
 from dpsco.bench import ExperimentConfig
 from dpsco.errors import RefusalError
 from dpsco.euclidean import (
-    ObjPConfig,
     SmoothObjective,
     _advance,
     _v_fista,
@@ -21,6 +21,7 @@ from dpsco.euclidean import (
     phased_dp_sgd,
 )
 from dpsco.mechanisms import PrivacyBudget
+from dpsco.mirror import lipschitz_high_p
 from dpsco.problems import (
     BallCloud,
     Dataset,
@@ -174,7 +175,7 @@ class TestInnerCounts:
         n = max(cfg.n_grid)
         data = dist.sample(n, np.random.default_rng(7))
         budget = PrivacyBudget(cfg.eps_grid[0], cfg.delta)
-        _, info = app_objp(data, loss, C, ObjPConfig(budget=budget), np.random.default_rng(8))
+        _, info = app_objp(data, loss, C, budget, np.random.default_rng(8))
         assert set(info) == _OBJP_INFO | _RELEASE_INFO
         assert info["release_distance"] <= info["release_bound"]
         obj = _inner_constants(loss, info["lam"])
@@ -186,8 +187,10 @@ class TestInnerCounts:
     @pytest.mark.parametrize("solver, own_keys", [(app_objp, set()), (app_objp_sc, {"delta_c"})])
     def test_info_records_the_counts(self, solver, own_keys, check):
         data, loss, C, _ = _mean_point_setup(n=512)
-        cfg = ObjPConfig(budget=PrivacyBudget(1.0, 1e-5), check_release_distance=check)
-        _, info = solver(data, loss, C, cfg, np.random.default_rng(12))
+        _, info = solver(
+            data, loss, C, PrivacyBudget(1.0, 1e-5), np.random.default_rng(12),
+            check_release_distance=check,
+        )
         assert set(info) == _OBJP_INFO | own_keys | (_RELEASE_INFO if check else set())
         obj = _inner_constants(loss, info["lam"])
         k = inner_iteration_count(obj, C, info["alpha"])
@@ -214,15 +217,15 @@ class TestAppObjP:
         data = Dataset(np.tile(x0, (32, 1)))
         loss = MeanPointLoss()
         C = L2Ball(1.0, d)
-        cfg = ObjPConfig(budget=HUGE_EPS, alpha_opt=1e-10)
-        w, info = app_objp(data, loss, C, cfg, np.random.default_rng(2))
+        w, info = app_objp(data, loss, C, HUGE_EPS, np.random.default_rng(2), alpha_opt=1e-10)
         expected = x0 / (1.0 + 2.0 * info["lam"])
         assert np.linalg.norm(w - expected) <= 1e-3
 
     def test_matches_direct_solver_at_tiny_alpha(self):
         data, loss, C, _ = _mean_point_setup()
-        cfg = ObjPConfig(budget=HUGE_EPS, alpha_opt=1e-10, noise_multiplier=0.0)
-        w, info = app_objp(data, loss, C, cfg, np.random.default_rng(3))
+        w, info = app_objp(
+            data, loss, C, HUGE_EPS, np.random.default_rng(3), alpha_opt=1e-10, noise_multiplier=0.0
+        )
         lam = info["lam"]
         direct = data.X.mean(axis=0) / (1.0 + 2.0 * lam)
         direct = C.project(direct)
@@ -230,22 +233,20 @@ class TestAppObjP:
 
     def test_output_feasible(self):
         data, loss, C, _ = _mean_point_setup()
-        cfg = ObjPConfig(budget=PrivacyBudget(1.0, 1e-5))
-        w, _ = app_objp(data, loss, C, cfg, np.random.default_rng(4))
+        w, _ = app_objp(data, loss, C, PrivacyBudget(1.0, 1e-5), np.random.default_rng(4))
         assert C.gauge(w) <= 1.0 + 1e-9
 
     def test_deterministic(self):
         data, loss, C, _ = _mean_point_setup()
-        cfg = ObjPConfig(budget=PrivacyBudget(1.0, 1e-5))
-        w1, _ = app_objp(data, loss, C, cfg, np.random.default_rng(5))
-        w2, _ = app_objp(data, loss, C, cfg, np.random.default_rng(5))
+        budget = PrivacyBudget(1.0, 1e-5)
+        w1, _ = app_objp(data, loss, C, budget, np.random.default_rng(5))
+        w2, _ = app_objp(data, loss, C, budget, np.random.default_rng(5))
         np.testing.assert_array_equal(w1, w2)
 
     def test_smoothness_refusal(self):
         data, loss, C, _ = _mean_point_setup(n=8)
-        cfg = ObjPConfig(budget=PrivacyBudget(0.1, 1e-5), lambda_reg=1e-6)
         with pytest.raises(RefusalError) as exc:
-            app_objp(data, loss, C, cfg, np.random.default_rng(6))
+            app_objp(data, loss, C, PrivacyBudget(0.1, 1e-5), np.random.default_rng(6), lambda_reg=1e-6)
         assert exc.value.requirement is not None  # names the minimum n
 
     @pytest.mark.parametrize("solver", [app_objp, app_objp_sc])
@@ -253,44 +254,48 @@ class TestAppObjP:
         # With an explicit ridge the precondition is n >= r beta / (eps * curvature):
         # 5 / (0.1 * 1e-3) = 50 000 for the convex solver, 5 / (0.1 * 1.001) for the
         # strongly convex one.
-        cfg = ObjPConfig(budget=PrivacyBudget(0.1, 1e-5), lambda_reg=1e-3)
+        budget = PrivacyBudget(0.1, 1e-5)
         data, loss, C, _ = _mean_point_setup(n=8)
         with pytest.raises(RefusalError) as exc:
-            solver(data, loss, C, cfg, np.random.default_rng(6))
+            solver(data, loss, C, budget, np.random.default_rng(6), lambda_reg=1e-3)
         n_min = exc.value.requirement
         assert f"need n >= {n_min}" in str(exc.value)
         data, _, _, _ = _mean_point_setup(n=n_min)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # below the utility regime; privacy holds
-            w, _ = solver(data, loss, C, cfg, np.random.default_rng(6))
+            w, _ = solver(data, loss, C, budget, np.random.default_rng(6), lambda_reg=1e-3)
         assert C.contains(w)
 
     def test_release_distance_assertion_runs(self):
         data, loss, C, _ = _mean_point_setup()
-        cfg = ObjPConfig(budget=PrivacyBudget(1.0, 1e-5), check_release_distance=True)
-        _, info = app_objp(data, loss, C, cfg, np.random.default_rng(7))
+        _, info = app_objp(
+            data, loss, C, PrivacyBudget(1.0, 1e-5), np.random.default_rng(7),
+            check_release_distance=True,
+        )
         assert info["release_distance"] <= info["release_bound"]
 
 
 class TestAppObjPSC:
     def test_lambda_zero_branch(self):
         data, loss, C, _ = _mean_point_setup(n=512)
-        cfg = ObjPConfig(budget=PrivacyBudget(1.0, 1e-5))
-        _, info = app_objp_sc(data, loss, C, cfg, np.random.default_rng(8))
+        _, info = app_objp_sc(data, loss, C, PrivacyBudget(1.0, 1e-5), np.random.default_rng(8))
         # r * beta / (eps n) = 5/512 < Delta = 1, so no ridge is added
         assert info["lam"] == 0.0
 
     def test_zero_noise_projected_mean(self):
         data, loss, C, _ = _mean_point_setup(n=256)
-        cfg = ObjPConfig(budget=HUGE_EPS, alpha_opt=1e-10)
-        w, _ = app_objp_sc(data, loss, C, cfg, np.random.default_rng(9))
+        w, _ = app_objp_sc(data, loss, C, HUGE_EPS, np.random.default_rng(9), alpha_opt=1e-10)
         assert np.linalg.norm(w - C.project(data.X.mean(axis=0))) <= 1e-4
 
     def test_sigma2_scales_with_diameter(self):
         data, loss, _, _ = _mean_point_setup(n=256)
-        cfg = ObjPConfig(budget=PrivacyBudget(0.5, 1e-5), alpha_opt=1e-8)
-        _, small = app_objp_sc(data, loss, L2Ball(1.0, 5), cfg, np.random.default_rng(10))
-        _, big = app_objp_sc(data, loss, L2Ball(math.sqrt(2.0), 5), cfg, np.random.default_rng(10))
+        budget = PrivacyBudget(0.5, 1e-5)
+        _, small = app_objp_sc(
+            data, loss, L2Ball(1.0, 5), budget, np.random.default_rng(10), alpha_opt=1e-8
+        )
+        _, big = app_objp_sc(
+            data, loss, L2Ball(math.sqrt(2.0), 5), budget, np.random.default_rng(10), alpha_opt=1e-8
+        )
         # sigma2^2 formula carries ||C||_2^2 / Delta_C; for balls this doubles
         # when the squared diameter doubles and Delta_C follows c_min^2.
         ratio = (big["sigma2"] / small["sigma2"]) ** 2
@@ -298,9 +303,35 @@ class TestAppObjPSC:
 
     def test_requires_strong_convexity(self):
         data, _, C, _ = _mean_point_setup()
-        cfg = ObjPConfig(budget=PrivacyBudget(1.0, 1e-5))
         with pytest.raises(ValueError):
-            app_objp_sc(data, LogisticLoss(), C, cfg, np.random.default_rng(11))
+            app_objp_sc(data, LogisticLoss(), C, PrivacyBudget(1.0, 1e-5), np.random.default_rng(11))
+
+
+class TestOptionRanges:
+    @pytest.mark.parametrize("solver", [app_objp, app_objp_sc])
+    @pytest.mark.parametrize(
+        "option, value", [("alpha_opt", 2.0), ("alpha_opt", 0.0), ("lambda_reg", -0.5)]
+    )
+    def test_out_of_range_option_raises(self, solver, option, value):
+        data, loss, C, _ = _mean_point_setup()
+        with pytest.raises(ValueError, match=re.escape(f"{option} must be")):
+            solver(data, loss, C, PrivacyBudget(1.0, 1e-5), np.random.default_rng(0), **{option: value})
+
+    @pytest.mark.parametrize("solver", [phased_dp_sgd, lipschitz_high_p])
+    def test_eta_must_be_positive(self, solver):
+        data, loss, _, _ = _mean_point_setup()
+        with pytest.raises(ValueError, match="eta must be > 0"):
+            solver(data, loss, PrivacyBudget(1.0, 1e-5), np.random.default_rng(0), eta=-1.0)
+
+    def test_zero_ridge_runs_on_the_loss_curvature_alone(self):
+        # lambda_reg = 0 is in range: app_objp_sc runs on Delta, and app_objp,
+        # which then has no curvature, refuses it as a privacy precondition.
+        data, loss, C, _ = _mean_point_setup(n=512)
+        budget = PrivacyBudget(1.0, 1e-5)
+        _, info = app_objp_sc(data, loss, C, budget, np.random.default_rng(1), lambda_reg=0.0)
+        assert info["lam"] == 0.0
+        with pytest.raises(RefusalError, match="need n >= inf"):
+            app_objp(data, loss, C, budget, np.random.default_rng(1), lambda_reg=0.0)
 
 
 class TestPhasedSGD:

@@ -7,7 +7,6 @@ from scipy import optimize
 from dpsco.errors import RefusalError
 from dpsco.mechanisms import PrivacyBudget
 from dpsco.mirror import (
-    MDConfig,
     TruncationStats,
     _WeightedAverage,
     batched_truncated_md,
@@ -84,8 +83,7 @@ class TestNoisyRegMD:
         rng = np.random.default_rng(1)
         data = Dataset(np.full((256, 1), c))
         loss = QuadLoss(1.5)
-        cfg = MDConfig(space=space, T=60, c_noise=0.0)
-        w, info = noisy_reg_md(data, loss, cfg, HUGE_EPS, rng)
+        w, info = noisy_reg_md(data, loss, space, HUGE_EPS, rng, T=60, noise_multiplier=0.0)
         alpha = info["alpha_reg"]
         # direct minimizer of 0.5 (w-c)^2 + alpha * (kappa/2) w^2 in 1-D
         direct = c / (1.0 + alpha * space.kappa)
@@ -121,17 +119,16 @@ class TestNoisyRegMD:
         space = SpaceSpec(2.0, 3)
         data = Dataset(np.zeros((4, 3)))
         with pytest.raises(ValueError):
-            noisy_reg_md(data, QuadLoss(2.0), MDConfig(space=space), HUGE_EPS, np.random.default_rng(0))
+            noisy_reg_md(data, QuadLoss(2.0), space, HUGE_EPS, np.random.default_rng(0))
 
     def test_deterministic(self):
         space = SpaceSpec(1.5, 4)
         rng = np.random.default_rng(3)
         data = Dataset(rng.standard_normal((128, 4)) * 0.2)
         loss = QuadLoss(1.5)
-        cfg = MDConfig(space=space, T=20)
         b = PrivacyBudget(1.0, 1e-5)
-        w1, _ = noisy_reg_md(data, loss, cfg, b, np.random.default_rng(7))
-        w2, _ = noisy_reg_md(data, loss, cfg, b, np.random.default_rng(7))
+        w1, _ = noisy_reg_md(data, loss, space, b, np.random.default_rng(7), T=20)
+        w2, _ = noisy_reg_md(data, loss, space, b, np.random.default_rng(7), T=20)
         np.testing.assert_array_equal(w1, w2)
 
     def test_auto_schedules(self):
@@ -140,7 +137,7 @@ class TestNoisyRegMD:
         data = Dataset(rng.standard_normal((512, 4)) * 0.2)
         loss = QuadLoss(1.5)
         b = PrivacyBudget(0.5, 1e-5)
-        _, info = noisy_reg_md(data, loss, MDConfig(space=space), b, np.random.default_rng(8))
+        _, info = noisy_reg_md(data, loss, space, b, np.random.default_rng(8))
         expected_T = math.ceil(
             (512 * 0.5 * space.kappa / math.sqrt(4 * math.log(1e5))) ** 0.4
         )
@@ -263,26 +260,26 @@ def _heavy_setup(n=512, d=6, p=1.5, seed=11, huber_delta=20.0, t_scale=3.0):
 class TestShuffledTruncatedMD:
     def test_regime_gate(self):
         space, _, data, loss, C = _heavy_setup(n=1000)
-        cfg = MDConfig(space=space, T=4)
         with pytest.raises(RefusalError) as exc:
-            shuffled_truncated_md(data, loss, C, cfg, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0))
+            shuffled_truncated_md(
+                data, loss, C, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0), T=4
+            )
         assert "maximum admissible epsilon" in str(exc.value)
 
     def test_accepts_high_privacy_regime(self):
         space, _, data, loss, C = _heavy_setup(n=4096)
         # max admissible eps at n=4096, delta=1e-5: sqrt(ln(4096e5)/4096) ~ 0.0696
-        cfg = MDConfig(space=space, T=4)
         w, info = shuffled_truncated_md(
-            data, loss, C, cfg, PrivacyBudget(0.01, 1e-5), np.random.default_rng(1)
+            data, loss, C, space, PrivacyBudget(0.01, 1e-5), np.random.default_rng(1), T=4
         )
         assert info["regime_valid"]
         assert C.gauge(w) <= 1 + 1e-9
 
     def test_truncation_invariant_and_feasibility(self):
         space, _, data, loss, C = _heavy_setup(n=1024, huber_delta=8.0)
-        cfg = MDConfig(space=space, T=8, lambda_trunc=2.0, bypass_regime_check=True)
         w, info = shuffled_truncated_md(
-            data, loss, C, cfg, PrivacyBudget(0.05, 1e-5), np.random.default_rng(2)
+            data, loss, C, space, PrivacyBudget(0.05, 1e-5), np.random.default_rng(2),
+            T=8, lambda_trunc=2.0, bypass_regime_check=True,
         )
         stats = info["truncation"]
         assert stats.total == 1024
@@ -292,12 +289,10 @@ class TestShuffledTruncatedMD:
     def test_zero_noise_matches_plain_batched_reference(self):
         space, _, data, loss, C = _heavy_setup(n=256, d=4)
         T, lam = 8, 1e9
-        cfg = MDConfig(
-            space=space, T=T, lambda_trunc=lam, c_noise=0.0, bypass_regime_check=True
-        )
         seed = 33
         w, info = shuffled_truncated_md(
-            data, loss, C, cfg, HUGE_EPS, np.random.default_rng(seed)
+            data, loss, C, space, HUGE_EPS, np.random.default_rng(seed),
+            T=T, lambda_trunc=lam, noise_multiplier=0.0, bypass_regime_check=True,
         )
 
         # independent plain one-pass batched mirror descent, matched shuffle
@@ -320,28 +315,28 @@ class TestShuffledTruncatedMD:
 
     def test_deterministic(self):
         space, _, data, loss, C = _heavy_setup(n=512)
-        cfg = MDConfig(space=space, T=4)
         b = PrivacyBudget(0.01, 1e-5)
-        w1, _ = shuffled_truncated_md(data, loss, C, cfg, b, np.random.default_rng(9))
-        w2, _ = shuffled_truncated_md(data, loss, C, cfg, b, np.random.default_rng(9))
+        w1, _ = shuffled_truncated_md(data, loss, C, space, b, np.random.default_rng(9), T=4)
+        w2, _ = shuffled_truncated_md(data, loss, C, space, b, np.random.default_rng(9), T=4)
         np.testing.assert_array_equal(w1, w2)
 
 
 class TestBatchedTruncatedMD:
     def test_accepts_moderate_epsilon(self):
         space, _, data, loss, C = _heavy_setup(n=1000)
-        cfg = MDConfig(space=space, T=5)
-        w, _ = batched_truncated_md(data, loss, C, cfg, PrivacyBudget(0.5, 1e-5), np.random.default_rng(3))
+        w, _ = batched_truncated_md(
+            data, loss, C, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(3), T=5
+        )
         assert C.gauge(w) <= 1 + 1e-9
 
     def test_noise_scale_inverse_in_batch_size(self):
         space, _, data, loss, C = _heavy_setup(n=1024)
         b = PrivacyBudget(0.5, 1e-5)
         _, info1 = batched_truncated_md(
-            data, loss, C, MDConfig(space=space, T=4, lambda_trunc=4.0), b, np.random.default_rng(4)
+            data, loss, C, space, b, np.random.default_rng(4), T=4, lambda_trunc=4.0
         )
         _, info2 = batched_truncated_md(
-            data, loss, C, MDConfig(space=space, T=8, lambda_trunc=4.0), b, np.random.default_rng(4)
+            data, loss, C, space, b, np.random.default_rng(4), T=8, lambda_trunc=4.0
         )
         # batch size halves => sigma doubles
         assert math.sqrt(info2["sigma2_step"] / info1["sigma2_step"]) == pytest.approx(2.0)
@@ -350,9 +345,9 @@ class TestBatchedTruncatedMD:
         space, _, data, loss, C = _heavy_setup(n=2048, huber_delta=20.0, t_scale=3.0)
         fracs = []
         for lam in (1.0, 2.0, 4.0, 8.0):
-            cfg = MDConfig(space=space, T=8, lambda_trunc=lam, c_noise=0.0)
             _, info = batched_truncated_md(
-                data, loss, C, cfg, PrivacyBudget(0.5, 1e-5), np.random.default_rng(5)
+                data, loss, C, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(5),
+                T=8, lambda_trunc=lam, noise_multiplier=0.0,
             )
             fracs.append(info["truncation"].zeroed_fraction)
         assert all(a > b for a, b in zip(fracs, fracs[1:]))
@@ -361,17 +356,21 @@ class TestBatchedTruncatedMD:
         # T = 1: one batch covers the whole dataset, so the shuffle cannot
         # matter; with the noise off both variants produce the same point.
         space, _, data, loss, C = _heavy_setup(n=128, d=4)
-        cfg = MDConfig(space=space, T=1, lambda_trunc=5.0, c_noise=0.0, bypass_regime_check=True)
+        opts = dict(T=1, lambda_trunc=5.0, noise_multiplier=0.0)
         b = PrivacyBudget(0.5, 1e-5)
-        w1, _ = batched_truncated_md(data, loss, C, cfg, b, np.random.default_rng(6))
-        w2, _ = shuffled_truncated_md(data, loss, C, cfg, b, np.random.default_rng(7))
+        w1, _ = batched_truncated_md(data, loss, C, space, b, np.random.default_rng(6), **opts)
+        w2, _ = shuffled_truncated_md(
+            data, loss, C, space, b, np.random.default_rng(7), **opts, bypass_regime_check=True
+        )
         np.testing.assert_allclose(w1, w2, atol=1e-12)
 
     def test_t_clamped_to_n(self):
         space, _, data, loss, C = _heavy_setup(n=64)
-        cfg = MDConfig(space=space, lambda_trunc=2.0, c_t=1e9)
         with pytest.warns(UserWarning, match="clamping"):
-            batched_truncated_md(data, loss, C, cfg, PrivacyBudget(0.5, 1e-5), np.random.default_rng(8))
+            batched_truncated_md(
+                data, loss, C, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(8),
+                lambda_trunc=2.0, c_t=1e9,
+            )
 
 
 SHARED_INFO = {"T", "lambda_trunc", "threshold", "gamma", "truncation", "max_step_residual"}
@@ -380,10 +379,12 @@ SHARED_INFO = {"T", "lambda_trunc", "threshold", "gamma", "truncation", "max_ste
 class TestTruncatedSolverInfo:
     def test_info_keys(self):
         space, _, data, loss, C = _heavy_setup(n=128, d=4)
-        cfg = MDConfig(space=space, T=4, lambda_trunc=2.0, bypass_regime_check=True)
+        opts = dict(T=4, lambda_trunc=2.0)
         b = PrivacyBudget(0.5, 1e-5)
-        _, shuffled = shuffled_truncated_md(data, loss, C, cfg, b, np.random.default_rng(0))
-        _, batched = batched_truncated_md(data, loss, C, cfg, b, np.random.default_rng(0))
+        _, shuffled = shuffled_truncated_md(
+            data, loss, C, space, b, np.random.default_rng(0), **opts, bypass_regime_check=True
+        )
+        _, batched = batched_truncated_md(data, loss, C, space, b, np.random.default_rng(0), **opts)
         assert set(shuffled) == SHARED_INFO | {"sigma", "regime_valid"}
         assert set(batched) == SHARED_INFO | {"sigma2_step"}
         for info in (shuffled, batched):
@@ -393,9 +394,49 @@ class TestTruncatedSolverInfo:
     @pytest.mark.parametrize("solve", [shuffled_truncated_md, batched_truncated_md])
     def test_more_batches_than_rows_refused(self, solve):
         space, _, data, loss, C = _heavy_setup(n=16, d=4)
-        cfg = MDConfig(space=space, T=17, lambda_trunc=2.0, bypass_regime_check=True)
+        own = {"bypass_regime_check": True} if solve is shuffled_truncated_md else {}
         with pytest.raises(ValueError, match="need n >= T"):
-            solve(data, loss, C, cfg, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0))
+            solve(
+                data, loss, C, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0),
+                T=17, lambda_trunc=2.0, **own,
+            )
+
+
+class TestSolverOptions:
+    # Options another solver reads; before they were keyword arguments, a
+    # shared config object dropped them without a word.
+    @pytest.mark.parametrize(
+        "solve, option",
+        [
+            (batched_truncated_md, "alpha_reg"),
+            (batched_truncated_md, "bypass_regime_check"),
+            (noisy_reg_md, "gamma"),
+            (noisy_reg_md, "lambda_trunc"),
+        ],
+    )
+    def test_option_the_solver_does_not_read_raises(self, solve, option):
+        space, _, data, loss, C = _heavy_setup(n=64, d=4)
+        sets = () if solve is noisy_reg_md else (C,)
+        with pytest.raises(TypeError, match=option):
+            solve(data, loss, *sets, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0),
+                  T=4, **{option: 1.0})
+
+    @pytest.mark.parametrize(
+        "solve, option, value",
+        [
+            (noisy_reg_md, "alpha_reg", -1.0),
+            (noisy_reg_md, "T", 0),
+            (batched_truncated_md, "gamma", -1.0),
+            (batched_truncated_md, "T", 2.5),
+            (shuffled_truncated_md, "gamma", 0.0),
+        ],
+    )
+    def test_out_of_range_option_raises(self, solve, option, value):
+        space, _, data, loss, C = _heavy_setup(n=64, d=4)
+        sets = () if solve is noisy_reg_md else (C,)
+        with pytest.raises(ValueError, match=f"{option} must be"):
+            solve(data, loss, *sets, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0),
+                  **{option: value})
 
 
 class TestHighP:
