@@ -22,7 +22,6 @@ from ..mirror import batched_truncated_md, lipschitz_high_p, noisy_reg_md, shuff
 from ..problems.constraints import L1Ball, L2Ball, LpBall
 from ..problems.distributions import BallCloud, HeavyTailLinear, LogisticSphere
 from ..problems.losses import LogisticLoss, MeanPointLoss, PseudoHuberLoss
-from ..spaces import SpaceSpec
 
 __all__ = ["Component", "Distribution", "Algorithm", "Table",
            "LOSSES", "DISTRIBUTIONS", "CONSTRAINTS", "ALGORITHMS"]
@@ -50,8 +49,9 @@ class Algorithm:
 
     ``keys`` are its keyword-only parameters.  A solver with a ``C``
     parameter is ``constrained``: it requires a constraint set and the others
-    refuse one.  One with a ``space`` parameter is handed the geometry's
-    SpaceSpec.  Geometry p must lie in ``p_range``, open when ``p_open``.
+    refuse one.  One with a ``space`` parameter is handed the SpaceSpec the
+    config built from its geometry.  Geometry p must lie in ``p_range``,
+    open when ``p_open``.
     """
 
     keys: tuple
@@ -65,11 +65,9 @@ class Algorithm:
         params = inspect.signature(solver).parameters
         return cls(tuple(solver.__kwdefaults__), "C" in params, "space" in params, **kw)
 
-    def run(self, solve, data, loss, C, geometry, budget, rng, **options):
+    def run(self, solve, data, loss, C, space, budget, rng, **options):
         """``solve(data, loss, [C,] [space,] budget, rng, **options)``."""
-        args = [data, loss] + ([C] if self.constrained else [])
-        if self.takes_space:
-            args.append(SpaceSpec(geometry["p"], geometry["d"]))
+        args = [data, loss] + ([C] if self.constrained else []) + ([space] if self.takes_space else [])
         return solve(*args, budget, rng, **options)
 
     def check_p(self, name, p):

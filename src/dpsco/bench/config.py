@@ -1,29 +1,34 @@
-"""Experiment configuration: a single strict JSON document.
+"""Experiment configuration: a single strict JSON document, checked once.
 
 Unknown keys anywhere in the document are hard errors: a silently ignored
 typo in a schedule constant would corrupt an experiment, so the parser
 refuses instead.  Component names, their keys, each algorithm's geometry
 and constraint needs, the losses each distribution's population minimizer
 is known for, and whether a distribution allows oracle evaluation come from
-the tables in ``components``.  A solver option out of its range (the
-shared ``dpsco.options.check_options``, which the solvers run too), or a
-``T`` that the smallest n cannot serve, is refused as well.  The config
-builds the loss, distribution and constraint set once, so a value a
-constructor refuses, or a population minimizer the evaluation cannot score
-against, is refused at parse time too; the runner runs every cell on those
-components.
+the tables in ``components``.  Values are range-checked by
+``dpsco.options.check_options``, which the code that takes them runs too;
+the ``evaluation`` section is the keyword arguments of
+``excess_population_risk``, whose signature holds its defaults.  A ``T``
+that the smallest n cannot serve is refused as well.  The config builds the
+loss, distribution and constraint set, the geometry's ``SpaceSpec`` and one
+``PrivacyBudget`` per epsilon once, so a value they refuse is refused at
+parse time too; every cell, serial or pooled, runs on those objects.
 """
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
+from numbers import Real
 from typing import Optional
 
 from ..errors import ConfigError
+from ..mechanisms import PrivacyBudget
 from ..options import check_options
-from ..problems.risk import population_minimizer
+from ..problems.risk import excess_population_risk, population_minimizer
+from ..spaces import SpaceSpec
 from .components import ALGORITHMS, CONSTRAINTS, DISTRIBUTIONS, LOSSES
 
-_EVAL_KEYS = {"policy", "m_eval"}
+# The evaluation section holds the keyword-only arguments of excess_population_risk.
+_EVAL_KEYS = tuple(excess_population_risk.__kwdefaults__)
 
 
 def _check_keys(mapping, allowed, where):
@@ -60,11 +65,14 @@ class ExperimentConfig:
     trials: int
     base_seed: int
     constraint: Optional[dict] = None
-    evaluation: dict = field(default_factory=lambda: {"policy": "auto", "m_eval": 100_000})
+    evaluation: dict = field(default_factory=dict)
     solver: dict = field(default_factory=dict)
     parallelism: int = 1
-    # (loss, distribution, constraint set or None), built once from the tables
+    # Built once at parse: (loss, distribution, constraint set or None) from
+    # the tables, the geometry's SpaceSpec, and the PrivacyBudget of each epsilon.
     components: tuple = field(init=False, repr=False, compare=False)
+    space: SpaceSpec = field(init=False, repr=False, compare=False)
+    budgets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_keys(self.geometry, {"p", "d"}, "geometry")
@@ -83,6 +91,7 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{self.algorithm}: solver.{exc}") from exc
         algo.check_p(self.algorithm, p)
+        self.space = SpaceSpec(p, d)
         if algo.constrained and self.constraint is None:
             raise ConfigError(f"{self.algorithm} requires a constraint set")
         if not algo.constrained and self.constraint is not None:
@@ -101,34 +110,32 @@ class ExperimentConfig:
 
         if not self.n_grid or not self.eps_grid:
             raise ConfigError("n_grid and eps_grid must be nonempty")
-        if any(int(n) != n or n < 1 for n in self.n_grid):
+        if not all(isinstance(n, Real) and not isinstance(n, bool) and n >= 1 and float(n).is_integer()
+                   for n in self.n_grid):
             raise ConfigError("n_grid must contain positive integers")
         _check_T(self.algorithm, self.solver, min(self.n_grid))
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError("delta must be in (0, 1)")
         _check_keys(self.evaluation, _EVAL_KEYS, "evaluation")
-        policy = self.evaluation.get("policy")
-        if policy not in ("auto", "oracle", "mc"):
-            raise ConfigError("evaluation.policy must be auto|oracle|mc")
-        if policy == "oracle" and not DISTRIBUTIONS[self.distribution["name"]].oracle:
+        try:
+            check_options(trials=self.trials, parallelism=self.parallelism, base_seed=self.base_seed,
+                          **self.evaluation)
+            self.budgets = tuple(PrivacyBudget(eps, self.delta) for eps in self.eps_grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.evaluation.get("policy") == "oracle" and not DISTRIBUTIONS[self.distribution["name"]].oracle:
             raise ConfigError(
                 f"evaluation.policy 'oracle' but {self.distribution['name']!r} has no "
                 "closed-form excess risk; use 'auto' or 'mc'"
             )
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
 
     @classmethod
     def from_dict(cls, doc):
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
         _check_keys(doc, _TOP_KEYS, "config")
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(f"missing required config keys: {exc}") from exc
+        missing = [key for key in _REQUIRED_KEYS if key not in doc]
+        if missing:
+            raise ConfigError(f"missing required config keys: {missing}")
+        return cls(**doc)
 
     @classmethod
     def from_json(cls, path):
@@ -145,5 +152,7 @@ class ExperimentConfig:
         return doc
 
 
-# The document keys are the fields a config is built from (not the components it builds).
+# The document keys are the fields a config is built from (not the objects it builds).
 _TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.init)
+_REQUIRED_KEYS = tuple(f.name for f in fields(ExperimentConfig)
+                       if f.init and f.default is MISSING and f.default_factory is MISSING)

@@ -2,10 +2,13 @@
 
 Every (n, epsilon, trial) cell derives its seed as a pure function of the
 base seed and the cell indices, so reruns (serial or pooled) emit identical
-records in identical order.  Privacy-precondition refusals are recorded,
-not fatal.
+records in identical order.  A cell runs on the objects the parsed config
+built (its components, SpaceSpec and privacy budgets); pooled workers get
+the parsed config itself, pickled, and parse nothing.  Privacy-precondition
+refusals are recorded, not fatal.
 """
 
+import functools
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -15,11 +18,9 @@ import numpy as np
 from ..errors import RefusalError
 # run_cell calls the solvers by name through this module.
 from ..euclidean import app_objp, app_objp_sc, phased_dp_sgd  # noqa: F401
-from ..mechanisms import PrivacyBudget
 from ..mirror import batched_truncated_md, lipschitz_high_p, noisy_reg_md, shuffled_truncated_md  # noqa: F401
 from ..problems.risk import excess_population_risk
 from .components import ALGORITHMS
-from .config import ExperimentConfig
 from .records import RunRecord
 
 __all__ = ["stable_seed", "run_experiment", "run_cell"]
@@ -38,9 +39,8 @@ def stable_seed(base, *parts):
 def run_cell(cfg, n_idx, eps_idx, trial):
     """Execute one cell and return its RunRecord."""
     n = int(cfg.n_grid[n_idx])
-    eps = float(cfg.eps_grid[eps_idx])
     seed = stable_seed(cfg.base_seed, n_idx, eps_idx, trial)
-    budget = PrivacyBudget(eps, cfg.delta)
+    budget = cfg.budgets[eps_idx]
     loss, dist, C = cfg.components
 
     data = dist.sample(n, np.random.default_rng(stable_seed(seed, "data")))
@@ -51,11 +51,11 @@ def run_cell(cfg, n_idx, eps_idx, trial):
     # say) sees every call.
     solve = globals()[cfg.algorithm]
     record = dict(algorithm=cfg.algorithm, p=float(cfg.geometry["p"]), d=int(cfg.geometry["d"]),
-                  n=n, epsilon=eps, delta=cfg.delta, trial=trial, seed=seed)
+                  n=n, epsilon=budget.epsilon, delta=budget.delta, trial=trial, seed=seed)
     t0 = time.perf_counter()
     try:
         w, info = ALGORITHMS[cfg.algorithm].run(
-            solve, data, loss, C, cfg.geometry, budget, rng, **cfg.solver
+            solve, data, loss, C, cfg.space, budget, rng, **cfg.solver
         )
     except RefusalError as exc:
         wall = (time.perf_counter() - t0) * 1e3
@@ -65,20 +65,12 @@ def run_cell(cfg, n_idx, eps_idx, trial):
         )
     wall = (time.perf_counter() - t0) * 1e3
 
-    m_eval = int(cfg.evaluation.get("m_eval", 100_000))
     eval_rng = np.random.default_rng(stable_seed(seed, "eval"))
-    excess, _ = excess_population_risk(
-        w, dist, loss, C, m_eval=m_eval, rng=eval_rng, policy=cfg.evaluation["policy"]
-    )
+    excess, _ = excess_population_risk(w, dist, loss, C, eval_rng, **cfg.evaluation)
 
     stats = info.get("truncation")
     trunc = None if stats is None else stats.zeroed_fraction
     return RunRecord(**record, excess_risk=excess, trunc_fraction=trunc, wall_ms=wall)
-
-
-def _cell_worker(args):
-    doc, n_idx, eps_idx, trial = args
-    return run_cell(ExperimentConfig.from_dict(doc), n_idx, eps_idx, trial)
 
 
 def run_experiment(cfg):
@@ -91,7 +83,8 @@ def run_experiment(cfg):
     ]
     if cfg.parallelism <= 1:
         return [run_cell(cfg, *cell) for cell in cells]
-    doc = cfg.to_dict()
-    jobs = [(doc, *cell) for cell in cells]
     with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-        return list(pool.map(_cell_worker, jobs, chunksize=max(1, len(jobs) // (8 * cfg.parallelism))))
+        return list(pool.map(
+            functools.partial(run_cell, cfg), *zip(*cells),
+            chunksize=max(1, len(cells) // (8 * cfg.parallelism)),
+        ))

@@ -148,36 +148,33 @@ def _perturbed_objective(data, loss, G, lam):
     )
 
 
-def _solve_with_surrogate(obj, C, alpha, start, check, release_bound):
-    """V-FISTA to the certified count; optionally continue and assert the bound.
+def _solve_with_surrogate(obj, C, alpha, start, release_bound):
+    """V-FISTA to the certified count, then continue and assert the bound.
 
     theta2 is iterate K of the trajectory from ``start``.  The surrogate is
     iterate K_s of the same trajectory, momentum included, where K_s is the
     count certifying alpha/100; the certificate holds at every iterate, so
     ||theta2 - surrogate|| <= sqrt(2 alpha / lam) + sqrt(2 (alpha/100) / lam)
     must hold whenever the certificates do.  ``info`` records K as
-    ``inner_iters`` and K_s - K as ``surrogate_iters`` (0 without the check).
+    ``inner_iters``, K_s - K as ``surrogate_iters`` and the distance and its
+    bound as ``release_distance`` and ``release_bound``.
     """
     iterates = _v_fista(obj, C, start)
     k2 = inner_iteration_count(obj, C, alpha)
     theta2 = _advance(iterates, k2, None)
-    info = {"inner_iters": k2, "surrogate_iters": 0}
-    if check:
-        extra = inner_iteration_count(obj, C, alpha / 100.0) - k2
-        surrogate = _advance(iterates, extra, theta2)
-        dist = float(np.linalg.norm(theta2 - surrogate))
-        bound = release_bound * (1.0 + math.sqrt(1.0 / 100.0))
-        if dist > bound:
-            raise AssertionError(
-                f"release distance {dist:.3e} exceeds certified bound {bound:.3e}"
-            )
-        info.update(surrogate_iters=extra, release_distance=dist, release_bound=bound)
+    extra = inner_iteration_count(obj, C, alpha / 100.0) - k2
+    surrogate = _advance(iterates, extra, theta2)
+    dist = float(np.linalg.norm(theta2 - surrogate))
+    bound = release_bound * (1.0 + math.sqrt(1.0 / 100.0))
+    if dist > bound:
+        raise AssertionError(f"release distance {dist:.3e} exceeds certified bound {bound:.3e}")
+    info = {"inner_iters": k2, "surrogate_iters": extra, "release_distance": dist, "release_bound": bound}
     return theta2, info
 
 
 def _perturb_solve_release(
     data, loss, C, budget, rng, lam, curvature, alpha_ceiling, release_curvature,
-    alpha_opt, noise_multiplier, check_release_distance, n_min=None,
+    alpha_opt, noise_multiplier, n_min=None,
 ):
     """Approximate-minima perturbation (Iyengar et al. 2019), shared by both solvers.
 
@@ -225,7 +222,7 @@ def _perturb_solve_release(
 
     release_bound = math.sqrt(2.0 * alpha / release_curvature)
     theta2, info = _solve_with_surrogate(
-        obj, C, alpha, np.zeros(d), check_release_distance, release_bound
+        obj, C, alpha, np.zeros(d), release_bound
     )
 
     sigma2 = (
@@ -239,7 +236,7 @@ def _perturb_solve_release(
 
 
 def app_objp(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None,
-             noise_multiplier=1.0, check_release_distance=True):
+             noise_multiplier=1.0):
     """Approximate objective perturbation for convex smooth Lipschitz losses.
 
     The ridge alone supplies the curvature: the default lambda is
@@ -250,12 +247,12 @@ def app_objp(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None,
 
     ``alpha_opt`` in (0, 1] is the inner accuracy (None: the utility-driven
     ceiling, through the estimated Gaussian width of C) and ``lambda_reg``
-    >= 0 the ridge (None: the schedule).  ``noise_multiplier`` scales both
-    draws; 0 gives the matched-seed noiseless reference.
-    ``check_release_distance`` solves on to alpha/100 and asserts the
-    certified distance between the released and the exact minimizer.
+    >= 0 the ridge (None: the schedule).  ``noise_multiplier`` >= 0 scales
+    both draws; 0 gives the matched-seed noiseless reference.  The solve
+    goes on to alpha/100 and asserts the certified distance between the
+    released and the exact minimizer.
     """
-    check_options(alpha_opt=alpha_opt, lambda_reg=lambda_reg)
+    check_options(alpha_opt=alpha_opt, lambda_reg=lambda_reg, noise_multiplier=noise_multiplier)
     lam, n_min = lambda_reg, None
     if lam is None:
         L, D = loss.lipschitz, C.diameter_l2
@@ -265,13 +262,12 @@ def app_objp(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None,
         n_min = math.ceil((r * loss.smoothness * D / (budget.epsilon * L)) ** 2)
     return _perturb_solve_release(
         data, loss, C, budget, rng, lam, curvature=lam, alpha_ceiling=_alpha_ceiling,
-        release_curvature=lam, alpha_opt=alpha_opt, noise_multiplier=noise_multiplier,
-        check_release_distance=check_release_distance, n_min=n_min,
+        release_curvature=lam, alpha_opt=alpha_opt, noise_multiplier=noise_multiplier, n_min=n_min,
     )
 
 
 def app_objp_sc(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None,
-                noise_multiplier=1.0, check_release_distance=True):
+                noise_multiplier=1.0):
     """Objective perturbation for strongly convex losses.
 
     The loss's own curvature Delta replaces most (or all) of the ridge term:
@@ -280,7 +276,7 @@ def app_objp_sc(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None,
     Delta_C the strong convexity measured in the Minkowski norm of C.  The
     options are those of ``app_objp``; ``lambda_reg`` = 0 runs on Delta alone.
     """
-    check_options(alpha_opt=alpha_opt, lambda_reg=lambda_reg)
+    check_options(alpha_opt=alpha_opt, lambda_reg=lambda_reg, noise_multiplier=noise_multiplier)
     delta2 = loss.strong_convexity
     if delta2 <= 0:
         raise ValueError("app_objp_sc requires a strongly convex loss")
@@ -294,7 +290,7 @@ def app_objp_sc(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None,
         curvature=lam + delta2,
         alpha_ceiling=functools.partial(_alpha_ceiling_sc, delta_c=delta_c),
         release_curvature=delta_c / C.diameter_l2**2, alpha_opt=alpha_opt,
-        noise_multiplier=noise_multiplier, check_release_distance=check_release_distance,
+        noise_multiplier=noise_multiplier,
     )
     info["delta_c"] = delta_c
     return theta_hat, info
@@ -307,9 +303,9 @@ def phased_dp_sgd(data, loss, budget, rng, *, eta=None, noise_multiplier=1.0):
     each phase averages its one-pass SGD iterates and perturbs the average
     with Gaussian noise whose scale shrinks 4x per phase.  Returns
     (w_k, info).  ``eta`` > 0 is the base step size (None selects the
-    schedule) and ``noise_multiplier`` scales the noise draws.
+    schedule) and ``noise_multiplier`` >= 0 scales the noise draws.
     """
-    check_options(eta=eta)
+    check_options(eta=eta, noise_multiplier=noise_multiplier)
     n, d = data.n, data.d
     L, beta = loss.lipschitz, loss.smoothness
     if eta is None:

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .options import check_options
+
 __all__ = [
     "PrivacyBudget",
     "GGNoiseSpec",
@@ -26,16 +28,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """An (epsilon, delta) differential-privacy target."""
+    """An (epsilon, delta) differential-privacy target, epsilon > 0 and delta in (0, 1), as floats."""
 
     epsilon: float
     delta: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"PrivacyBudget: epsilon must be > 0, got {self.epsilon}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"PrivacyBudget: delta must be in (0,1), got {self.delta}")
+        check_options(epsilon=self.epsilon, delta=self.delta)
+        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "delta", float(self.delta))
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,10 @@ Three variants share the machinery here:
 
 Each solver takes the geometry ``space`` (a ``SpaceSpec``) positionally and
 its options as keyword-only arguments.  ``T``, ``alpha_reg``, ``gamma`` and
-``lambda_trunc`` default to the schedules the utility analysis prescribes,
-``c_t`` scales the default T, and ``noise_multiplier`` scales the noise
-draws (0 reproduces the matched-seed noiseless reference).
+``lambda_trunc`` default to the schedules the utility analysis prescribes
+and are > 0 when given, ``c_t`` > 0 scales the default T, and
+``noise_multiplier`` >= 0 scales the noise draws (0 reproduces the
+matched-seed noiseless reference).
 
 ``lambda`` is an overloaded symbol in this corner of the literature; here
 ``lambda_trunc`` always means the truncation offset and ``lambda_reg`` a
@@ -99,7 +100,7 @@ def noisy_reg_md(data, loss, space, budget, rng, *, T=None, alpha_reg=None, c_t=
     The output is the geometrically weighted average of w_2..w_{T+1} with
     ratio (2 beta + alpha) / (2 beta).
     """
-    check_options(T=T, alpha_reg=alpha_reg)
+    check_options(T=T, alpha_reg=alpha_reg, c_t=c_t, noise_multiplier=noise_multiplier)
     if not (1.0 < space.p < 2.0):
         raise ValueError("noisy_reg_md requires 1 < p < 2")
     if getattr(loss, "norm_p", None) != space.p:
@@ -260,7 +261,7 @@ def shuffled_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=No
     ``bypass_regime_check`` disables that gate -- for reference runs only,
     never for a private release.
     """
-    check_options(T=T, gamma=gamma)
+    check_options(T=T, gamma=gamma, lambda_trunc=lambda_trunc, c_t=c_t, noise_multiplier=noise_multiplier)
     if not (1.0 < space.p < 2.0):
         raise ValueError("shuffled_truncated_md requires 1 < p < 2")
     n, d = data.n, data.d
@@ -289,11 +290,10 @@ def shuffled_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=No
         T = int(min(max(1, round(raw)), n))
 
     perm = rng.permutation(n)  # Fisher-Yates under the hood; rng-injected
-    noise = GGNoiseSpec(sigma2=calib.sigma**2, r=space.r_noise, d=d) if calib.sigma > 0 else None
+    # lambda_trunc > 0 makes the threshold, and so sigma, positive.
+    noise = GGNoiseSpec(sigma2=calib.sigma**2, r=space.r_noise, d=d)
 
     def privatize(G):  # one draw per sample, before averaging
-        if noise is None:
-            return G.mean(axis=0)
         return (G + noise_multiplier * gg_sample(noise, rng, size=len(G))).mean(axis=0)
 
     out, info = _truncated_md(
@@ -312,7 +312,7 @@ def batched_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=Non
     Disjoint batches compose in parallel, so each step adds a single
     generalized Gaussian draw calibrated to the batch-mean sensitivity.
     """
-    check_options(T=T, gamma=gamma)
+    check_options(T=T, gamma=gamma, lambda_trunc=lambda_trunc, c_t=c_t, noise_multiplier=noise_multiplier)
     if not (1.0 < space.p < 2.0):
         raise ValueError("batched_truncated_md requires 1 < p < 2")
     n, d = data.n, data.d

@@ -1,5 +1,7 @@
-"""Range checks of solver options, run both by the solvers (``ValueError``) and
-by the config parser (``ConfigError``), so both refuse the same values."""
+"""Range checks of option values, run both by the code that takes a value
+(``ValueError``) and by the config parser (``ConfigError``), so both refuse
+the same values: solver options, the privacy budget, the evaluation options
+of ``excess_population_risk`` and the grid's counts."""
 
 from numbers import Integral, Real
 
@@ -8,18 +10,33 @@ def _number(test, kind=Real):
     return lambda v: isinstance(v, kind) and not isinstance(v, bool) and test(v)
 
 
+_POSITIVE = (_number(lambda v: v > 0), "> 0")
+_COUNT = (_number(lambda v: v >= 1, Integral), "a positive integer")
+
 _RANGES = {
-    "T": (_number(lambda v: v >= 1, Integral), "a positive integer"),
+    "T": _COUNT,
     "alpha_opt": (_number(lambda v: 0 < v <= 1), "in (0, 1]"),
     "lambda_reg": (_number(lambda v: v >= 0), ">= 0"),
-    "alpha_reg": (_number(lambda v: v > 0), "> 0"),
-    "gamma": (_number(lambda v: v > 0), "> 0"),
-    "eta": (_number(lambda v: v > 0), "> 0"),
+    "alpha_reg": _POSITIVE,
+    "gamma": _POSITIVE,
+    "eta": _POSITIVE,
+    "lambda_trunc": _POSITIVE,
+    "c_t": _POSITIVE,
+    "noise_multiplier": (_number(lambda v: v >= 0), ">= 0"),
+    "epsilon": _POSITIVE,
+    "delta": (_number(lambda v: 0 < v < 1), "in (0, 1)"),
+    "policy": (lambda v: isinstance(v, str) and v in ("auto", "oracle", "mc"), "one of auto, oracle, mc"),
+    "m_eval": (_number(lambda v: v >= 2, Integral), "an integer >= 2"),
+    "trials": _COUNT,
+    "parallelism": _COUNT,
+    "base_seed": (_number(lambda v: True, Integral), "an integer"),
 }
+# The solver options whose None selects a default schedule.
+_SCHEDULED = {"T", "alpha_opt", "lambda_reg", "alpha_reg", "gamma", "eta", "lambda_trunc"}
 
 
 def check_options(**options):
-    """Raise ValueError naming the first option out of its range; None (a default schedule) passes."""
+    """Raise ValueError naming the first option out of its range; keys outside the table pass."""
     for key, value in options.items():
-        if value is not None and key in _RANGES and not _RANGES[key][0](value):
+        if key in _RANGES and not (value is None and key in _SCHEDULED or _RANGES[key][0](value)):
             raise ValueError(f"{key} must be {_RANGES[key][1]}, got {value!r}")

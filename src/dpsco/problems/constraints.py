@@ -1,6 +1,6 @@
-"""Symmetric convex constraint sets: projections, support functions, gauges.
+"""Norm-ball constraint sets: projections, support functions, gauges.
 
-Every set exposes Euclidean projection, the support function
+Every ball exposes Euclidean projection, the support function
 h_C(xi) = sup_{w in C} <xi, w>, the Minkowski gauge (the norm whose unit
 ball is C), diameters, and the distance from origin to the boundary.
 """
@@ -191,38 +191,7 @@ def project_lp_ball(v, p, radius, tol=1e-10):
 
 
 class ConstraintSet:
-    """Interface for symmetric convex bodies."""
-
-    def project(self, v):
-        raise NotImplementedError
-
-    def support(self, xi):
-        """h_C(xi) = sup_{w in C} <xi, w>."""
-        raise NotImplementedError
-
-    def gauge(self, v):
-        """Minkowski norm: min{r >= 0 : v in r*C}."""
-        raise NotImplementedError
-
-    def contains(self, v, slack=1e-9):
-        return self.gauge(v) <= 1.0 + slack
-
-    @property
-    def diameter_l2(self):
-        raise NotImplementedError
-
-    def diameter_primal(self, p):
-        """Diameter with respect to the ambient lp norm."""
-        raise NotImplementedError
-
-    @property
-    def c_min(self):
-        """Distance from the origin to the boundary."""
-        raise NotImplementedError
-
-
-class _NormBall(ConstraintSet):
-    """Ball {||w||_a <= radius} for a norm exponent a."""
+    """Ball {||w||_a <= radius} for a norm exponent a; each subclass has its own ``project``."""
 
     def __init__(self, exponent, radius, d):
         if radius <= 0:
@@ -233,10 +202,15 @@ class _NormBall(ConstraintSet):
         self._dual = dual_exponent(self.exponent)
 
     def support(self, xi):
+        """h_C(xi) = sup_{w in C} <xi, w>."""
         return self.radius * lp_norm(xi, self._dual)
 
     def gauge(self, v):
+        """Minkowski norm: min{r >= 0 : v in r*C}."""
         return lp_norm(v, self.exponent) / self.radius
+
+    def contains(self, v, slack=1e-9):
+        return self.gauge(v) <= 1.0 + slack
 
     @property
     def diameter_l2(self):
@@ -245,17 +219,19 @@ class _NormBall(ConstraintSet):
         return 2.0 * self.radius * self.d**bump
 
     def diameter_primal(self, p):
+        """Diameter with respect to the ambient lp norm."""
         bump = max(0.0, 1.0 / p - 1.0 / self.exponent)
         return 2.0 * self.radius * self.d**bump
 
     @property
     def c_min(self):
+        """Distance from the origin to the boundary."""
         # min ||v||_2 on the boundary: r * d^(1/2 - 1/a) for a <= 2, r above.
         bump = min(0.0, 0.5 - 1.0 / self.exponent)
         return self.radius * self.d**bump
 
 
-class L2Ball(_NormBall):
+class L2Ball(ConstraintSet):
     def __init__(self, radius, d):
         super().__init__(2.0, radius, d)
 
@@ -263,7 +239,7 @@ class L2Ball(_NormBall):
         return _project_l2_ball(np.asarray(v, dtype=float), self.radius)
 
 
-class L1Ball(_NormBall):
+class L1Ball(ConstraintSet):
     def __init__(self, radius, d):
         super().__init__(1.0, radius, d)
 
@@ -271,7 +247,7 @@ class L1Ball(_NormBall):
         return project_l1_ball(v, self.radius)
 
 
-class LpBall(_NormBall):
+class LpBall(ConstraintSet):
     def __init__(self, exponent, radius, d):
         if not (1.0 < exponent < math.inf):
             raise ValueError("LpBall: exponent must be in (1, inf); use L1Ball/L2Ball otherwise")

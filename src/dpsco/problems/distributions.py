@@ -221,9 +221,6 @@ class HeavyTailLinear:
         """Analytic second-moment bound on gradient noise, 4 * psi_max^2."""
         return 4.0 * float(psi_max) ** 2
 
-    def noise_variance(self):
-        return self.t_scale**2 * self.t_dof / (self.t_dof - 2.0)
-
     def population_risk(self, w, loss):
         """Population risk of the paired regression loss by 1-D quadrature.
 

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigError
+from ..options import check_options
 from .distributions import BallCloud, HeavyTailLinear
 from .losses import MeanPointLoss
 
@@ -56,15 +57,14 @@ def population_risk(w, dist, loss, m_eval=100_000, rng=None):
     """Population risk with its standard error: (value, se).
 
     Closed form (se = 0) when available, else Monte Carlo over m_eval fresh
-    samples.
+    samples (an integer >= 2).
     """
+    check_options(m_eval=m_eval)
     val = _closed_form_risk(w, dist, loss)
     if val is not None:
         return float(val), 0.0
     if rng is None:
         raise ValueError("population_risk: Monte Carlo evaluation needs an rng")
-    if m_eval < 1:
-        raise ValueError("population_risk: m_eval must be >= 1")
     sample = dist.sample(m_eval, rng)
     vals = loss.values(np.asarray(w, dtype=float), sample.X, sample.y)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(m_eval))
@@ -98,15 +98,16 @@ def constrained_population_minimizer(dist, C, loss):
     return theta if C is None else C.project(theta)
 
 
-def excess_population_risk(w, dist, loss, C=None, m_eval=100_000, rng=None, policy="auto"):
+def excess_population_risk(w, dist, loss, C=None, rng=None, *, m_eval=100_000, policy="auto"):
     """Excess population risk against the constrained minimizer: (value, se).
 
     ``policy`` "auto" or "oracle" takes the closed form (se = 0) when both
     the candidate and the minimizer have one, else Monte Carlo; "mc" always
-    takes Monte Carlo over m_eval fresh samples.
+    takes Monte Carlo over ``m_eval`` (an integer >= 2) fresh samples.  The
+    two keyword arguments are a config's ``evaluation`` section, and their
+    defaults here are the defaults of that section.
     """
-    if policy not in ("auto", "oracle", "mc"):
-        raise ValueError(f"excess_population_risk: unknown policy {policy!r}")
+    check_options(m_eval=m_eval, policy=policy)
     w = np.asarray(w, dtype=float)
     theta_star = constrained_population_minimizer(dist, C, loss)
     # Looked up under every policy: it is cheap for the candidate (a dot
@@ -124,7 +125,10 @@ def excess_population_risk(w, dist, loss, C=None, m_eval=100_000, rng=None, poli
     return float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(m_eval))
 
 
-def gaussian_width_mc(C, m, rng, batch=20_000):
+_WIDTH_BATCH = 20_000  # Gaussian draws held in memory at once
+
+
+def gaussian_width_mc(C, m, rng):
     """Monte Carlo Gaussian width of C: mean of sup_{w in C} <xi, w>.
 
     Returns (estimate, standard_error) over m standard Gaussian draws.
@@ -136,7 +140,7 @@ def gaussian_width_mc(C, m, rng, batch=20_000):
     total_sq = 0.0
     left = m
     while left > 0:
-        k = min(batch, left)
+        k = min(_WIDTH_BATCH, left)
         xi = rng.standard_normal((k, d))
         vals = np.asarray(C.support(xi), dtype=float)
         total += vals.sum()

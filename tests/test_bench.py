@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from dpsco.bench.runner import run_cell, run_experiment, stable_seed
 from dpsco.bench.slopes import fit_slope
 from dpsco.errors import ConfigError
 from test_acceptance import CONVEX_TREND_DOC, LP_TREND_DOC, STRONGLY_CONVEX_DOC
+from test_components import _md_doc
 
 
 def _base_config(**over):
@@ -128,6 +130,18 @@ class TestRunner:
         assert risk("auto") == oracle
         assert risk("mc") != oracle
 
+    def test_evaluation_defaults_come_from_the_risk_function(self):
+        # A section without policy scores with excess_population_risk's
+        # default, "auto", as an absent section does.
+        def record(**over):
+            return without_timing([run_cell(ExperimentConfig.from_dict(_base_config(**over)), 0, 0, 0)])
+
+        absent = _base_config()
+        del absent["evaluation"]
+        no_policy = record(evaluation={"m_eval": 2000})
+        assert no_policy == without_timing([run_cell(ExperimentConfig.from_dict(absent), 0, 0, 0)])
+        assert no_policy == record(evaluation={"policy": "auto"}) == record(evaluation={"policy": "oracle"})
+
     def test_byte_identical_rerun(self, tmp_path):
         cfg = ExperimentConfig.from_dict(_base_config(trials=3, n_grid=[32, 64]))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -137,13 +151,20 @@ class TestRunner:
         write_records(without_timing(run_experiment(cfg)), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path):
-        doc = _base_config(trials=2, n_grid=[32, 64])
-        serial = run_experiment(ExperimentConfig.from_dict(doc))
-        doc2 = copy.deepcopy(doc)
-        doc2["parallelism"] = 2
-        pooled = run_experiment(ExperimentConfig.from_dict(doc2))
-        assert without_timing(serial) == without_timing(pooled)
+    def test_parallel_matches_serial(self):
+        # The mirror solver's cells also run on the parsed config's SpaceSpec and lp ball.
+        for doc in (_base_config(trials=2, n_grid=[32, 64]), _md_doc(trials=2, n_grid=[32, 64])):
+            serial = run_experiment(ExperimentConfig.from_dict(doc))
+            pooled = run_experiment(ExperimentConfig.from_dict({**doc, "parallelism": 2}))
+            assert without_timing(serial) == without_timing(pooled)
+
+    def test_pickled_config_runs_a_cell_to_the_same_record(self):
+        # What a pool worker receives: the parsed config, built objects included.
+        for doc in (_base_config(), _md_doc()):
+            cfg = ExperimentConfig.from_dict(doc)
+            copied = pickle.loads(pickle.dumps(cfg))
+            assert copied.budgets == cfg.budgets and copied.space == cfg.space
+            assert without_timing([run_cell(copied, 0, 0, 0)]) == without_timing([run_cell(cfg, 0, 0, 0)])
 
     def test_refusal_recorded_not_fatal(self):
         doc = _base_config(

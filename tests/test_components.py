@@ -148,6 +148,28 @@ MISCONFIGS = {
         "eta must be > 0",
     ),
     "c_noise, renamed noise_multiplier": (_md_doc(solver={"T": 4, "c_noise": 0.0}), "c_noise"),
+    "negative lambda_trunc": (_md_doc(solver={"T": 4, "lambda_trunc": -5.0}), "lambda_trunc must be > 0"),
+    "zero c_t": (_md_doc(solver={"c_t": 0}), "c_t must be > 0"),
+    "negative noise_multiplier": (
+        _md_doc(solver={"T": 4, "noise_multiplier": -1}),
+        "noise_multiplier must be >= 0",
+    ),
+    "zero epsilon": (_base_doc(eps_grid=[0.0]), "epsilon must be > 0"),
+    "negative epsilon": (_base_doc(eps_grid=[1.0, -1.0]), "epsilon must be > 0"),
+    "delta given as a string": (_base_doc(delta="1e-5"), "delta must be in (0, 1)"),
+    **{
+        f"m_eval {m!r}": (_base_doc(evaluation={"policy": "mc", "m_eval": m}), "m_eval must be an integer >= 2")
+        for m in (0, 1, 2.7)
+    },
+    "unknown evaluation policy": (_base_doc(evaluation={"policy": "exact"}), "policy must be one of"),
+    "fractional trials": (_base_doc(trials=2.5), "trials must be a positive integer"),
+    "boolean trials": (_base_doc(trials=True), "trials must be a positive integer"),
+    "fractional parallelism": (_base_doc(parallelism=1.5), "parallelism must be a positive integer"),
+    "fractional base_seed": (_base_doc(base_seed=1.5), "base_seed must be an integer"),
+    "missing trials": (
+        {k: v for k, v in _base_doc().items() if k != "trials"},
+        "missing required config keys: ['trials']",
+    ),
 }
 
 

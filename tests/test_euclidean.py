@@ -183,20 +183,15 @@ class TestInnerCounts:
         assert info["inner_iters"] == k < _pgd_count(obj, C, info["alpha"]) / 8
         assert info["surrogate_iters"] == inner_iteration_count(obj, C, info["alpha"] / 100) - k
 
-    @pytest.mark.parametrize("check", [True, False])
     @pytest.mark.parametrize("solver, own_keys", [(app_objp, set()), (app_objp_sc, {"delta_c"})])
-    def test_info_records_the_counts(self, solver, own_keys, check):
+    def test_info_records_the_counts(self, solver, own_keys):
         data, loss, C, _ = _mean_point_setup(n=512)
-        _, info = solver(
-            data, loss, C, PrivacyBudget(1.0, 1e-5), np.random.default_rng(12),
-            check_release_distance=check,
-        )
-        assert set(info) == _OBJP_INFO | own_keys | (_RELEASE_INFO if check else set())
+        _, info = solver(data, loss, C, PrivacyBudget(1.0, 1e-5), np.random.default_rng(12))
+        assert set(info) == _OBJP_INFO | own_keys | _RELEASE_INFO
         obj = _inner_constants(loss, info["lam"])
         k = inner_iteration_count(obj, C, info["alpha"])
         assert info["inner_iters"] == k
-        extra = inner_iteration_count(obj, C, info["alpha"] / 100) - k if check else 0
-        assert info["surrogate_iters"] == extra
+        assert info["surrogate_iters"] == inner_iteration_count(obj, C, info["alpha"] / 100) - k
 
 
 def _mean_point_setup(n=64, d=5, seed=1, spread=0.5, mu_scale=0.4):
@@ -268,10 +263,7 @@ class TestAppObjP:
 
     def test_release_distance_assertion_runs(self):
         data, loss, C, _ = _mean_point_setup()
-        _, info = app_objp(
-            data, loss, C, PrivacyBudget(1.0, 1e-5), np.random.default_rng(7),
-            check_release_distance=True,
-        )
+        _, info = app_objp(data, loss, C, PrivacyBudget(1.0, 1e-5), np.random.default_rng(7))
         assert info["release_distance"] <= info["release_bound"]
 
 
@@ -310,7 +302,8 @@ class TestAppObjPSC:
 class TestOptionRanges:
     @pytest.mark.parametrize("solver", [app_objp, app_objp_sc])
     @pytest.mark.parametrize(
-        "option, value", [("alpha_opt", 2.0), ("alpha_opt", 0.0), ("lambda_reg", -0.5)]
+        "option, value",
+        [("alpha_opt", 2.0), ("alpha_opt", 0.0), ("lambda_reg", -0.5), ("noise_multiplier", -1.0)],
     )
     def test_out_of_range_option_raises(self, solver, option, value):
         data, loss, C, _ = _mean_point_setup()
@@ -322,6 +315,8 @@ class TestOptionRanges:
         data, loss, _, _ = _mean_point_setup()
         with pytest.raises(ValueError, match="eta must be > 0"):
             solver(data, loss, PrivacyBudget(1.0, 1e-5), np.random.default_rng(0), eta=-1.0)
+        with pytest.raises(ValueError, match="noise_multiplier must be >= 0"):
+            solver(data, loss, PrivacyBudget(1.0, 1e-5), np.random.default_rng(0), noise_multiplier=-1)
 
     def test_zero_ridge_runs_on_the_loss_curvature_alone(self):
         # lambda_reg = 0 is in range: app_objp_sc runs on Delta, and app_objp,

@@ -429,6 +429,12 @@ class TestSolverOptions:
             (batched_truncated_md, "gamma", -1.0),
             (batched_truncated_md, "T", 2.5),
             (shuffled_truncated_md, "gamma", 0.0),
+            (batched_truncated_md, "lambda_trunc", -5.0),
+            (shuffled_truncated_md, "lambda_trunc", 0.0),
+            (noisy_reg_md, "c_t", 0.0),
+            (batched_truncated_md, "c_t", -1.0),
+            (batched_truncated_md, "noise_multiplier", -1.0),
+            (noisy_reg_md, "noise_multiplier", -1.0),
         ],
     )
     def test_out_of_range_option_raises(self, solve, option, value):
