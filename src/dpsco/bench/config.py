@@ -117,10 +117,16 @@ class ExperimentConfig:
         _check_keys(self.evaluation, _EVAL_KEYS, "evaluation")
         try:
             check_options(trials=self.trials, parallelism=self.parallelism, base_seed=self.base_seed,
-                          **self.evaluation)
-            self.budgets = tuple(PrivacyBudget(eps, self.delta) for eps in self.eps_grid)
+                          delta=self.delta, **self.evaluation)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        budgets = []
+        for i, eps in enumerate(self.eps_grid):
+            try:
+                budgets.append(PrivacyBudget(eps, self.delta))
+            except ValueError as exc:  # delta passed above, so this names the epsilon
+                raise ConfigError(f"eps_grid[{i}]: {exc}") from exc
+        self.budgets = tuple(budgets)
         if self.evaluation.get("policy") == "oracle" and not DISTRIBUTIONS[self.distribution["name"]].oracle:
             raise ConfigError(
                 f"evaluation.policy 'oracle' but {self.distribution['name']!r} has no "

@@ -16,6 +16,8 @@ rate, so the accuracy certificate is unconditional and the number of steps
 does not depend on the data.
 
 Solver options are keyword-only arguments, with their defaults in the signature.
+No option scales or skips a noise draw: every release adds its noise as drawn
+from the injected ``rng``.
 """
 
 import functools
@@ -174,7 +176,7 @@ def _solve_with_surrogate(obj, C, alpha, start, release_bound):
 
 def _perturb_solve_release(
     data, loss, C, budget, rng, lam, curvature, alpha_ceiling, release_curvature,
-    alpha_opt, noise_multiplier, n_min=None,
+    alpha_opt, n_min=None,
 ):
     """Approximate-minima perturbation (Iyengar et al. 2019), shared by both solvers.
 
@@ -185,7 +187,7 @@ def _perturb_solve_release(
     lam ||w||^2 to the empirical risk, solves to accuracy alpha (``alpha_opt``,
     or ``alpha_ceiling(L, D, n, budget, width)`` when it is None), and releases
     C.project(theta2 + H), H ~ N(0, sigma2^2 I) with sigma2^2 proportional to
-    alpha / release_curvature.  Both draws are scaled by ``noise_multiplier``.
+    alpha / release_curvature.
     """
     n, d = data.n, data.d
     L, beta = loss.lipschitz, loss.smoothness
@@ -217,7 +219,7 @@ def _perturb_solve_release(
     alpha = alpha_opt if alpha_opt is not None else alpha_ceiling(L, D, n, budget, width)
 
     sigma1 = math.sqrt(128.0 * L**2 * math.log(2.5 / budget.delta)) / budget.epsilon
-    G = noise_multiplier * sigma1 * rng.standard_normal(d)
+    G = sigma1 * rng.standard_normal(d)
     obj = _perturbed_objective(data, loss, G, lam)
 
     release_bound = math.sqrt(2.0 * alpha / release_curvature)
@@ -229,14 +231,13 @@ def _perturb_solve_release(
         math.sqrt(64.0 * alpha * math.log(2.5 / budget.delta) / release_curvature)
         / budget.epsilon
     )
-    H = noise_multiplier * sigma2 * rng.standard_normal(d)
+    H = sigma2 * rng.standard_normal(d)
     theta_hat = C.project(theta2 + H)
     info.update(lam=lam, alpha=alpha, sigma1=sigma1, sigma2=sigma2, width=width)
     return theta_hat, info
 
 
-def app_objp(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None,
-             noise_multiplier=1.0):
+def app_objp(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None):
     """Approximate objective perturbation for convex smooth Lipschitz losses.
 
     The ridge alone supplies the curvature: the default lambda is
@@ -247,12 +248,11 @@ def app_objp(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None,
 
     ``alpha_opt`` in (0, 1] is the inner accuracy (None: the utility-driven
     ceiling, through the estimated Gaussian width of C) and ``lambda_reg``
-    >= 0 the ridge (None: the schedule).  ``noise_multiplier`` >= 0 scales
-    both draws; 0 gives the matched-seed noiseless reference.  The solve
-    goes on to alpha/100 and asserts the certified distance between the
-    released and the exact minimizer.
+    >= 0 the ridge (None: the schedule).  The solve goes on to alpha/100
+    and asserts the certified distance between the released and the exact
+    minimizer.
     """
-    check_options(alpha_opt=alpha_opt, lambda_reg=lambda_reg, noise_multiplier=noise_multiplier)
+    check_options(alpha_opt=alpha_opt, lambda_reg=lambda_reg)
     lam, n_min = lambda_reg, None
     if lam is None:
         L, D = loss.lipschitz, C.diameter_l2
@@ -262,12 +262,11 @@ def app_objp(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None,
         n_min = math.ceil((r * loss.smoothness * D / (budget.epsilon * L)) ** 2)
     return _perturb_solve_release(
         data, loss, C, budget, rng, lam, curvature=lam, alpha_ceiling=_alpha_ceiling,
-        release_curvature=lam, alpha_opt=alpha_opt, noise_multiplier=noise_multiplier, n_min=n_min,
+        release_curvature=lam, alpha_opt=alpha_opt, n_min=n_min,
     )
 
 
-def app_objp_sc(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None,
-                noise_multiplier=1.0):
+def app_objp_sc(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None):
     """Objective perturbation for strongly convex losses.
 
     The loss's own curvature Delta replaces most (or all) of the ridge term:
@@ -276,7 +275,7 @@ def app_objp_sc(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None,
     Delta_C the strong convexity measured in the Minkowski norm of C.  The
     options are those of ``app_objp``; ``lambda_reg`` = 0 runs on Delta alone.
     """
-    check_options(alpha_opt=alpha_opt, lambda_reg=lambda_reg, noise_multiplier=noise_multiplier)
+    check_options(alpha_opt=alpha_opt, lambda_reg=lambda_reg)
     delta2 = loss.strong_convexity
     if delta2 <= 0:
         raise ValueError("app_objp_sc requires a strongly convex loss")
@@ -290,22 +289,21 @@ def app_objp_sc(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None,
         curvature=lam + delta2,
         alpha_ceiling=functools.partial(_alpha_ceiling_sc, delta_c=delta_c),
         release_curvature=delta_c / C.diameter_l2**2, alpha_opt=alpha_opt,
-        noise_multiplier=noise_multiplier,
     )
     info["delta_c"] = delta_c
     return theta_hat, info
 
 
-def phased_dp_sgd(data, loss, budget, rng, *, eta=None, noise_multiplier=1.0):
+def phased_dp_sgd(data, loss, budget, rng, *, eta=None):
     """Phased one-pass DP-SGD (unconstrained).
 
     Runs ceil(log2 n) phases on disjoint, geometrically shrinking shards;
     each phase averages its one-pass SGD iterates and perturbs the average
     with Gaussian noise whose scale shrinks 4x per phase.  Returns
     (w_k, info).  ``eta`` > 0 is the base step size (None selects the
-    schedule) and ``noise_multiplier`` >= 0 scales the noise draws.
+    schedule).
     """
-    check_options(eta=eta, noise_multiplier=noise_multiplier)
+    check_options(eta=eta)
     n, d = data.n, data.d
     L, beta = loss.lipschitz, loss.smoothness
     if eta is None:
@@ -342,7 +340,7 @@ def phased_dp_sgd(data, loss, budget, rng, *, eta=None, noise_multiplier=1.0):
             cur = cur - eta_i * g
             avg += (cur - avg) / (t + 2.0)
         sigma_i = 4.0 * L * eta_i * math.sqrt(math.log(1.0 / budget.delta)) / budget.epsilon
-        w = avg + noise_multiplier * sigma_i * rng.standard_normal(d)
+        w = avg + sigma_i * rng.standard_normal(d)
 
     info = {"eta": eta, "phases": k, "shard_sizes": shards}
     return w, info

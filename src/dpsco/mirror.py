@@ -16,9 +16,9 @@ Three variants share the machinery here:
 Each solver takes the geometry ``space`` (a ``SpaceSpec``) positionally and
 its options as keyword-only arguments.  ``T``, ``alpha_reg``, ``gamma`` and
 ``lambda_trunc`` default to the schedules the utility analysis prescribes
-and are > 0 when given, ``c_t`` > 0 scales the default T, and
-``noise_multiplier`` >= 0 scales the noise draws (0 reproduces the
-matched-seed noiseless reference).
+and are > 0 when given, and ``c_t`` > 0 scales the default T.  No option
+scales or skips a noise draw, and none lifts the shuffled solver's regime
+gate.
 
 ``lambda`` is an overloaded symbol in this corner of the literature; here
 ``lambda_trunc`` always means the truncation offset and ``lambda_reg`` a
@@ -89,8 +89,7 @@ class _WeightedAverage:
             self.value = (1.0 - frac) * self.value + frac * np.asarray(w, dtype=float)
 
 
-def noisy_reg_md(data, loss, space, budget, rng, *, T=None, alpha_reg=None, c_t=1.0,
-                 noise_multiplier=1.0):
+def noisy_reg_md(data, loss, space, budget, rng, *, T=None, alpha_reg=None, c_t=1.0):
     """Noisy regularized mirror descent, unconstrained, 1 < p < 2.
 
     Each step minimizes
@@ -100,7 +99,7 @@ def noisy_reg_md(data, loss, space, budget, rng, *, T=None, alpha_reg=None, c_t=
     The output is the geometrically weighted average of w_2..w_{T+1} with
     ratio (2 beta + alpha) / (2 beta).
     """
-    check_options(T=T, alpha_reg=alpha_reg, c_t=c_t, noise_multiplier=noise_multiplier)
+    check_options(T=T, alpha_reg=alpha_reg, c_t=c_t)
     if not (1.0 < space.p < 2.0):
         raise ValueError("noisy_reg_md requires 1 < p < 2")
     if getattr(loss, "norm_p", None) != space.p:
@@ -127,23 +126,13 @@ def noisy_reg_md(data, loss, space, budget, rng, *, T=None, alpha_reg=None, c_t=
     w = np.zeros(d)
     avg = _WeightedAverage((2.0 * beta + alpha_reg) / (2.0 * beta))
     for _ in range(T):
-        g_t = noise_multiplier * gg_sample(noise, rng)
+        g_t = gg_sample(noise, rng)
         dual = beta * grad_phi(w, space) - empirical_grad(w, data, loss) - g_t
         w = inv_grad_phi(dual / (beta + alpha_reg), space)
         avg.add(w)
 
     info = {"T": T, "alpha_reg": alpha_reg, "sigma2": sigma2, "r_noise": space.r_noise}
     return avg.value, info
-
-
-def regularized_md_step_residual(w_next, w_prev, grad_with_noise, beta, alpha, space):
-    """Norm of the subproblem's first-order condition at w_next (test hook)."""
-    res = (
-        grad_with_noise
-        + beta * (grad_phi(w_next, space) - grad_phi(w_prev, space))
-        + alpha * grad_phi(w_next, space)
-    )
-    return float(np.linalg.norm(res))
 
 
 def truncate_gradients(G, threshold, dual_exponent, stats):
@@ -251,17 +240,15 @@ def _truncated_md(data, loss, C, space, T, gamma, lam, threshold, privatize):
 
 
 def shuffled_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=None,
-                          lambda_trunc=None, c_t=1.0, noise_multiplier=1.0,
-                          bypass_regime_check=False):
+                          lambda_trunc=None, c_t=1.0):
     """Shuffled, truncated, noisy one-pass mirror descent (1 < p < 2).
 
     Privacy comes from per-sample generalized Gaussian noise amplified by
     shuffling, which is only valid in the high-privacy regime
-    eps <= sqrt(ln(n/delta)/n); outside it the solver refuses.
-    ``bypass_regime_check`` disables that gate -- for reference runs only,
-    never for a private release.
+    eps <= sqrt(ln(n/delta)/n); outside it the solver refuses, so every
+    run it returns holds a valid calibration.
     """
-    check_options(T=T, gamma=gamma, lambda_trunc=lambda_trunc, c_t=c_t, noise_multiplier=noise_multiplier)
+    check_options(T=T, gamma=gamma, lambda_trunc=lambda_trunc, c_t=c_t)
     if not (1.0 < space.p < 2.0):
         raise ValueError("shuffled_truncated_md requires 1 < p < 2")
     n, d = data.n, data.d
@@ -278,7 +265,7 @@ def shuffled_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=No
     threshold = beta * M + lambda_trunc
 
     calib = shuffle_calibrate(n, budget, threshold, kappa)
-    if not calib.valid and not bypass_regime_check:
+    if not calib.valid:
         raise RefusalError(
             f"epsilon={budget.epsilon:.4g} outside the shuffling amplification regime; "
             f"maximum admissible epsilon at n={n} is {calib.max_epsilon:.4g}",
@@ -294,25 +281,25 @@ def shuffled_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=No
     noise = GGNoiseSpec(sigma2=calib.sigma**2, r=space.r_noise, d=d)
 
     def privatize(G):  # one draw per sample, before averaging
-        return (G + noise_multiplier * gg_sample(noise, rng, size=len(G))).mean(axis=0)
+        return (G + gg_sample(noise, rng, size=len(G))).mean(axis=0)
 
     out, info = _truncated_md(
         data.subset(perm), loss, C, space, T, gamma, lambda_trunc, threshold, privatize
     )
     if not C.contains(out, slack=1e-9):
         raise AssertionError("averaged iterate left the constraint set")
-    info.update(sigma=calib.sigma, regime_valid=calib.valid)
+    info["sigma"] = calib.sigma
     return out, info
 
 
 def batched_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=None,
-                         lambda_trunc=None, c_t=1.0, noise_multiplier=1.0):
+                         lambda_trunc=None, c_t=1.0):
     """Truncated batched mirror descent without shuffling (any 0 < eps < 1).
 
     Disjoint batches compose in parallel, so each step adds a single
     generalized Gaussian draw calibrated to the batch-mean sensitivity.
     """
-    check_options(T=T, gamma=gamma, lambda_trunc=lambda_trunc, c_t=c_t, noise_multiplier=noise_multiplier)
+    check_options(T=T, gamma=gamma, lambda_trunc=lambda_trunc, c_t=c_t)
     if not (1.0 < space.p < 2.0):
         raise ValueError("batched_truncated_md requires 1 < p < 2")
     n, d = data.n, data.d
@@ -340,14 +327,14 @@ def batched_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=Non
     noise = GGNoiseSpec(sigma2=sigma2, r=space.r_noise, d=d)
 
     def privatize(G):  # one draw per batch mean
-        return G.mean(axis=0) + noise_multiplier * gg_sample(noise, rng)
+        return G.mean(axis=0) + gg_sample(noise, rng)
 
     out, info = _truncated_md(data, loss, C, space, T, gamma, lambda_trunc, threshold, privatize)
     info["sigma2_step"] = sigma2
     return out, info
 
 
-def lipschitz_high_p(data, loss, budget, rng, *, eta=None, noise_multiplier=1.0):
+def lipschitz_high_p(data, loss, budget, rng, *, eta=None):
     """Lipschitz DP-SCO for 2 <= p <= inf via the Euclidean phased solver.
 
     For p >= 2 the dual exponent is <= 2, so the declared constants are
@@ -359,8 +346,6 @@ def lipschitz_high_p(data, loss, budget, rng, *, eta=None, noise_multiplier=1.0)
         raise ValueError("lipschitz_high_p requires 2 <= p <= inf")
     d = data.d
     conversion = d**0.5 if p == math.inf else d ** (0.5 - 1.0 / p)
-    w, info = phased_dp_sgd(
-        data, loss, budget, rng, eta=eta, noise_multiplier=noise_multiplier
-    )
+    w, info = phased_dp_sgd(data, loss, budget, rng, eta=eta)
     info["diameter_conversion"] = conversion
     return w, info

@@ -22,7 +22,6 @@ _RANGES = {
     "eta": _POSITIVE,
     "lambda_trunc": _POSITIVE,
     "c_t": _POSITIVE,
-    "noise_multiplier": (_number(lambda v: v >= 0), ">= 0"),
     "epsilon": _POSITIVE,
     "delta": (_number(lambda v: 0 < v < 1), "in (0, 1)"),
     "policy": (lambda v: isinstance(v, str) and v in ("auto", "oracle", "mc"), "one of auto, oracle, mc"),

@@ -8,14 +8,7 @@ from .constraints import (
     project_l1_ball,
     project_lp_ball,
 )
-from .distributions import (
-    BallCloud,
-    Dataset,
-    HeavyTailLinear,
-    LogisticSphere,
-    dataset_from_csv,
-    dataset_to_csv,
-)
+from .distributions import BallCloud, Dataset, HeavyTailLinear, LogisticSphere
 from .losses import LogisticLoss, LossModel, MeanPointLoss, PseudoHuberLoss
 from .risk import (
     chi_mean,
@@ -38,8 +31,6 @@ __all__ = [
     "BallCloud",
     "LogisticSphere",
     "HeavyTailLinear",
-    "dataset_to_csv",
-    "dataset_from_csv",
     "LossModel",
     "LogisticLoss",
     "MeanPointLoss",

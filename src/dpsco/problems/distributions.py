@@ -20,8 +20,6 @@ from ..mechanisms import sample_lr_sphere
 
 __all__ = [
     "Dataset",
-    "dataset_to_csv",
-    "dataset_from_csv",
     "BallCloud",
     "LogisticSphere",
     "HeavyTailLinear",
@@ -66,29 +64,6 @@ class Dataset:
 
     def subset(self, idx):
         return Dataset(self.X[idx], None if self.y is None else self.y[idx])
-
-
-def dataset_to_csv(data, path):
-    """Write a dataset as CSV with header x_1..x_d[,y]."""
-    cols = [f"x_{j + 1}" for j in range(data.d)]
-    mat = data.X
-    if data.y is not None:
-        cols.append("y")
-        mat = np.column_stack([data.X, data.y])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in mat:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def dataset_from_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [list(map(float, line.strip().split(","))) for line in fh if line.strip()]
-    mat = np.asarray(rows, dtype=float)
-    if header and header[-1] == "y":
-        return Dataset(mat[:, :-1], mat[:, -1])
-    return Dataset(mat)
 
 
 def _student_t_pdf(r, dof, scale):

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 report.  Tolerances are pinned here, not configurable.
 """
 
+import dataclasses
 import math
 import time
 import warnings
@@ -24,6 +25,7 @@ from dpsco.mechanisms import (
     advanced_composition,
     gg_sample,
 )
+from dpsco import mirror
 from dpsco.mirror import (
     batched_truncated_md,
     noisy_reg_md,
@@ -191,51 +193,47 @@ def _heavy_instance(n=512, d=10, p=1.5, seed=63):
     return space, data, loss, LpBall(p, 1.0, d)
 
 
-def test_criterion_06_zero_noise_equivalence():
+def test_criterion_06_zero_noise_equivalence(zero_noise, monkeypatch):
     t0 = time.time()
     huge = PrivacyBudget(1e6, 1e-5)
     gaps = {}
 
     data, loss, C = _logistic_instance()
     w_dp, _ = app_objp(data, loss, C, huge, np.random.default_rng(1), alpha_opt=1e-10)
-    w_ref, _ = app_objp(
-        data, loss, C, huge, np.random.default_rng(1), alpha_opt=1e-10, noise_multiplier=0.0
-    )
+    w_ref, _ = app_objp(data, loss, C, huge, zero_noise(1), alpha_opt=1e-10)
     gaps["app_objp"] = abs(empirical_risk(w_dp, data, loss) - empirical_risk(w_ref, data, loss))
 
     data, loss, C = _mean_point_instance()
     w_dp, _ = app_objp_sc(data, loss, C, huge, np.random.default_rng(2), alpha_opt=1e-10)
-    w_ref, _ = app_objp_sc(
-        data, loss, C, huge, np.random.default_rng(2), alpha_opt=1e-10, noise_multiplier=0.0
-    )
+    w_ref, _ = app_objp_sc(data, loss, C, huge, zero_noise(2), alpha_opt=1e-10)
     gaps["app_objp_sc"] = abs(empirical_risk(w_dp, data, loss) - empirical_risk(w_ref, data, loss))
 
     w_dp, _ = phased_dp_sgd(data, loss, huge, np.random.default_rng(3))
-    w_ref, _ = phased_dp_sgd(data, loss, huge, np.random.default_rng(3), noise_multiplier=0.0)
+    w_ref, _ = phased_dp_sgd(data, loss, huge, zero_noise(3))
     gaps["phased_dp_sgd"] = abs(
         empirical_risk(w_dp, data, loss) - empirical_risk(w_ref, data, loss)
     )
 
     space, data, loss, C = _heavy_instance()
     w_dp, _ = noisy_reg_md(data, loss, space, huge, np.random.default_rng(4), T=64)
-    w_ref, _ = noisy_reg_md(
-        data, loss, space, huge, np.random.default_rng(4), T=64, noise_multiplier=0.0
-    )
+    w_ref, _ = noisy_reg_md(data, loss, space, huge, zero_noise(4), T=64)
     gaps["noisy_reg_md"] = abs(empirical_risk(w_dp, data, loss) - empirical_risk(w_ref, data, loss))
 
-    opts = dict(T=16, bypass_regime_check=True)
-    w_dp, _ = shuffled_truncated_md(data, loss, C, space, huge, np.random.default_rng(5), **opts)
-    w_ref, _ = shuffled_truncated_md(
-        data, loss, C, space, huge, np.random.default_rng(5), **opts, noise_multiplier=0.0
+    # eps = 1e6 lies far outside the shuffling regime at n = 512, where the
+    # solver refuses; this check of the noise's size alone fakes the gate.
+    real_calibrate = mirror.shuffle_calibrate
+    monkeypatch.setattr(
+        mirror, "shuffle_calibrate", lambda *a: dataclasses.replace(real_calibrate(*a), valid=True)
     )
+    w_dp, _ = shuffled_truncated_md(data, loss, C, space, huge, np.random.default_rng(5), T=16)
+    w_ref, _ = shuffled_truncated_md(data, loss, C, space, huge, zero_noise(5), T=16)
+    monkeypatch.undo()
     gaps["shuffled_truncated_md"] = abs(
         empirical_risk(w_dp, data, loss) - empirical_risk(w_ref, data, loss)
     )
 
     w_dp, _ = batched_truncated_md(data, loss, C, space, huge, np.random.default_rng(6), T=16)
-    w_ref, _ = batched_truncated_md(
-        data, loss, C, space, huge, np.random.default_rng(6), T=16, noise_multiplier=0.0
-    )
+    w_ref, _ = batched_truncated_md(data, loss, C, space, huge, zero_noise(6), T=16)
     gaps["batched_truncated_md"] = abs(
         empirical_risk(w_dp, data, loss) - empirical_risk(w_ref, data, loss)
     )
@@ -401,10 +399,10 @@ def test_criterion_10_truncation_invariant():
         fracs.append(stats_obj.zeroed_fraction)
     assert all(a > b for a, b in zip(fracs, fracs[1:])), fracs
 
-    # shuffled variant under the same invariant
+    # shuffled variant under the same invariant, at an epsilon inside its regime
     _, info = shuffled_truncated_md(
-        data, loss, C, space, budget, np.random.default_rng(12),
-        T=8, lambda_trunc=2.0, bypass_regime_check=True,
+        data, loss, C, space, PrivacyBudget(0.05, 1e-5), np.random.default_rng(12),
+        T=8, lambda_trunc=2.0,
     )
     assert info["truncation"].max_pre_norm > 0
     elapsed = time.time() - t0
@@ -437,11 +435,10 @@ def test_criterion_11_privacy_regime_gating():
         )
 
     data_big = dist.sample(100_000, np.random.default_rng(112))
-    _, info = shuffled_truncated_md(
+    shuffled_truncated_md(
         data_big, loss, C, space,
         PrivacyBudget(0.01, 1e-5), np.random.default_rng(2), T=4,
     )
-    assert info["regime_valid"]
 
     for data, eps in ((data_small, 0.5), (data_big, 0.01)):
         batched_truncated_md(

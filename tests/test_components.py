@@ -105,7 +105,7 @@ MISCONFIGS = {
     "more batches than the smallest n (shuffled)": (
         _tight_md_doc(
             algorithm="shuffled_truncated_md",
-            solver={"T": 20, "lambda_trunc": 1.0, "bypass_regime_check": True},
+            solver={"T": 20, "lambda_trunc": 1.0},
         ),
         "T=20",
     ),
@@ -152,10 +152,18 @@ MISCONFIGS = {
     "zero c_t": (_md_doc(solver={"c_t": 0}), "c_t must be > 0"),
     "negative noise_multiplier": (
         _md_doc(solver={"T": 4, "noise_multiplier": -1}),
-        "noise_multiplier must be >= 0",
+        "unknown key(s) for algorithm 'batched_truncated_md': ['noise_multiplier']",
     ),
-    "zero epsilon": (_base_doc(eps_grid=[0.0]), "epsilon must be > 0"),
-    "negative epsilon": (_base_doc(eps_grid=[1.0, -1.0]), "epsilon must be > 0"),
+    "zero noise_multiplier on app_objp": (
+        _base_doc(algorithm="app_objp", solver={"noise_multiplier": 0}),
+        "unknown key(s) for algorithm 'app_objp': ['noise_multiplier']",
+    ),
+    "bypass_regime_check on shuffled_truncated_md": (
+        _md_doc(algorithm="shuffled_truncated_md", solver={"T": 4, "bypass_regime_check": True}),
+        "unknown key(s) for algorithm 'shuffled_truncated_md': ['bypass_regime_check']",
+    ),
+    "zero epsilon": (_base_doc(eps_grid=[0.0]), "eps_grid[0]: epsilon must be > 0"),
+    "negative epsilon": (_base_doc(eps_grid=[1.0, -1.0]), "eps_grid[1]: epsilon must be > 0"),
     "delta given as a string": (_base_doc(delta="1e-5"), "delta must be in (0, 1)"),
     **{
         f"m_eval {m!r}": (_base_doc(evaluation={"policy": "mc", "m_eval": m}), "m_eval must be an integer >= 2")
@@ -199,6 +207,13 @@ def test_runner_binds_every_algorithm_to_its_solver(name):
     assert solver.__name__ == name
     params = inspect.signature(solver).parameters.values()
     assert set(ALGORITHMS[name].keys) == {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+
+
+def test_solver_keys_are_the_schedule_options():
+    # No solver option scales or skips a noise draw or lifts a privacy
+    # precondition; a new key must be added here on purpose.
+    keys = set().union(*(entry.keys for entry in ALGORITHMS.values()))
+    assert keys == {"T", "alpha_opt", "lambda_reg", "alpha_reg", "gamma", "eta", "lambda_trunc", "c_t"}
 
 
 def test_signature_flags_match_the_solver_families():

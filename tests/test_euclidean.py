@@ -216,11 +216,9 @@ class TestAppObjP:
         expected = x0 / (1.0 + 2.0 * info["lam"])
         assert np.linalg.norm(w - expected) <= 1e-3
 
-    def test_matches_direct_solver_at_tiny_alpha(self):
+    def test_matches_direct_solver_at_tiny_alpha(self, zero_noise):
         data, loss, C, _ = _mean_point_setup()
-        w, info = app_objp(
-            data, loss, C, HUGE_EPS, np.random.default_rng(3), alpha_opt=1e-10, noise_multiplier=0.0
-        )
+        w, info = app_objp(data, loss, C, HUGE_EPS, zero_noise(3), alpha_opt=1e-10)
         lam = info["lam"]
         direct = data.X.mean(axis=0) / (1.0 + 2.0 * lam)
         direct = C.project(direct)
@@ -303,7 +301,7 @@ class TestOptionRanges:
     @pytest.mark.parametrize("solver", [app_objp, app_objp_sc])
     @pytest.mark.parametrize(
         "option, value",
-        [("alpha_opt", 2.0), ("alpha_opt", 0.0), ("lambda_reg", -0.5), ("noise_multiplier", -1.0)],
+        [("alpha_opt", 2.0), ("alpha_opt", 0.0), ("lambda_reg", -0.5)],
     )
     def test_out_of_range_option_raises(self, solver, option, value):
         data, loss, C, _ = _mean_point_setup()
@@ -315,8 +313,6 @@ class TestOptionRanges:
         data, loss, _, _ = _mean_point_setup()
         with pytest.raises(ValueError, match="eta must be > 0"):
             solver(data, loss, PrivacyBudget(1.0, 1e-5), np.random.default_rng(0), eta=-1.0)
-        with pytest.raises(ValueError, match="noise_multiplier must be >= 0"):
-            solver(data, loss, PrivacyBudget(1.0, 1e-5), np.random.default_rng(0), noise_multiplier=-1)
 
     def test_zero_ridge_runs_on_the_loss_curvature_alone(self):
         # lambda_reg = 0 is in range: app_objp_sc runs on Delta, and app_objp,
@@ -345,7 +341,7 @@ class TestPhasedSGD:
         assert sig[1] / sig[0] == pytest.approx(0.25)
         assert sig[2] / sig[1] == pytest.approx(0.25)
 
-    def test_zero_noise_matches_reference_one_pass(self):
+    def test_zero_noise_matches_reference_one_pass(self, zero_noise):
         # 1-D quadratic: matched-seed run with the noise turned off must
         # land within O(1/sqrt(n)) of the population minimizer.
         rng = np.random.default_rng(13)
@@ -353,9 +349,7 @@ class TestPhasedSGD:
         data = dist.sample(512, rng)
         loss = MeanPointLoss(domain_radius=1.0, constraint_radius=1.0)
         w, _ = phased_dp_sgd(data, loss, HUGE_EPS, np.random.default_rng(0))
-        ref, _ = phased_dp_sgd(
-            data, loss, HUGE_EPS, np.random.default_rng(0), noise_multiplier=0.0
-        )
+        ref, _ = phased_dp_sgd(data, loss, HUGE_EPS, zero_noise(0))
         assert abs(w[0] - ref[0]) <= 1e-3
         assert abs(ref[0] - 0.5) <= 3.0 / math.sqrt(512)
 

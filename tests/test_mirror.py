@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from dpsco.bench.components import ALGORITHMS
 from dpsco.errors import RefusalError
 from dpsco.mechanisms import PrivacyBudget
 from dpsco.mirror import (
@@ -13,11 +14,10 @@ from dpsco.mirror import (
     lipschitz_high_p,
     mirror_step_constrained,
     noisy_reg_md,
-    regularized_md_step_residual,
     shuffled_truncated_md,
     truncate_gradients,
 )
-from dpsco.euclidean import phased_dp_sgd
+from dpsco.euclidean import app_objp, app_objp_sc, phased_dp_sgd
 from dpsco.problems import (
     Dataset,
     HeavyTailLinear,
@@ -75,15 +75,24 @@ class TestWeightedAverage:
         assert wsum == pytest.approx(1.0, rel=1e-12)
 
 
+def _regularized_md_step_residual(w_next, w_prev, grad_with_noise, beta, alpha, space):
+    """Norm of the regularized subproblem's first-order condition at w_next."""
+    res = (
+        grad_with_noise
+        + beta * (grad_phi(w_next, space) - grad_phi(w_prev, space))
+        + alpha * grad_phi(w_next, space)
+    )
+    return float(np.linalg.norm(res))
+
+
 class TestNoisyRegMD:
-    def test_zero_noise_tracks_regularized_minimizer(self):
+    def test_zero_noise_tracks_regularized_minimizer(self, zero_noise):
         d = 1
         space = SpaceSpec(1.5, d)
         c = 0.8
-        rng = np.random.default_rng(1)
         data = Dataset(np.full((256, 1), c))
         loss = QuadLoss(1.5)
-        w, info = noisy_reg_md(data, loss, space, HUGE_EPS, rng, T=60, noise_multiplier=0.0)
+        w, info = noisy_reg_md(data, loss, space, HUGE_EPS, zero_noise(1), T=60)
         alpha = info["alpha_reg"]
         # direct minimizer of 0.5 (w-c)^2 + alpha * (kappa/2) w^2 in 1-D
         direct = c / (1.0 + alpha * space.kappa)
@@ -103,7 +112,7 @@ class TestNoisyRegMD:
         w_next = inv_grad_phi(
             (beta * grad_phi(w, space) - g) / (beta + alpha), space
         )
-        assert regularized_md_step_residual(w_next, w, g, beta, alpha, space) <= 1e-8
+        assert _regularized_md_step_residual(w_next, w, g, beta, alpha, space) <= 1e-8
 
     def test_output_weight_ratio(self):
         beta, alpha = 1.0, 0.3
@@ -272,27 +281,26 @@ class TestShuffledTruncatedMD:
         w, info = shuffled_truncated_md(
             data, loss, C, space, PrivacyBudget(0.01, 1e-5), np.random.default_rng(1), T=4
         )
-        assert info["regime_valid"]
+        assert info["sigma"] > 0
         assert C.gauge(w) <= 1 + 1e-9
 
     def test_truncation_invariant_and_feasibility(self):
         space, _, data, loss, C = _heavy_setup(n=1024, huber_delta=8.0)
         w, info = shuffled_truncated_md(
             data, loss, C, space, PrivacyBudget(0.05, 1e-5), np.random.default_rng(2),
-            T=8, lambda_trunc=2.0, bypass_regime_check=True,
+            T=8, lambda_trunc=2.0,
         )
         stats = info["truncation"]
         assert stats.total == 1024
         assert 0 < stats.zeroed < stats.total
         assert C.gauge(w) <= 1 + 1e-9
 
-    def test_zero_noise_matches_plain_batched_reference(self):
+    def test_zero_noise_matches_plain_batched_reference(self, zero_noise):
         space, _, data, loss, C = _heavy_setup(n=256, d=4)
         T, lam = 8, 1e9
         seed = 33
         w, info = shuffled_truncated_md(
-            data, loss, C, space, HUGE_EPS, np.random.default_rng(seed),
-            T=T, lambda_trunc=lam, noise_multiplier=0.0, bypass_regime_check=True,
+            data, loss, C, space, PrivacyBudget(0.25, 1e-5), zero_noise(seed), T=T, lambda_trunc=lam
         )
 
         # independent plain one-pass batched mirror descent, matched shuffle
@@ -341,27 +349,24 @@ class TestBatchedTruncatedMD:
         # batch size halves => sigma doubles
         assert math.sqrt(info2["sigma2_step"] / info1["sigma2_step"]) == pytest.approx(2.0)
 
-    def test_truncation_monotone_in_lambda(self):
+    def test_truncation_monotone_in_lambda(self, zero_noise):
         space, _, data, loss, C = _heavy_setup(n=2048, huber_delta=20.0, t_scale=3.0)
         fracs = []
         for lam in (1.0, 2.0, 4.0, 8.0):
             _, info = batched_truncated_md(
-                data, loss, C, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(5),
-                T=8, lambda_trunc=lam, noise_multiplier=0.0,
+                data, loss, C, space, PrivacyBudget(0.5, 1e-5), zero_noise(5), T=8, lambda_trunc=lam
             )
             fracs.append(info["truncation"].zeroed_fraction)
         assert all(a > b for a, b in zip(fracs, fracs[1:]))
 
-    def test_single_batch_coincides_with_shuffled(self):
+    def test_single_batch_coincides_with_shuffled(self, zero_noise):
         # T = 1: one batch covers the whole dataset, so the shuffle cannot
         # matter; with the noise off both variants produce the same point.
         space, _, data, loss, C = _heavy_setup(n=128, d=4)
-        opts = dict(T=1, lambda_trunc=5.0, noise_multiplier=0.0)
-        b = PrivacyBudget(0.5, 1e-5)
-        w1, _ = batched_truncated_md(data, loss, C, space, b, np.random.default_rng(6), **opts)
-        w2, _ = shuffled_truncated_md(
-            data, loss, C, space, b, np.random.default_rng(7), **opts, bypass_regime_check=True
-        )
+        opts = dict(T=1, lambda_trunc=5.0)
+        b = PrivacyBudget(0.25, 1e-5)  # in the shuffling regime at n = 128
+        w1, _ = batched_truncated_md(data, loss, C, space, b, zero_noise(6), **opts)
+        w2, _ = shuffled_truncated_md(data, loss, C, space, b, zero_noise(7), **opts)
         np.testing.assert_allclose(w1, w2, atol=1e-12)
 
     def test_t_clamped_to_n(self):
@@ -380,12 +385,10 @@ class TestTruncatedSolverInfo:
     def test_info_keys(self):
         space, _, data, loss, C = _heavy_setup(n=128, d=4)
         opts = dict(T=4, lambda_trunc=2.0)
-        b = PrivacyBudget(0.5, 1e-5)
-        _, shuffled = shuffled_truncated_md(
-            data, loss, C, space, b, np.random.default_rng(0), **opts, bypass_regime_check=True
-        )
+        b = PrivacyBudget(0.25, 1e-5)
+        _, shuffled = shuffled_truncated_md(data, loss, C, space, b, np.random.default_rng(0), **opts)
         _, batched = batched_truncated_md(data, loss, C, space, b, np.random.default_rng(0), **opts)
-        assert set(shuffled) == SHARED_INFO | {"sigma", "regime_valid"}
+        assert set(shuffled) == SHARED_INFO | {"sigma"}
         assert set(batched) == SHARED_INFO | {"sigma2_step"}
         for info in (shuffled, batched):
             assert isinstance(info["truncation"], TruncationStats)
@@ -394,17 +397,17 @@ class TestTruncatedSolverInfo:
     @pytest.mark.parametrize("solve", [shuffled_truncated_md, batched_truncated_md])
     def test_more_batches_than_rows_refused(self, solve):
         space, _, data, loss, C = _heavy_setup(n=16, d=4)
-        own = {"bypass_regime_check": True} if solve is shuffled_truncated_md else {}
         with pytest.raises(ValueError, match="need n >= T"):
             solve(
                 data, loss, C, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0),
-                T=17, lambda_trunc=2.0, **own,
+                T=17, lambda_trunc=2.0,
             )
 
 
 class TestSolverOptions:
     # Options another solver reads; before they were keyword arguments, a
-    # shared config object dropped them without a word.
+    # shared config object dropped them without a word.  No solver takes an
+    # option that scales its noise or lifts the shuffling regime gate.
     @pytest.mark.parametrize(
         "solve, option",
         [
@@ -412,14 +415,20 @@ class TestSolverOptions:
             (batched_truncated_md, "bypass_regime_check"),
             (noisy_reg_md, "gamma"),
             (noisy_reg_md, "lambda_trunc"),
+            (shuffled_truncated_md, "bypass_regime_check"),
+            *((solve, "noise_multiplier") for solve in (
+                app_objp, app_objp_sc, phased_dp_sgd, lipschitz_high_p,
+                noisy_reg_md, shuffled_truncated_md, batched_truncated_md,
+            )),
         ],
     )
     def test_option_the_solver_does_not_read_raises(self, solve, option):
         space, _, data, loss, C = _heavy_setup(n=64, d=4)
-        sets = () if solve is noisy_reg_md else (C,)
         with pytest.raises(TypeError, match=option):
-            solve(data, loss, *sets, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0),
-                  T=4, **{option: 1.0})
+            ALGORITHMS[solve.__name__].run(
+                solve, data, loss, C, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0),
+                **{option: 1.0},
+            )
 
     @pytest.mark.parametrize(
         "solve, option, value",
@@ -433,8 +442,6 @@ class TestSolverOptions:
             (shuffled_truncated_md, "lambda_trunc", 0.0),
             (noisy_reg_md, "c_t", 0.0),
             (batched_truncated_md, "c_t", -1.0),
-            (batched_truncated_md, "noise_multiplier", -1.0),
-            (noisy_reg_md, "noise_multiplier", -1.0),
         ],
     )
     def test_out_of_range_option_raises(self, solve, option, value):
@@ -463,14 +470,12 @@ class TestHighP:
         _, info = lipschitz_high_p(data, loss, PrivacyBudget(1.0, 1e-5), np.random.default_rng(13))
         assert info["diameter_conversion"] == pytest.approx(2.0)
 
-    def test_zero_noise_matches_reference(self):
+    def test_zero_noise_matches_reference(self, zero_noise):
         rng = np.random.default_rng(14)
         data = Dataset(rng.standard_normal((256, 2)) * 0.3)
         loss = QuadLoss(3.0)
         w, _ = lipschitz_high_p(data, loss, HUGE_EPS, np.random.default_rng(15))
-        ref, _ = lipschitz_high_p(
-            data, loss, HUGE_EPS, np.random.default_rng(15), noise_multiplier=0.0
-        )
+        ref, _ = lipschitz_high_p(data, loss, HUGE_EPS, zero_noise(15))
         assert np.linalg.norm(w - ref) <= 1e-3
 
     def test_rejects_low_p(self):

@@ -20,8 +20,6 @@ from dpsco.problems import (
     MeanPointLoss,
     PseudoHuberLoss,
     chi_mean,
-    dataset_from_csv,
-    dataset_to_csv,
     empirical_grad,
     empirical_risk,
     excess_population_risk,
@@ -239,23 +237,6 @@ class TestNumpyReplacements:
 
 
 class TestDatasetCsv:
-    def test_roundtrip_with_labels(self, tmp_path):
-        rng = np.random.default_rng(5)
-        data = Dataset(rng.standard_normal((7, 3)), rng.standard_normal(7))
-        path = tmp_path / "data.csv"
-        dataset_to_csv(data, path)
-        back = dataset_from_csv(path)
-        np.testing.assert_array_equal(back.X, data.X)
-        np.testing.assert_array_equal(back.y, data.y)
-
-    def test_roundtrip_unlabeled(self, tmp_path):
-        data = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        path = tmp_path / "data.csv"
-        dataset_to_csv(data, path)
-        back = dataset_from_csv(path)
-        np.testing.assert_array_equal(back.X, data.X)
-        assert back.y is None
-
     def test_deterministic_generation(self):
         dist = BallCloud(np.zeros(3))
         a = dist.sample(10, np.random.default_rng(42))
