@@ -11,7 +11,6 @@ refusals are recorded, not fatal.
 import functools
 import hashlib
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -83,6 +82,9 @@ def run_experiment(cfg):
     ]
     if cfg.parallelism <= 1:
         return [run_cell(cfg, *cell) for cell in cells]
+    # Imported here, so that serial runs never load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
         return list(pool.map(
             functools.partial(run_cell, cfg), *zip(*cells),

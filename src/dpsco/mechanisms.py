@@ -92,14 +92,6 @@ def gg_calibrate(sensitivity_star, kappa, budget):
     )
 
 
-def _gamma_small_shape(shape, size, rng):
-    # Gamma(a) for a < 1 via the boost trick: Gamma(a+1) * U^(1/a).
-    # Avoids the rejection sampler's bad acceptance rate at small shapes.
-    g = rng.gamma(shape + 1.0, size=size)
-    u = rng.uniform(size=size)
-    return g * u ** (1.0 / shape)
-
-
 def sample_lr_sphere(d, r, rng, size=None):
     """Directions from the cone measure of the unit l_r sphere.
 
@@ -107,15 +99,35 @@ def sample_lr_sphere(d, r, rng, size=None):
     uniform signs; the normalized u/||u||_r follows the cone measure, which
     is the exact directional law of any density depending on z only through
     ||z||_r.
+
+    For a = 1/r < 1 the gamma rejection sampler accepts poorly, so the
+    boost identity Gamma(a) = Gamma(a+1) * U^(1/a) is used; raised to the
+    power a it reads Gamma(a)^(1/r) = Gamma(a+1)^a * U with U ~ U(0, 1),
+    one power per entry.  The draw order (gammas, then uniforms, then signs)
+    is part of the output: every later draw on ``rng`` depends on it.
+
+    The result is built in place in one (size, d) buffer, with at most one
+    other (size, d) array alive at a time.
     """
     shape = (d,) if size is None else (size, d)
     a = 1.0 / r
-    g = _gamma_small_shape(a, shape, rng) if a < 1.0 else rng.gamma(a, size=shape)
-    signs = rng.integers(0, 2, size=shape) * 2 - 1
-    u = signs * g ** (1.0 / r)
-    nrm = (np.abs(u) ** r).sum(axis=-1, keepdims=True) ** (1.0 / r)
-    nrm = np.where(nrm > 0, nrm, 1.0)
-    return u / nrm
+    boost = a < 1.0
+    u = rng.standard_gamma(a + 1.0 if boost else a, size=shape)
+    np.power(u, a, out=u)
+    if boost:
+        u *= rng.random(shape)
+    signs = rng.integers(0, 2, size=shape)
+    signs *= 2
+    signs -= 1
+    u *= signs
+    del signs  # frees the second buffer before the norm takes one
+    nrm = np.abs(u)
+    np.power(nrm, r, out=nrm)
+    nrm = nrm.sum(axis=-1, keepdims=True)
+    np.power(nrm, a, out=nrm)
+    nrm[nrm == 0] = 1.0
+    u /= nrm
+    return u
 
 
 def gg_sample(spec, rng, size=None):
@@ -127,11 +139,11 @@ def gg_sample(spec, rng, size=None):
     """
     sigma = math.sqrt(spec.sigma2)
     theta = sample_lr_sphere(spec.d, spec.r, rng, size=size)
-    rshape = None if size is None else (size, 1)
-    radius = sigma * np.sqrt(rng.chisquare(spec.d, size=None if size is None else size))
+    radius = sigma * np.sqrt(rng.chisquare(spec.d, size=size))
     if size is not None:
-        radius = radius.reshape(rshape)
-    return radius * theta
+        radius = radius.reshape(size, 1)
+    theta *= radius
+    return theta
 
 
 def advanced_composition(target, T):

@@ -81,8 +81,10 @@ def _student_t_pdf(r, dof, scale):
 def _uniform_ball(d, rng, size, exponent=2.0):
     # Uniform in the unit l_exponent ball: cone direction scaled by U^(1/d).
     theta = sample_lr_sphere(d, exponent, rng, size=size)
-    u = rng.uniform(size=(size, 1)) ** (1.0 / d)
-    return theta * u
+    u = rng.uniform(size=(size, 1))
+    u **= 1.0 / d
+    theta *= u
+    return theta
 
 
 class BallCloud:
@@ -101,8 +103,10 @@ class BallCloud:
         self.d = self.mu.size
 
     def sample(self, n, rng):
-        U = _uniform_ball(self.d, rng, n)
-        return Dataset(self.mu[None, :] + self.spread * U)
+        X = _uniform_ball(self.d, rng, n)
+        X *= self.spread
+        X += self.mu
+        return Dataset(X)
 
     @property
     def true_minimizer(self):
@@ -141,7 +145,8 @@ class LogisticSphere:
         self.d = self.w_star.size
 
     def sample(self, n, rng):
-        Z = self.radius * sample_lr_sphere(self.d, self.sphere_exponent, rng, size=n)
+        Z = sample_lr_sphere(self.d, self.sphere_exponent, rng, size=n)
+        Z *= self.radius
         probs = 1.0 / (1.0 + np.exp(-(Z @ self.w_star)))
         y = np.where(rng.uniform(size=n) < probs, 1.0, -1.0)
         return Dataset(Z, y)

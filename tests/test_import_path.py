@@ -1,4 +1,7 @@
-"""The package, its runner and the shipped grid cells need numpy only."""
+"""The package, its runner and the shipped grid cells need numpy only.
+
+A serial grid also never loads the process pool or ``multiprocessing``.
+"""
 
 import json
 import subprocess
@@ -15,11 +18,14 @@ _CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import dpsco, dpsco.bench, dpsco.bench.cli, dpsco.euclidean, dpsco.mirror
-from dpsco.bench import ExperimentConfig, run_cell
+from dpsco.bench import ExperimentConfig, run_experiment
 for doc in json.loads(sys.argv[2]):
-    record = run_cell(ExperimentConfig.from_dict(doc), 0, 0, 0)
+    one_cell = {**doc, "n_grid": doc["n_grid"][:1], "eps_grid": doc["eps_grid"][:1], "trials": 1,
+                "parallelism": 1}
+    [record] = run_experiment(ExperimentConfig.from_dict(one_cell))
     assert not record.refused and record.excess_risk is not None, record
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "multiprocessing")
+                        or m == "concurrent.futures.process")))
 """
 
 

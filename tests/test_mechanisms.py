@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from dpsco.mechanisms import (
     gaussian_noise_sigma2,
     gg_calibrate,
     gg_sample,
+    sample_lr_sphere,
     shuffle_calibrate,
 )
+from dpsco.problems import BallCloud, HeavyTailLinear, LogisticSphere
 from dpsco.spaces import lp_norm
 
 
@@ -176,3 +179,56 @@ class TestGGSampler:
         rng = np.random.default_rng(1)
         z = gg_sample(GGNoiseSpec(1.0, 2.5, 7), rng)
         assert z.shape == (7,)
+
+
+def _reference_lr_sphere(d, r, rng, size=None):
+    """The sampler as first written: two powers and a full-size temporary per step."""
+    shape = (d,) if size is None else (size, d)
+    a = 1.0 / r
+    if a < 1.0:
+        g = rng.gamma(a + 1.0, size=shape)
+        g = g * rng.uniform(size=shape) ** (1.0 / a)
+    else:
+        g = rng.gamma(a, size=shape)
+    signs = rng.integers(0, 2, size=shape) * 2 - 1
+    u = signs * g ** (1.0 / r)
+    nrm = (np.abs(u) ** r).sum(axis=-1, keepdims=True) ** (1.0 / r)
+    return u / np.where(nrm > 0, nrm, 1.0)
+
+
+class TestLrSphereSampler:
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 2.25, 3.0])
+    @pytest.mark.parametrize("size", [None, 7])
+    def test_same_draws_as_the_reference_formula(self, r, size):
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = sample_lr_sphere(6, r, rng, size=size)
+        want = _reference_lr_sphere(6, r, ref_rng, size=size)
+        assert got.shape == want.shape == ((6,) if size is None else (size, 6))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # The generator is left in the same state, so every later draw is unchanged.
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+    def test_rows_are_unit_vectors(self, r):
+        u = sample_lr_sphere(5, r, np.random.default_rng(2), size=100)
+        np.testing.assert_allclose(lp_norm(u, r, axis=-1), 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            LogisticSphere(np.full(20, 0.04)).sample,
+            HeavyTailLinear(np.full(20, 0.04), sphere_exponent=2.25).sample,
+            BallCloud(np.zeros(20)).sample,
+            lambda m, rng: gg_sample(GGNoiseSpec(1.0, 2.25, 20), rng, size=m),
+        ],
+        ids=["logistic_sphere", "heavy_tail_linear", "ball_cloud", "gg_sample"],
+    )
+    def test_a_sample_holds_at_most_two_full_size_buffers(self, sample):
+        m, d = 50_000, 20
+        tracemalloc.start()
+        try:
+            sample(m, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * m * d * 8, peak / (m * d * 8)
