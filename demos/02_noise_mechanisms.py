@@ -4,7 +4,10 @@ The generalized Gaussian has Lebesgue density proportional to
 exp(-||z||_r^2 / (2 sigma^2)).  It is sampled exactly by a radius-direction
 decomposition: the radius ||z||_r is sigma * chi_d and the direction follows
 the cone measure of the l_r unit sphere.  This script verifies both facts
-empirically and prints the calibration tables the solvers use.
+empirically and prints the values of the calibration formulas in
+``dpsco.mechanisms``.  Of these only the shuffling calibration is called by
+a solver (the shuffled mirror-descent solver); the others write their noise
+scales inline.
 """
 
 
@@ -45,6 +48,6 @@ print(f"advanced composition, T=8: eps'={eps_step:.6f}, delta'={delta_step:.2e}"
 
 cal = shuffle_calibrate(10_000, PrivacyBudget(0.01, 1e-5), 1.0, 2.0)
 print(
-    f"shuffling amplification at n=10^4, eps=0.01: sigma={cal.sigma:.3f}, "
-    f"valid={cal.valid} (regime ceiling eps <= {cal.max_epsilon:.4f})"
+    f"shuffling amplification at n=10^4, eps=0.01: sigma={cal.sigma:.3f} "
+    f"(regime ceiling eps <= {cal.max_epsilon:.4f}; above it the calibration refuses)"
 )

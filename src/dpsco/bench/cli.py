@@ -89,7 +89,7 @@ def _cmd_mech_check(args):
         cal = shuffle_calibrate(10_000, PrivacyBudget(0.01, 1e-5), 1.0, 2.0)
         print(
             f"shuffle example: n=10000 eps=0.01 -> sigma={cal.sigma:.4f} "
-            f"valid={cal.valid} (max eps {cal.max_epsilon:.4f})"
+            f"(regime ceiling eps <= {cal.max_epsilon:.4f})"
         )
     else:  # gg
         d, r, sig2 = args.d, (args.p or 3.0), 1.0

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RefusalError
+from .errors import NumericError, RefusalError
 from .options import check_options
 from .problems.risk import empirical_grad, empirical_risk, gaussian_width_mc
 
@@ -151,13 +151,14 @@ def _perturbed_objective(data, loss, G, lam):
 
 
 def _solve_with_surrogate(obj, C, alpha, start, release_bound):
-    """V-FISTA to the certified count, then continue and assert the bound.
+    """V-FISTA to the certified count, then continue and check the bound.
 
     theta2 is iterate K of the trajectory from ``start``.  The surrogate is
     iterate K_s of the same trajectory, momentum included, where K_s is the
     count certifying alpha/100; the certificate holds at every iterate, so
     ||theta2 - surrogate|| <= sqrt(2 alpha / lam) + sqrt(2 (alpha/100) / lam)
-    must hold whenever the certificates do.  ``info`` records K as
+    must hold whenever the certificates do; a larger distance raises
+    NumericError with the distance as ``residual``.  ``info`` records K as
     ``inner_iters``, K_s - K as ``surrogate_iters`` and the distance and its
     bound as ``release_distance`` and ``release_bound``.
     """
@@ -169,7 +170,9 @@ def _solve_with_surrogate(obj, C, alpha, start, release_bound):
     dist = float(np.linalg.norm(theta2 - surrogate))
     bound = release_bound * (1.0 + math.sqrt(1.0 / 100.0))
     if dist > bound:
-        raise AssertionError(f"release distance {dist:.3e} exceeds certified bound {bound:.3e}")
+        raise NumericError(
+            f"release distance {dist:.3e} exceeds certified bound {bound:.3e}", residual=dist
+        )
     info = {"inner_iters": k2, "surrogate_iters": extra, "release_distance": dist, "release_bound": bound}
     return theta2, info
 
@@ -249,7 +252,7 @@ def app_objp(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None):
     ``alpha_opt`` in (0, 1] is the inner accuracy (None: the utility-driven
     ceiling, through the estimated Gaussian width of C) and ``lambda_reg``
     >= 0 the ridge (None: the schedule).  The solve goes on to alpha/100
-    and asserts the certified distance between the released and the exact
+    and checks the certified distance between the released and the exact
     minimizer.
     """
     check_options(alpha_opt=alpha_opt, lambda_reg=lambda_reg)

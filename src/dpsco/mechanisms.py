@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RefusalError
 from .options import check_options
 
 __all__ = [
@@ -167,7 +168,6 @@ class ShuffleCalibration:
     """Result of shuffle-amplified noise calibration."""
 
     sigma: float
-    valid: bool
     max_epsilon: float
 
 
@@ -176,18 +176,26 @@ def shuffle_calibrate(n, budget, sensitivity_star, kappa):
 
     sigma = kappa * s * sqrt(ln(1/delta) * ln(n/delta)) / (eps * sqrt(n)).
 
-    The amplification argument only covers the high-privacy regime; the
-    calibration is ``valid`` iff eps <= sqrt(ln(n/delta) / n).
-    Callers must refuse to run when ``valid`` is False.
+    The amplification argument (Feldman, McMillan & Talwar 2021) only covers
+    the high-privacy regime eps <= sqrt(ln(n/delta) / n), returned as
+    ``max_epsilon``; above it the calibration raises RefusalError with that
+    ceiling as ``requirement``, so no caller gets a sigma that holds no
+    guarantee.
     """
     if n < 2:
         raise ValueError("shuffle_calibrate: n must be >= 2")
     log_nd = math.log(n / budget.delta)
+    max_eps = math.sqrt(log_nd / n)
+    if budget.epsilon > max_eps:
+        raise RefusalError(
+            f"epsilon={budget.epsilon:.4g} outside the shuffling amplification regime; "
+            f"maximum admissible epsilon at n={n} is {max_eps:.4g}",
+            requirement=max_eps,
+        )
     sigma = (
         kappa
         * sensitivity_star
         * math.sqrt(math.log(1.0 / budget.delta) * log_nd)
         / (budget.epsilon * math.sqrt(n))
     )
-    max_eps = math.sqrt(log_nd / n)
-    return ShuffleCalibration(sigma=sigma, valid=budget.epsilon <= max_eps, max_epsilon=max_eps)
+    return ShuffleCalibration(sigma=sigma, max_epsilon=max_eps)

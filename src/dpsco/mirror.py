@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, RefusalError
+from .errors import NumericError
 from .euclidean import phased_dp_sgd
 from .mechanisms import GGNoiseSpec, gg_sample, shuffle_calibrate
 from .options import check_options
@@ -218,7 +218,7 @@ def _truncated_md(data, loss, C, space, T, gamma, lam, threshold, privatize):
     remainder in the last batch.  Its per-sample gradients are truncated at
     ``threshold`` and ``privatize`` turns them into the noisy gradient for a
     step with gamma (default sqrt(T)).  Returns the plain average of the
-    iterates and the info fields both solvers report.
+    iterates, which must lie in C, and the info fields both solvers report.
     """
     n = data.n
     b = _batch_size(n, T)
@@ -234,6 +234,8 @@ def _truncated_md(data, loss, C, space, T, gamma, lam, threshold, privatize):
         w, res = mirror_step_constrained(privatize(G), w, gamma, C, space)
         residuals.append(res)
         avg.add(w)
+    if not C.contains(avg.value, slack=1e-9):
+        raise AssertionError("averaged iterate left the constraint set")
     info = {"T": T, "lambda_trunc": lam, "threshold": threshold, "gamma": gamma,
             "truncation": stats, "max_step_residual": max(residuals)}
     return avg.value, info
@@ -245,8 +247,8 @@ def shuffled_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=No
 
     Privacy comes from per-sample generalized Gaussian noise amplified by
     shuffling, which is only valid in the high-privacy regime
-    eps <= sqrt(ln(n/delta)/n); outside it the solver refuses, so every
-    run it returns holds a valid calibration.
+    eps <= sqrt(ln(n/delta)/n); outside it ``shuffle_calibrate`` refuses,
+    so every run the solver returns holds a valid calibration.
     """
     check_options(T=T, gamma=gamma, lambda_trunc=lambda_trunc, c_t=c_t)
     if not (1.0 < space.p < 2.0):
@@ -264,13 +266,7 @@ def shuffled_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=No
         )
     threshold = beta * M + lambda_trunc
 
-    calib = shuffle_calibrate(n, budget, threshold, kappa)
-    if not calib.valid:
-        raise RefusalError(
-            f"epsilon={budget.epsilon:.4g} outside the shuffling amplification regime; "
-            f"maximum admissible epsilon at n={n} is {calib.max_epsilon:.4g}",
-            requirement=calib.max_epsilon,
-        )
+    calib = shuffle_calibrate(n, budget, threshold, kappa)  # refuses outside the regime
 
     if T is None:
         raw = c_t * M**2 * n**2 * budget.epsilon**2 / (lambda_trunc**2 * d * logd)
@@ -286,8 +282,6 @@ def shuffled_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=No
     out, info = _truncated_md(
         data.subset(perm), loss, C, space, T, gamma, lambda_trunc, threshold, privatize
     )
-    if not C.contains(out, slack=1e-9):
-        raise AssertionError("averaged iterate left the constraint set")
     info["sigma"] = calib.sigma
     return out, info
 

@@ -17,7 +17,6 @@ from .risk import (
     excess_population_risk,
     gaussian_width_mc,
     max_abs_gaussian_mean,
-    population_risk,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "PseudoHuberLoss",
     "empirical_risk",
     "empirical_grad",
-    "population_risk",
     "excess_population_risk",
     "gaussian_width_mc",
     "chi_mean",

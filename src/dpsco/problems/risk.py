@@ -23,7 +23,6 @@ from .losses import MeanPointLoss
 __all__ = [
     "empirical_risk",
     "empirical_grad",
-    "population_risk",
     "excess_population_risk",
     "gaussian_width_mc",
     "chi_mean",
@@ -53,23 +52,6 @@ def _closed_form_risk(w, dist, loss):
     return None
 
 
-def population_risk(w, dist, loss, m_eval=100_000, rng=None):
-    """Population risk with its standard error: (value, se).
-
-    Closed form (se = 0) when available, else Monte Carlo over m_eval fresh
-    samples (an integer >= 2).
-    """
-    check_options(m_eval=m_eval)
-    val = _closed_form_risk(w, dist, loss)
-    if val is not None:
-        return float(val), 0.0
-    if rng is None:
-        raise ValueError("population_risk: Monte Carlo evaluation needs an rng")
-    sample = dist.sample(m_eval, rng)
-    vals = loss.values(np.asarray(w, dtype=float), sample.X, sample.y)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(m_eval))
-
-
 def population_minimizer(dist, C, loss):
     """The unconstrained population minimizer w_star, checked against C.
 
@@ -92,12 +74,6 @@ def population_minimizer(dist, C, loss):
     return theta
 
 
-def constrained_population_minimizer(dist, C, loss):
-    """The population minimizer of ``loss`` over C (over R^d when C is None)."""
-    theta = population_minimizer(dist, C, loss)
-    return theta if C is None else C.project(theta)
-
-
 def excess_population_risk(w, dist, loss, C=None, rng=None, *, m_eval=100_000, policy="auto"):
     """Excess population risk against the constrained minimizer: (value, se).
 
@@ -109,7 +85,9 @@ def excess_population_risk(w, dist, loss, C=None, rng=None, *, m_eval=100_000, p
     """
     check_options(m_eval=m_eval, policy=policy)
     w = np.asarray(w, dtype=float)
-    theta_star = constrained_population_minimizer(dist, C, loss)
+    theta_star = population_minimizer(dist, C, loss)
+    if C is not None:
+        theta_star = C.project(theta_star)
     # Looked up under every policy: it is cheap for the candidate (a dot
     # product, or None away from the heavy-tail minimizer), and a profiler
     # wrapping a distribution's population_risk then sees each evaluation.

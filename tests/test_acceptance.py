@@ -220,11 +220,17 @@ def test_criterion_06_zero_noise_equivalence(zero_noise, monkeypatch):
     gaps["noisy_reg_md"] = abs(empirical_risk(w_dp, data, loss) - empirical_risk(w_ref, data, loss))
 
     # eps = 1e6 lies far outside the shuffling regime at n = 512, where the
-    # solver refuses; this check of the noise's size alone fakes the gate.
+    # calibration refuses.  This check of the noise's size alone calibrates
+    # at the regime ceiling and scales sigma by ceiling / eps: sigma is
+    # proportional to 1 / eps.
     real_calibrate = mirror.shuffle_calibrate
-    monkeypatch.setattr(
-        mirror, "shuffle_calibrate", lambda *a: dataclasses.replace(real_calibrate(*a), valid=True)
-    )
+
+    def calibrate_past_the_ceiling(n, budget, sensitivity, kappa):
+        eps_in = math.sqrt(math.log(n / budget.delta) / n)
+        cal = real_calibrate(n, PrivacyBudget(eps_in, budget.delta), sensitivity, kappa)
+        return dataclasses.replace(cal, sigma=cal.sigma * eps_in / budget.epsilon)
+
+    monkeypatch.setattr(mirror, "shuffle_calibrate", calibrate_past_the_ceiling)
     w_dp, _ = shuffled_truncated_md(data, loss, C, space, huge, np.random.default_rng(5), T=16)
     w_ref, _ = shuffled_truncated_md(data, loss, C, space, huge, zero_noise(5), T=16)
     monkeypatch.undo()

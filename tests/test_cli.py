@@ -4,6 +4,7 @@ import pytest
 
 from dpsco.bench.cli import main
 from dpsco.bench.records import read_records
+from test_acceptance import CONVEX_TREND_DOC
 
 
 def _config_doc():
@@ -65,6 +66,20 @@ class TestRunCommand:
         r1, r2 = read_records(out1), read_records(out2)
         assert r1 != r2
         assert all(a.seed != b.seed for a, b in zip(r1, r2))
+
+    def test_release_distance_failure_exit_code(self, tmp_path, capsys):
+        # Features eight times the declared dual bound break the smoothness
+        # the certified inner count assumes, so the release check fails.
+        doc = dict(
+            CONVEX_TREND_DOC, n_grid=[4096], trials=1, parallelism=1,
+            loss={"name": "logistic", "feature_dual_bound": 1.0},
+            distribution={"name": "logistic_sphere", "w_star_norm": 0.8, "feature_radius": 8.0},
+        )
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert "exceeds certified bound" in capsys.readouterr().err
 
 
 class TestSlopeCommand:

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from dpsco.bench import ExperimentConfig
-from dpsco.errors import RefusalError
+from dpsco.errors import NumericError, RefusalError
 from dpsco.euclidean import (
     SmoothObjective,
     _advance,
+    _solve_with_surrogate,
     _v_fista,
     app_objp,
     app_objp_sc,
@@ -166,6 +167,14 @@ def _inner_constants(loss, lam):
 
 _OBJP_INFO = {"lam", "alpha", "sigma1", "sigma2", "width", "inner_iters", "surrogate_iters"}
 _RELEASE_INFO = {"release_distance", "release_bound"}
+
+
+class TestReleaseDistance:
+    def test_distance_past_the_bound_is_a_numeric_error(self):
+        obj = _random_quadratic(np.random.default_rng(3), 5, 100.0)
+        with pytest.raises(NumericError, match="exceeds certified bound 0.000e") as exc:
+            _solve_with_surrogate(obj, L2Ball(1.0, 5), 1e-6, np.zeros(5), release_bound=0.0)
+        assert exc.value.residual > 0.0
 
 
 class TestInnerCounts:

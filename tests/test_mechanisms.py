@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dpsco.errors import RefusalError
 from dpsco.mechanisms import (
     GGNoiseSpec,
     PrivacyBudget,
@@ -135,9 +136,21 @@ class TestShuffleCalibration:
         assert expected == pytest.approx(9.443691567374877)
 
     def test_validity_gate(self):
-        # high-privacy regime only: eps <= sqrt(ln(n/delta)/n)
-        assert not shuffle_calibrate(1000, PrivacyBudget(0.5, 1e-5), 1.0, 2.0).valid
-        assert shuffle_calibrate(100_000, PrivacyBudget(0.01, 1e-5), 1.0, 2.0).valid
+        # high-privacy regime only: eps <= sqrt(ln(n/delta)/n), and the
+        # calibration itself refuses above it, naming the ceiling
+        n, delta = 1000, 1e-5
+        ceiling = math.sqrt(math.log(n / delta) / n)
+        cal = shuffle_calibrate(n, PrivacyBudget(ceiling, delta), 1.0, 2.0)
+        assert cal.max_epsilon == ceiling and cal.sigma > 0.0
+        for eps in (math.nextafter(ceiling, 1.0), 0.5):
+            with pytest.raises(RefusalError) as info:
+                shuffle_calibrate(n, PrivacyBudget(eps, delta), 1.0, 2.0)
+            assert info.value.requirement == ceiling
+            assert str(info.value) == (
+                f"epsilon={eps:.4g} outside the shuffling amplification regime; "
+                f"maximum admissible epsilon at n={n} is {ceiling:.4g}"
+            )
+        assert shuffle_calibrate(100_000, PrivacyBudget(0.01, 1e-5), 1.0, 2.0).sigma > 0.0
 
 
 class TestGGSampler:

@@ -7,6 +7,7 @@ from scipy import optimize
 from dpsco.bench.components import ALGORITHMS
 from dpsco.errors import RefusalError
 from dpsco.mechanisms import PrivacyBudget
+from dpsco import mirror
 from dpsco.mirror import (
     TruncationStats,
     _WeightedAverage,
@@ -393,6 +394,20 @@ class TestTruncatedSolverInfo:
         for info in (shuffled, batched):
             assert isinstance(info["truncation"], TruncationStats)
             assert info["truncation"].total == 128
+
+    @pytest.mark.parametrize("solve", [shuffled_truncated_md, batched_truncated_md])
+    def test_average_outside_the_set_raises(self, solve, monkeypatch):
+        # The shared pass checks its average: a step that leaves C is caught
+        # in either solver.
+        space, _, data, loss, C = _heavy_setup(n=128, d=4)
+        monkeypatch.setattr(
+            mirror, "mirror_step_constrained", lambda g, w, gamma, C, spec: (np.full_like(w, 2.0), 0.0)
+        )
+        with pytest.raises(AssertionError, match="left the constraint set"):
+            solve(
+                data, loss, C, space, PrivacyBudget(0.25, 1e-5), np.random.default_rng(0),
+                T=4, lambda_trunc=2.0,
+            )
 
     @pytest.mark.parametrize("solve", [shuffled_truncated_md, batched_truncated_md])
     def test_more_batches_than_rows_refused(self, solve):

@@ -25,7 +25,6 @@ from dpsco.problems import (
     excess_population_risk,
     gaussian_width_mc,
     max_abs_gaussian_mean,
-    population_risk,
 )
 from dpsco.problems.distributions import _student_t_pdf
 from dpsco.problems.losses import _expit
@@ -247,16 +246,13 @@ class TestDatasetCsv:
 class TestPopulationRisk:
     def test_oracle_at_minimizer(self):
         dist = BallCloud(np.array([0.2, -0.1]), spread=1.0)
-        loss = MeanPointLoss()
-        val, se = population_risk(dist.true_minimizer, dist, loss)
-        assert se == 0.0
-        assert val == pytest.approx(0.5 * dist.trace_cov)
+        assert dist.population_risk(dist.true_minimizer) == pytest.approx(0.5 * dist.trace_cov)
 
     def test_mc_matches_oracle(self):
         dist = BallCloud(np.array([0.2, -0.1, 0.3]), spread=0.7)
         loss = MeanPointLoss()
         w = np.array([0.1, 0.1, 0.1])
-        oracle, _ = population_risk(w, dist, loss)
+        oracle = dist.population_risk(w)
         rng = np.random.default_rng(6)
         sample = dist.sample(100_000, rng)
         vals = loss.values(w, sample.X)
