@@ -26,6 +26,11 @@ __all__ = [
     "shuffle_calibrate",
 ]
 
+# Entries per block of the sampler's passes after the gamma draw: 256 KiB of
+# float64, small against a Monte Carlo sample and large enough to amortise
+# the per-call cost of numpy.
+_BLOCK_ENTRIES = 1 << 15
+
 
 @dataclass(frozen=True)
 class PrivacyBudget:
@@ -107,27 +112,33 @@ def sample_lr_sphere(d, r, rng, size=None):
     one power per entry.  The draw order (gammas, then uniforms, then signs)
     is part of the output: every later draw on ``rng`` depends on it.
 
-    The result is built in place in one (size, d) buffer, with at most one
-    other (size, d) array alive at a time.
+    The result is built in place in the one (size, d) buffer the gammas are
+    drawn into; the uniforms, signs and norms then go over blocks of about
+    ``_BLOCK_ENTRIES`` entries, so no other array of the full size is made.
+    A block-by-block draw takes the same values from ``rng`` as one
+    full-size draw.
     """
-    shape = (d,) if size is None else (size, d)
     a = 1.0 / r
     boost = a < 1.0
-    u = rng.standard_gamma(a + 1.0 if boost else a, size=shape)
+    u = rng.standard_gamma(a + 1.0 if boost else a, size=(d,) if size is None else (size, d))
     np.power(u, a, out=u)
+    rows = u.reshape(-1, d)
+    step = max(1, _BLOCK_ENTRIES // d)
+    blocks = [rows[i : i + step] for i in range(0, len(rows), step)]
     if boost:
-        u *= rng.random(shape)
-    signs = rng.integers(0, 2, size=shape)
-    signs *= 2
-    signs -= 1
-    u *= signs
-    del signs  # frees the second buffer before the norm takes one
-    nrm = np.abs(u)
-    np.power(nrm, r, out=nrm)
-    nrm = nrm.sum(axis=-1, keepdims=True)
-    np.power(nrm, a, out=nrm)
-    nrm[nrm == 0] = 1.0
-    u /= nrm
+        for b in blocks:
+            b *= rng.random(b.shape)
+    for b in blocks:
+        signs = rng.integers(0, 2, size=b.shape)
+        signs *= 2
+        signs -= 1
+        b *= signs
+        nrm = np.abs(b)
+        np.power(nrm, r, out=nrm)
+        nrm = nrm.sum(axis=-1, keepdims=True)
+        np.power(nrm, a, out=nrm)
+        nrm[nrm == 0] = 1.0
+        b /= nrm
     return u
 
 

@@ -11,7 +11,8 @@ Three variants share the machinery here:
   mirror step per batch, and the average of the iterates.  The shuffled
   solver permutes the data and adds per-sample noise amplified by shuffling
   (high-privacy regime only); the batched one adds one draw per batch under
-  parallel composition, valid for any epsilon in (0, 1).
+  parallel composition.  Its analysis is stated for epsilon in (0, 1), and
+  nothing yet refuses epsilon >= 1.
 
 Each solver takes the geometry ``space`` (a ``SpaceSpec``) positionally and
 its options as keyword-only arguments.  ``T``, ``alpha_reg``, ``gamma`` and
@@ -288,10 +289,11 @@ def shuffled_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=No
 
 def batched_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=None,
                          lambda_trunc=None, c_t=1.0):
-    """Truncated batched mirror descent without shuffling (any 0 < eps < 1).
+    """Truncated batched mirror descent without shuffling.
 
     Disjoint batches compose in parallel, so each step adds a single
     generalized Gaussian draw calibrated to the batch-mean sensitivity.
+    The analysis is stated for 0 < eps < 1; nothing yet refuses eps >= 1.
     """
     check_options(T=T, gamma=gamma, lambda_trunc=lambda_trunc, c_t=c_t)
     if not (1.0 < space.p < 2.0):

@@ -26,6 +26,16 @@ __all__ = [
 ]
 
 
+def _all_finite(a):
+    """Whether every entry of the float array ``a`` is finite.
+
+    The minimum and the maximum propagate NaN, so both are finite exactly
+    when every entry is; unlike ``np.isfinite`` this makes no array of a's
+    size.
+    """
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 @dataclass(frozen=True)
 class Dataset:
     """n rows of d-dimensional features with optional labels.
@@ -41,7 +51,7 @@ class Dataset:
         X = np.asarray(self.X, dtype=float)
         if X.ndim != 2 or X.shape[0] < 1:
             raise ValueError("Dataset: X must be (n, d) with n >= 1")
-        if not np.all(np.isfinite(X)):
+        if not _all_finite(X):
             raise ValueError("Dataset: non-finite feature entries")
         X = X.view()
         X.flags.writeable = False
@@ -50,7 +60,7 @@ class Dataset:
             y = np.asarray(self.y, dtype=float)
             if y.shape != (X.shape[0],):
                 raise ValueError("Dataset: y must have shape (n,)")
-            if not np.all(np.isfinite(y)):
+            if not _all_finite(y):
                 raise ValueError("Dataset: non-finite labels")
             object.__setattr__(self, "y", y)
 

@@ -110,7 +110,9 @@ class LogisticLoss(LossModel):
         if y is None:
             raise ValueError("LogisticLoss requires labels")
         margins = y * (X @ w)
-        return np.logaddexp(0.0, -margins)
+        # The formula np.logaddexp(0, -m) evaluates per element, vectorised:
+        # exp never overflows, and m = 0 gives log(2).
+        return np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins)))
 
     def grads(self, w, X, y=None, mean=False):
         if y is None:

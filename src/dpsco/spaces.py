@@ -52,10 +52,14 @@ def lp_norm(v, p, axis=-1):
     if p == 1:
         return a.sum(axis=axis)
     # Scale out the max to keep a**p in range, p = 2 included: the squares of
-    # 1e200 overflow and those of 1e-200 underflow.
+    # 1e200 overflow and those of 1e-200 underflow.  Both steps run in place
+    # in ``a``, the one full-size temporary; ``**=`` keeps numpy's fast path
+    # (a square) for p = 2.
     m = a.max(axis=axis, keepdims=True)
     safe = np.where(m > 0, m, 1.0)
-    s = ((a / safe) ** p).sum(axis=axis)
+    a /= safe
+    a **= p
+    s = a.sum(axis=axis)
     return np.squeeze(safe, axis=axis) * s ** (1.0 / p)
 
 

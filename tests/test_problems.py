@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -214,6 +215,19 @@ class TestNumpyReplacements:
             out = _expit(np.array([-1e3, 1e3]))
         assert out[0] == 0.0 and out[1] == 1.0
 
+    def test_logistic_values_match_logaddexp(self):
+        # m = 0 and |m| > 709, where exp(|m|) overflows; atol forgives only
+        # the digits a subnormal result does not hold.
+        extremes = [0.0, -709.5, 709.5, -710.0, 710.0, -800.0, 800.0, -1e300, 1e300]
+        m = np.concatenate([np.linspace(-40.0, 40.0, 100_001), extremes])
+        X = m[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = LogisticLoss().values(np.ones(1), X, np.ones(m.size))
+        ref = np.logaddexp(0.0, -m)
+        np.testing.assert_allclose(vals, ref, rtol=1e-15, atol=np.finfo(float).tiny)
+        assert vals[100_001] == math.log(2.0)
+
     @pytest.mark.parametrize("dof", [2.5, 3.0, 12.0])
     @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
     def test_student_t_pdf_matches_scipy(self, dof, scale):
@@ -241,6 +255,20 @@ class TestDatasetCsv:
         a = dist.sample(10, np.random.default_rng(42))
         b = dist.sample(10, np.random.default_rng(42))
         np.testing.assert_array_equal(a.X, b.X)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_features_refused(self, bad):
+        X = np.zeros((4, 3))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite feature entries"):
+            Dataset(X)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_labels_refused(self, bad):
+        y = np.ones(4)
+        y[3] = bad
+        with pytest.raises(ValueError, match="non-finite labels"):
+            Dataset(np.zeros((4, 3)), y)
 
 
 class TestPopulationRisk:
@@ -305,6 +333,17 @@ class TestGaussianWidth:
         e1, _ = gaussian_width_mc(C1, 50_000, np.random.default_rng(8))
         e2, _ = gaussian_width_mc(C2, 50_000, np.random.default_rng(8))
         assert e2 == pytest.approx(2 * e1, rel=1e-12)
+
+    def test_one_batch_and_one_temporary(self):
+        # The Gaussian batch and lp_norm's one full-size temporary.
+        m, d = 20_000, 20
+        tracemalloc.start()
+        try:
+            gaussian_width_mc(L2Ball(1.0, d), m, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * m * d * 8, peak / (m * d * 8)
 
     def test_l1_ball_quadrature_oracle(self):
         d = 100

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -54,6 +55,29 @@ class TestLpNorm:
             tiny = lp_norm(np.full(3, 1e-200), 2)
         np.testing.assert_allclose(big, math.sqrt(20.0) * 1e200, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(tiny, math.sqrt(3.0) * 1e-200, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_one_full_size_temporary(self, p):
+        v = np.random.default_rng(0).standard_normal((20_000, 20))
+        tracemalloc.start()
+        try:
+            lp_norm(v, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * v.nbytes, peak / v.nbytes
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, math.inf])
+    def test_input_is_left_unchanged(self, p):
+        v = np.random.default_rng(1).standard_normal((50, 7))
+        before = v.copy()
+        lp_norm(v, p)
+        np.testing.assert_array_equal(v, before)
+
+    def test_read_only_input(self):
+        v = np.array([[3.0, -4.0], [1e200, 1e200]])
+        v.flags.writeable = False
+        np.testing.assert_allclose(lp_norm(v, 2), [5.0, math.sqrt(2.0) * 1e200], rtol=1e-15)
 
 
 class TestSpaceSpec:
