@@ -19,6 +19,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..euclidean import app_objp, app_objp_sc, phased_dp_sgd
 from ..mirror import batched_truncated_md, lipschitz_high_p, noisy_reg_md, shuffled_truncated_md
+from ..options import check_options
 from ..problems.constraints import L1Ball, L2Ball, LpBall
 from ..problems.distributions import BallCloud, HeavyTailLinear, LogisticSphere
 from ..problems.losses import LogisticLoss, MeanPointLoss, PseudoHuberLoss
@@ -40,7 +41,6 @@ class Distribution(Component):
     """``losses`` are the losses whose population minimizer is the distribution's ``true_minimizer``."""
 
     losses: tuple = ()
-    oracle: bool = False  # closed-form excess risk, so evaluation.policy "oracle" is possible
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,11 @@ class Table(dict):
         return self.select(section.get(self.tag), params), params
 
     def build(self, section, geometry):
-        """The component a section describes; a value its constructor refuses is a ConfigError."""
+        """The component a section describes; a value out of its range (``check_options``)
+        or one its constructor refuses is a ConfigError."""
         entry, params = self.parse(section)
         try:
+            check_options(**params)
             return entry.build(geometry, **params)
         except ValueError as exc:
             raise ConfigError(f"{self.kind} {section[self.tag]!r}: {exc}") from exc
@@ -134,7 +136,6 @@ DISTRIBUTIONS = Table("distribution", {
         lambda g, mu_scale=0.5, **kw: BallCloud(_diagonal(g["d"], mu_scale), **kw),
         ("mu_scale", "spread"),
         losses=("mean_point",),
-        oracle=True,
     ),
     "logistic_sphere": Distribution(
         lambda g, w_star_norm=0.8, feature_radius=1.0, **kw: LogisticSphere(

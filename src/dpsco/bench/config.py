@@ -3,11 +3,12 @@
 Unknown keys anywhere in the document are hard errors: a silently ignored
 typo in a schedule constant would corrupt an experiment, so the parser
 refuses instead.  Component names, their keys, each algorithm's geometry
-and constraint needs, the losses each distribution's population minimizer
-is known for, and whether a distribution allows oracle evaluation come from
-the tables in ``components``.  Values are range-checked by
-``dpsco.options.check_options``, which the code that takes them runs too;
-the ``evaluation`` section is the keyword arguments of
+and constraint needs, and the losses each distribution's population
+minimizer is known for come from the tables in ``components``; whether a
+distribution allows oracle evaluation is asked of the distribution, once.
+Values are range-checked by ``dpsco.options.check_options`` (component
+parameters as their table builds them), which the code that takes them
+runs too; the ``evaluation`` section is the keyword arguments of
 ``excess_population_risk``, whose signature holds its defaults.  A ``T``
 that the smallest n cannot serve is refused as well.  The config builds the
 loss, distribution and constraint set, the geometry's ``SpaceSpec`` and one
@@ -23,7 +24,7 @@ from typing import Optional
 from ..errors import ConfigError
 from ..mechanisms import PrivacyBudget
 from ..options import check_options
-from ..problems.risk import excess_population_risk, population_minimizer
+from ..problems.risk import closed_form_risk, excess_population_risk, population_minimizer
 from ..spaces import SpaceSpec
 from .components import ALGORITHMS, CONSTRAINTS, DISTRIBUTIONS, LOSSES
 
@@ -118,6 +119,7 @@ class ExperimentConfig:
         try:
             check_options(trials=self.trials, parallelism=self.parallelism, base_seed=self.base_seed,
                           delta=self.delta, **self.evaluation)
+            closed_form_risk(dist.true_minimizer, dist, loss, self.evaluation.get("policy"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         budgets = []
@@ -127,11 +129,6 @@ class ExperimentConfig:
             except ValueError as exc:  # delta passed above, so this names the epsilon
                 raise ConfigError(f"eps_grid[{i}]: {exc}") from exc
         self.budgets = tuple(budgets)
-        if self.evaluation.get("policy") == "oracle" and not DISTRIBUTIONS[self.distribution["name"]].oracle:
-            raise ConfigError(
-                f"evaluation.policy 'oracle' but {self.distribution['name']!r} has no "
-                "closed-form excess risk; use 'auto' or 'mc'"
-            )
 
     @classmethod
     def from_dict(cls, doc):

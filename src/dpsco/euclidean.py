@@ -104,6 +104,13 @@ def inner_solve(obj, C, alpha, start):
     return _advance(_v_fista(obj, C, start), inner_iteration_count(obj, C, alpha), None)
 
 
+def _require_l2_constants(loss):
+    # The noise is calibrated to L and beta as l2 constants.  A loss declared
+    # in ||.||_p bounds ||z||_q, q the dual exponent; ||z||_2 <= ||z||_q needs q <= 2.
+    if loss.norm_p < 2.0:
+        raise ValueError(f"a loss declared in norm_p={loss.norm_p} < 2 does not certify l2 constants")
+
+
 def _gaussian_width_estimate(C):
     # Deterministic internal seed: the width only sets the default accuracy
     # ceiling, and a fixed seed keeps solver outputs reproducible.  The
@@ -192,6 +199,7 @@ def _perturb_solve_release(
     C.project(theta2 + H), H ~ N(0, sigma2^2 I) with sigma2^2 proportional to
     alpha / release_curvature.
     """
+    _require_l2_constants(loss)
     n, d = data.n, data.d
     L, beta = loss.lipschitz, loss.smoothness
     r = loss.rank_bound(d)
@@ -307,6 +315,7 @@ def phased_dp_sgd(data, loss, budget, rng, *, eta=None):
     schedule).
     """
     check_options(eta=eta)
+    _require_l2_constants(loss)
     n, d = data.n, data.d
     L, beta = loss.lipschitz, loss.smoothness
     if eta is None:

@@ -334,12 +334,11 @@ def lipschitz_high_p(data, loss, budget, rng, *, eta=None):
     """Lipschitz DP-SCO for 2 <= p <= inf via the Euclidean phased solver.
 
     For p >= 2 the dual exponent is <= 2, so the declared constants are
-    valid Euclidean constants as they stand; only the diameter conversion
-    d^{1/2 - 1/p} is recorded for interpreting the guarantee.
+    valid Euclidean constants as they stand (``phased_dp_sgd`` refuses p < 2);
+    only the diameter conversion d^{1/2 - 1/p} is recorded for interpreting
+    the guarantee.
     """
-    p = getattr(loss, "norm_p", 2.0)
-    if not (2.0 <= p):
-        raise ValueError("lipschitz_high_p requires 2 <= p <= inf")
+    p = loss.norm_p
     d = data.d
     conversion = d**0.5 if p == math.inf else d ** (0.5 - 1.0 / p)
     w, info = phased_dp_sgd(data, loss, budget, rng, eta=eta)

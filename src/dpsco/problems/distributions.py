@@ -5,9 +5,9 @@ feature norms for the Lipschitz losses, an analytic second-moment bound on
 gradient noise for the heavy-tailed generator.  Sampling is deterministic
 given (distribution parameters, seed).
 
-Importing the module loads numpy only.  The one quadrature here, the
-heavy-tailed population risk at the minimizer, imports its integrator when
-it runs.
+Each distribution scores itself: ``population_risk(w, loss)`` is the
+closed-form population risk of ``loss`` at w, or None at every w when there
+is none (only ``BallCloud`` under ``MeanPointLoss`` has one).
 """
 
 import math
@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..mechanisms import sample_lr_sphere
+from .losses import MeanPointLoss
 
 __all__ = [
     "Dataset",
@@ -76,18 +77,6 @@ class Dataset:
         return Dataset(self.X[idx], None if self.y is None else self.y[idx])
 
 
-def _student_t_pdf(r, dof, scale):
-    """Density at r of scale * T with T a Student-t variable of ``dof`` degrees."""
-    z = r / scale
-    log_norm = (
-        math.lgamma((dof + 1.0) / 2.0)
-        - math.lgamma(dof / 2.0)
-        - 0.5 * math.log(dof * math.pi)
-        - math.log(scale)
-    )
-    return math.exp(log_norm - (dof + 1.0) / 2.0 * math.log1p(z * z / dof))
-
-
 def _uniform_ball(d, rng, size, exponent=2.0):
     # Uniform in the unit l_exponent ball: cone direction scaled by U^(1/d).
     theta = sample_lr_sphere(d, exponent, rng, size=size)
@@ -126,7 +115,10 @@ class BallCloud:
     def trace_cov(self):
         return self.spread**2 * self.d / (self.d + 2.0)
 
-    def population_risk(self, w):
+    def population_risk(self, w, loss):
+        """The closed form above under ``MeanPointLoss``; None under any other loss."""
+        if not isinstance(loss, MeanPointLoss):
+            return None
         diff = np.asarray(w, dtype=float) - self.mu
         return 0.5 * float(diff @ diff) + 0.5 * self.trace_cov
 
@@ -164,6 +156,10 @@ class LogisticSphere:
     @property
     def true_minimizer(self):
         return self.w_star.copy()
+
+    def population_risk(self, w, loss):
+        """None: no closed form yet, so the risk is scored by Monte Carlo."""
+        return None
 
     def feature_radius(self, dual_exponent=2.0):
         # Draws have sphere_exponent-norm equal to radius; convert to the
@@ -212,23 +208,5 @@ class HeavyTailLinear:
         return 4.0 * float(psi_max) ** 2
 
     def population_risk(self, w, loss):
-        """Population risk of the paired regression loss by 1-D quadrature.
-
-        The residual at w decomposes as <w - w_star, z> + noise; for w =
-        w_star it reduces to E[loss_1d(noise)], computed by quadrature
-        against the t density.  Only that case has a closed form; other
-        points return None, and go through Monte Carlo, before the
-        integrator is imported.
-        """
-        w = np.asarray(w, dtype=float)
-        if not np.allclose(w, self.w_star):
-            return None
-        from scipy import integrate
-
-        dof, scale, dh = self.t_dof, self.t_scale, loss.huber_delta
-
-        def f(r):
-            return dh**2 * (math.sqrt(1.0 + (r / dh) ** 2) - 1.0) * _student_t_pdf(r, dof, scale)
-
-        val, _ = integrate.quad(f, -np.inf, np.inf, limit=200)
-        return val
+        """None: no closed form, so the risk is scored by Monte Carlo."""
+        return None

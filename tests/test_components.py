@@ -64,6 +64,15 @@ def _tight_md_doc(**over):
     return _md_doc(**{**tight, **over})
 
 
+def _logistic_doc(**over):
+    logistic = {
+        "algorithm": "app_objp",
+        "loss": {"name": "logistic", "feature_dual_bound": 1.0},
+        "distribution": {"name": "logistic_sphere", "w_star_norm": 0.8},
+    }
+    return _base_doc(**{**logistic, **over})
+
+
 # Each misconfiguration that used to run silently or fail only inside the
 # first cell, with a word the refusal must name.
 MISCONFIGS = {
@@ -174,6 +183,27 @@ MISCONFIGS = {
     "boolean trials": (_base_doc(trials=True), "trials must be a positive integer"),
     "fractional parallelism": (_base_doc(parallelism=1.5), "parallelism must be a positive integer"),
     "fractional base_seed": (_base_doc(base_seed=1.5), "base_seed must be an integer"),
+    # Component values: each is a finite real number that is not a bool, in
+    # range; a string, null, NaN or bool used to parse or end in a TypeError.
+    **{
+        f"constraint radius {r!r}": (_base_doc(constraint={"set": "l2", "radius": r}), "radius must be")
+        for r in ("1.0", None, math.nan)
+    },
+    "w_star_norm given as a string": (
+        _logistic_doc(distribution={"name": "logistic_sphere", "w_star_norm": "0.8"}),
+        "w_star_norm must be a finite number > 0",
+    ),
+    **{
+        f"feature_dual_bound {b!r}": (
+            _logistic_doc(loss={"name": "logistic", "feature_dual_bound": b}),
+            "feature_dual_bound must be a finite number > 0",
+        )
+        for b in (-1, math.nan, True)
+    },
+    "sphere_exponent given as a string": (
+        _logistic_doc(distribution={"name": "logistic_sphere", "sphere_exponent": "2"}),
+        "sphere_exponent must be a finite number >= 1",
+    ),
     "missing trials": (
         {k: v for k, v in _base_doc().items() if k != "trials"},
         "missing required config keys: ['trials']",
@@ -191,6 +221,7 @@ def test_misconfig_refused_at_parse(case):
 def test_bases_are_valid():
     ExperimentConfig.from_dict(_base_doc())
     ExperimentConfig.from_dict(_md_doc())
+    ExperimentConfig.from_dict(_logistic_doc())
 
 
 def test_unconstrained_algorithm_refuses_a_constraint():

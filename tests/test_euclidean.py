@@ -334,6 +334,36 @@ class TestOptionRanges:
             app_objp(data, loss, C, budget, np.random.default_rng(1), lambda_reg=0.0)
 
 
+def _lp_feature_setup():
+    """Logistic data on the unit l3 sphere in d = 20, with the loss declared in
+    ||.||_1.5: the feature bound 1 holds for ||z||_3, not for ||z||_2."""
+    dist = LogisticSphere(np.full(20, 0.1), sphere_exponent=3.0, radius=1.0)
+    data = dist.sample(4096, np.random.default_rng(3))
+    return data, LogisticLoss(feature_dual_bound=1.0, norm_p=1.5)
+
+
+class TestL2Constants:
+    """The Euclidean solvers calibrate noise to L and beta as l2 constants,
+    which a loss declared in ||.||_p with p < 2 does not certify."""
+
+    def test_lp_bound_is_not_an_l2_bound(self):
+        data, loss = _lp_feature_setup()
+        assert np.linalg.norm(data.X, axis=1).max() > 1.5 * loss.lipschitz
+
+    @pytest.mark.parametrize("solver", [app_objp, phased_dp_sgd])
+    def test_loss_declared_below_p_2_is_refused(self, solver):
+        data, loss = _lp_feature_setup()
+        args = (data, loss, L2Ball(1.0, data.d)) if solver is app_objp else (data, loss)
+        with pytest.raises(ValueError, match=re.escape("norm_p=1.5 < 2")):
+            solver(*args, PrivacyBudget(1.0, 1e-5), np.random.default_rng(0))
+
+    def test_strongly_convex_loss_declared_below_p_2_is_refused(self):
+        data, loss, C, _ = _mean_point_setup()
+        loss.norm_p = 1.5
+        with pytest.raises(ValueError, match=re.escape("norm_p=1.5 < 2")):
+            app_objp_sc(data, loss, C, PrivacyBudget(1.0, 1e-5), np.random.default_rng(0))
+
+
 class TestPhasedSGD:
     def test_shard_sizes(self):
         rng = np.random.default_rng(12)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -495,5 +496,5 @@ class TestHighP:
 
     def test_rejects_low_p(self):
         data = Dataset(np.zeros((4, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("norm_p=1.5 < 2")):
             lipschitz_high_p(data, QuadLoss(1.5), PrivacyBudget(1.0, 1e-5), np.random.default_rng(0))

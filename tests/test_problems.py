@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
 from dpsco.errors import ConfigError
 from dpsco.problems import (
@@ -27,7 +27,6 @@ from dpsco.problems import (
     gaussian_width_mc,
     max_abs_gaussian_mean,
 )
-from dpsco.problems.distributions import _student_t_pdf
 from dpsco.problems.losses import _expit
 from dpsco.spaces import lp_norm
 
@@ -228,26 +227,6 @@ class TestNumpyReplacements:
         np.testing.assert_allclose(vals, ref, rtol=1e-15, atol=np.finfo(float).tiny)
         assert vals[100_001] == math.log(2.0)
 
-    @pytest.mark.parametrize("dof", [2.5, 3.0, 12.0])
-    @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
-    def test_student_t_pdf_matches_scipy(self, dof, scale):
-        r = np.linspace(-40.0, 40.0, 401)
-        ours = [_student_t_pdf(float(x), dof, scale) for x in r]
-        np.testing.assert_allclose(ours, stats.t(dof, scale=scale).pdf(r), rtol=1e-13, atol=0.0)
-
-    @pytest.mark.parametrize("t_dof,t_scale,huber_delta", [(3.0, 1.0, 20.0), (2.5, 0.3, 2.0), (12.0, 3.0, 5.0)])
-    def test_heavy_tail_risk_at_minimizer_matches_scipy(self, t_dof, t_scale, huber_delta):
-        dist = HeavyTailLinear(np.array([0.3, -0.1, 0.2]), sphere_exponent=3.0, t_dof=t_dof, t_scale=t_scale)
-        loss = PseudoHuberLoss(huber_delta=huber_delta)
-        dens = stats.t(t_dof, scale=t_scale).pdf
-
-        def f(r):
-            return huber_delta**2 * (math.sqrt(1.0 + (r / huber_delta) ** 2) - 1.0) * dens(r)
-
-        ref, _ = integrate.quad(f, -np.inf, np.inf, limit=200)
-        assert dist.population_risk(dist.w_star, loss) == pytest.approx(ref, rel=1e-12, abs=0.0)
-        assert dist.population_risk(dist.w_star + 0.1, loss) is None
-
 
 class TestDatasetCsv:
     def test_deterministic_generation(self):
@@ -274,13 +253,13 @@ class TestDatasetCsv:
 class TestPopulationRisk:
     def test_oracle_at_minimizer(self):
         dist = BallCloud(np.array([0.2, -0.1]), spread=1.0)
-        assert dist.population_risk(dist.true_minimizer) == pytest.approx(0.5 * dist.trace_cov)
+        assert dist.population_risk(dist.true_minimizer, MeanPointLoss()) == pytest.approx(0.5 * dist.trace_cov)
 
     def test_mc_matches_oracle(self):
         dist = BallCloud(np.array([0.2, -0.1, 0.3]), spread=0.7)
         loss = MeanPointLoss()
         w = np.array([0.1, 0.1, 0.1])
-        oracle = dist.population_risk(w)
+        oracle = dist.population_risk(w, loss)
         rng = np.random.default_rng(6)
         sample = dist.sample(100_000, rng)
         vals = loss.values(w, sample.X)
@@ -305,6 +284,25 @@ class TestPopulationRisk:
         assert oracle_se == 0.0 and auto == (oracle, 0.0)
         assert se > 0.0 and mc != oracle
         assert abs(mc - oracle) <= 4 * se
+
+    @pytest.mark.parametrize("dist,loss", [
+        (BallCloud(np.array([0.2, -0.1])), LogisticLoss()),
+        (LogisticSphere(np.array([0.3, -0.2])), LogisticLoss()),
+        (HeavyTailLinear(np.array([0.3, -0.2])), PseudoHuberLoss()),
+    ], ids=["ball_cloud-logistic", "logistic_sphere", "heavy_tail_linear"])
+    def test_no_closed_form_at_any_point(self, dist, loss):
+        for w in (dist.true_minimizer, dist.true_minimizer + 0.1, np.zeros(2)):
+            assert dist.population_risk(w, loss) is None
+
+    def test_oracle_without_a_closed_form_is_refused(self):
+        # "auto" falls back to Monte Carlo; "oracle" does not.
+        dist = HeavyTailLinear(np.array([0.3, -0.2]))
+        loss = PseudoHuberLoss()
+        w = np.array([0.1, 0.1])
+        _, se = excess_population_risk(w, dist, loss, m_eval=100, rng=np.random.default_rng(0))
+        assert se > 0.0
+        with pytest.raises(ValueError, match="'heavy_tail_linear' has no closed-form excess risk"):
+            excess_population_risk(w, dist, loss, m_eval=100, rng=np.random.default_rng(0), policy="oracle")
 
     def test_excess_with_constraint(self):
         dist = BallCloud(np.array([0.5, 0.0]))
@@ -344,6 +342,11 @@ class TestGaussianWidth:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * m * d * 8, peak / (m * d * 8)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 20, 100, 1000, 100_000])
+    def test_max_abs_gaussian_mean_matches_adaptive_quadrature(self, d):
+        ref, _ = integrate.quad(lambda t: 1.0 - math.erf(t / math.sqrt(2.0)) ** d, 0.0, np.inf, limit=200)
+        assert max_abs_gaussian_mean(d) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_l1_ball_quadrature_oracle(self):
         d = 100
