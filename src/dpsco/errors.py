@@ -4,18 +4,16 @@ import sys
 import warnings
 
 
-def warn_at_caller(message, category=UserWarning):
-    """``warnings.warn`` attributed to the nearest caller outside dpsco.
+def warn_at_caller(message):
+    """``warnings.warn`` naming the nearest caller outside dpsco, however deep it is raised.
 
-    However deep in the package the warning is raised (a solver run by the
-    experiment runner, say), it names the line of the script or test that
-    called into dpsco.  Frames are matched by module name, so this needs no
-    ``skip_file_prefixes`` (Python 3.12) and works on 3.10.
+    Frames are matched by module name, which needs no ``skip_file_prefixes``
+    (Python 3.12) and works on 3.10.
     """
     frame, level = sys._getframe(1), 2
     while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
         frame, level = frame.f_back, level + 1
-    warnings.warn(message, category, stacklevel=level)
+    warnings.warn(message, UserWarning, stacklevel=level)
 
 
 class ConfigError(ValueError):

@@ -94,37 +94,36 @@ def _radial_coordinates(a, p, radius):
 
     The arithmetic runs in place, in vectors allocated once per a, with the
     operations of the formulas above in their order.  Scalars enter as
-    vectors, which numpy pairs with less overhead, except the power's
-    exponent: numpy's scalar-exponent fast paths round differently at 0.5
-    and 2.  Each pair of tests is one comparison of stacked rows: rows
-    (x, y, z) give [x <= y, y <= z], and |x| <= c is -c <= x <= c.
+    vectors, which numpy pairs with less overhead, except in ``**=``: its
+    scalar-exponent fast paths (0.5, 2) round unlike a general power.  Each
+    pair of tests is one comparison of stacked rows: rows (x, y, z) give
+    [x <= y, y <= z], and |x| <= c is -c <= x <= c.
     """
     k = a.size
     pm1 = p - 1.0
-    A, B, S, den, t, mv, one, rad, pm1v = np.empty((9, k))
-    one.fill(1.0)
-    rad.fill(radius)
-    pm1v.fill(pm1)
+    work = np.empty((6, k))  # A, B, S = A + B, den, t and m as a vector
+    one, rad, pm1v = np.full((3, k), [[1.0], [radius], [pm1]])
     # Stacks [0, f, 0] with f = A + B - 1, [lo, step, hi] and
     # [-close, step - t, close], each tested by one comparison of its rows.
     fs, zs, ds = np.zeros((3, 3, k))
-    f, (lo, step, hi), diff = fs[1], zs, ds[1]
+    f, diff = fs[1], ds[1]
     np.multiply(4.0 * _EPS, a, ds[2])
     np.negative(ds[2], ds[0])
     f_le, z_le, d_le = (fs[1:], fs[:2]), (zs[:2], zs[1:]), (ds[:2], ds[1:])
     flags = np.empty(2 * k, dtype=bool)
-    pair = flags.reshape(2, k)
-    left, right = pair  # the x <= y and y <= z halves of a test
+    left, right = pair = flags.reshape(2, k)  # the x <= y and y <= z halves of a test
 
     def roots(m):
+        A, B, S, den, t, mv = work
+        lo, step, hi = zs
         mv.fill(m)
         # t0 overflows to inf (then min gives a) or underflows to 0 (then the
         # root is below the smallest double and the bracket keeps t at 0,
         # where the Newton step is 0/0).
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.divide(a, mv, hi)
-            np.power(hi, 1.0 / pm1, hi)
-            np.multiply(rad, hi, hi)
+            hi **= 1.0 / pm1
+            hi *= rad
             np.minimum(a, hi, out=hi)
             lo.fill(0.0)
             np.copyto(step, hi)
@@ -132,18 +131,18 @@ def _radial_coordinates(a, p, radius):
                 np.copyto(t, step)
                 np.divide(t, a, A)
                 np.divide(t, rad, B)
-                np.power(B, pm1, B)
-                np.multiply(B, mv, B)
-                np.divide(B, a, B)
+                B **= pm1
+                B *= mv
+                B /= a
                 np.add(A, B, S)
                 np.subtract(S, one, f)
                 np.multiply(pm1v, B, den)
-                np.add(den, A, den)
+                den += A
                 np.less_equal(*f_le, pair)  # [f <= 0, 0 <= f]
                 np.copyto(lo, t, where=left)
                 np.copyto(hi, t, where=right)
                 np.multiply(t, f, step)
-                np.divide(step, den, step)
+                step /= den
                 np.subtract(t, step, step)
                 np.less_equal(*z_le, pair)  # [lo <= step, step <= hi]
                 if False in flags.tolist():  # a step left the bracket, or is NaN

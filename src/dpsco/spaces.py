@@ -151,10 +151,8 @@ def _norm_power_gradient(v, expo_norm, expo_coord, weight, axis=-1):
     # weight * ||v||_a^(2-a) * |v_i|^(a-1) sign(v_i) with a = expo_norm and
     # expo_coord = a - 1.  The map is 1-homogeneous, so it is evaluated on
     # u = v/max|v| and rescaled once; fractional powers then stay in range
-    # even for exponents near 10.  max|u| is exactly 1, so ||u||_a is the
-    # root of sum |u_i|^a with no further scaling, and magnitudes below
-    # _FLUSH are zeroed before the coordinate powers.  A zero slice is
-    # divided by 1 and keeps a norm factor of 1.
+    # even for exponents near 10.  max|u| is exactly 1, so ||u||_a needs no
+    # further scaling.  A zero slice is divided by 1 and keeps a norm of 1.
     v = np.asarray(v, dtype=float)
     safe = np.abs(v).max(axis=axis, keepdims=True)
     if not np.isfinite(safe).all():
