@@ -7,7 +7,8 @@ Subcommands:
   mech-check print sampler statistics and calibration tables
 
 Exit codes: 0 success, 2 configuration error, 3 numeric error.  The
-environment variable DPSCO_SEED, when set, overrides the base seed.
+environment variable DPSCO_SEED, when set, overrides the base seed; it must
+be an integer, and >= 0 for width and mech-check.
 """
 
 import argparse
@@ -35,11 +36,21 @@ from .runner import run_experiment
 from .slopes import fit_slope
 
 
+def _env_seed(default, nonnegative=False):
+    """DPSCO_SEED as an int, or ``default`` when it is unset."""
+    raw = os.environ.get("DPSCO_SEED")
+    try:
+        seed = default if raw is None else int(raw)
+    except ValueError:
+        raise ConfigError(f"DPSCO_SEED must be an integer, got {raw!r}") from None
+    if nonnegative and seed < 0:
+        raise ConfigError(f"DPSCO_SEED must be >= 0 to seed a generator, got {seed}")
+    return seed
+
+
 def _cmd_run(args):
     cfg = ExperimentConfig.from_json(args.config)
-    env_seed = os.environ.get("DPSCO_SEED")
-    if env_seed is not None:
-        cfg.base_seed = int(env_seed)
+    cfg.base_seed = _env_seed(cfg.base_seed)
     records = run_experiment(cfg)
     write_records(records, args.out)
     done = sum(1 for r in records if not r.refused)
@@ -64,14 +75,14 @@ def _cmd_width(args):
     if args.p is not None:
         section["p"] = args.p
     C = CONSTRAINTS.build(section, {"d": args.d})
-    rng = np.random.default_rng(int(os.environ.get("DPSCO_SEED", 0)))
+    rng = np.random.default_rng(_env_seed(0, nonnegative=True))
     est, se = gaussian_width_mc(C, args.samples, rng)
     print(f"gaussian width estimate: {est:.6f} (std error {se:.2e}, m={args.samples})")
     return 0
 
 
 def _cmd_mech_check(args):
-    rng = np.random.default_rng(int(os.environ.get("DPSCO_SEED", 0)))
+    rng = np.random.default_rng(_env_seed(0, nonnegative=True))
     if args.what == "gauss":
         print("gaussian mechanism variance 2*Delta^2*ln(1.25/delta)/eps^2")
         print("delta_2\teps\tdelta\tsigma2")

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..euclidean import app_objp, app_objp_sc, phased_dp_sgd
-from ..mirror import batched_truncated_md, lipschitz_high_p, noisy_reg_md, shuffled_truncated_md
+from ..mirror import batched_truncated_md, noisy_reg_md, shuffled_truncated_md
 from ..options import check_options
 from ..problems.constraints import L1Ball, L2Ball, LpBall
 from ..problems.distributions import BallCloud, HeavyTailLinear, LogisticSphere
@@ -163,7 +163,7 @@ ALGORITHMS = Table("algorithm", {
     "app_objp": Algorithm.of(app_objp),
     "app_objp_sc": Algorithm.of(app_objp_sc),
     "phased_dp_sgd": Algorithm.of(phased_dp_sgd),
-    "lipschitz_high_p": Algorithm.of(lipschitz_high_p, p_range=(2.0, math.inf)),
+    "lipschitz_high_p": Algorithm.of(phased_dp_sgd, p_range=(2.0, math.inf)),
     "noisy_reg_md": Algorithm.of(noisy_reg_md, **_BELOW_TWO),
     "shuffled_truncated_md": Algorithm.of(shuffled_truncated_md, **_BELOW_TWO),
     "batched_truncated_md": Algorithm.of(batched_truncated_md, **_BELOW_TWO),

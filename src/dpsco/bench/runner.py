@@ -15,9 +15,9 @@ import time
 import numpy as np
 
 from ..errors import RefusalError
-# run_cell calls the solvers by name through this module.
-from ..euclidean import app_objp, app_objp_sc, phased_dp_sgd  # noqa: F401
-from ..mirror import batched_truncated_md, lipschitz_high_p, noisy_reg_md, shuffled_truncated_md  # noqa: F401
+# run_cell calls the solvers by config name through this module.
+from ..euclidean import app_objp, app_objp_sc, phased_dp_sgd, phased_dp_sgd as lipschitz_high_p  # noqa: F401
+from ..mirror import batched_truncated_md, noisy_reg_md, shuffled_truncated_md  # noqa: F401
 from ..problems.risk import excess_population_risk
 from .components import ALGORITHMS
 from .records import RunRecord

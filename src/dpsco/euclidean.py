@@ -308,6 +308,11 @@ def phased_dp_sgd(data, loss, budget, rng, *, eta=None):
     with Gaussian noise whose scale shrinks 4x per phase.  Returns
     (w_k, info).  ``eta`` > 0 is the base step size (None selects the
     schedule).
+
+    For 2 <= p <= inf (config entry ``lipschitz_high_p``) it is the Euclidean
+    reduction of Bassily, Guzman and Nandi 2021: constants declared in ||.||_p,
+    p >= 2, hold in l2 as they stand, and the l2 guarantee reads in lp through
+    the diameter conversion d^{1/2 - 1/p} (d^{1/2} at p = inf).
     """
     check_options(eta=eta)
     _require_l2_constants(loss)

@@ -1,6 +1,7 @@
 """lp-geometry private solvers built on mirror descent.
 
-Three variants share the machinery here:
+Three variants for 1 < p < 2 share the machinery here (the p >= 2 config
+entry ``lipschitz_high_p`` runs the Euclidean ``phased_dp_sgd``):
 
 * ``noisy_reg_md`` -- unconstrained, Lipschitz losses: each step solves a
   regularized linearized subproblem in closed form through the mirror map
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, warn_at_caller
-from .euclidean import phased_dp_sgd
 from .mechanisms import GGNoiseSpec, gg_sample, shuffle_calibrate
 from .options import check_options
 from .problems.risk import empirical_grad
@@ -46,7 +46,6 @@ __all__ = [
     "mirror_step_constrained",
     "shuffled_truncated_md",
     "batched_truncated_md",
-    "lipschitz_high_p",
 ]
 
 
@@ -334,19 +333,3 @@ def batched_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=Non
     out, info = _truncated_md(data, loss, C, space, T, gamma, lambda_trunc, threshold, privatize)
     info["sigma2_step"] = sigma2
     return out, info
-
-
-def lipschitz_high_p(data, loss, budget, rng, *, eta=None):
-    """Lipschitz DP-SCO for 2 <= p <= inf via the Euclidean phased solver.
-
-    For p >= 2 the dual exponent is <= 2, so the declared constants are
-    valid Euclidean constants as they stand (``phased_dp_sgd`` refuses p < 2);
-    only the diameter conversion d^{1/2 - 1/p} is recorded for interpreting
-    the guarantee.
-    """
-    p = loss.norm_p
-    d = data.d
-    conversion = d**0.5 if p == math.inf else d ** (0.5 - 1.0 / p)
-    w, info = phased_dp_sgd(data, loss, budget, rng, eta=eta)
-    info["diameter_conversion"] = conversion
-    return w, info

@@ -8,7 +8,8 @@ where for 1 < p < 2 the exponent is s = p and the weight is c = 1/(p-1)
 (equivalently c = q - 1 with q the dual exponent).  This pair makes Phi
 exactly 1-strongly convex with respect to ||.||_p, which is the property
 every solver in this package leans on.  For p >= 2 the potential degrades
-gracefully to the Euclidean one (s = 2, c = 1).
+gracefully to the Euclidean one (s = 2, c = 1).  Each map acts along the
+last axis, so the rows of a 2-D array are points.
 
 The regularity constant ``kappa`` of the dual space is kept separate from
 the potential: it is capped logarithmically in the dimension and only
@@ -137,31 +138,31 @@ class SpaceSpec:
         return dual_exponent(self.s)
 
 
-def phi(w, spec, axis=-1):
+def phi(w, spec):
     """Mirror potential Phi(w) = (c/2)||w||_s^2."""
-    return 0.5 * spec.potential_weight * lp_norm(w, spec.s, axis=axis) ** 2
+    return 0.5 * spec.potential_weight * lp_norm(w, spec.s) ** 2
 
 
-def phi_conjugate(y, spec, axis=-1):
+def phi_conjugate(y, spec):
     """Convex conjugate Phi*(y) = (1/(2c))||y||_{s'}^2 with s' dual to s."""
-    return (0.5 / spec.potential_weight) * lp_norm(y, spec.s_conjugate, axis=axis) ** 2
+    return (0.5 / spec.potential_weight) * lp_norm(y, spec.s_conjugate) ** 2
 
 
-def _norm_power_gradient(v, expo_norm, expo_coord, weight, axis=-1):
+def _norm_power_gradient(v, expo_norm, expo_coord, weight):
     # weight * ||v||_a^(2-a) * |v_i|^(a-1) sign(v_i) with a = expo_norm and
     # expo_coord = a - 1.  The map is 1-homogeneous, so it is evaluated on
     # u = v/max|v| and rescaled once; fractional powers then stay in range
     # even for exponents near 10.  max|u| is exactly 1, so ||u||_a needs no
     # further scaling.  A zero slice is divided by 1 and keeps a norm of 1.
     v = np.asarray(v, dtype=float)
-    safe = np.abs(v).max(axis=axis, keepdims=True)
+    safe = np.abs(v).max(axis=-1, keepdims=True)
     if not np.isfinite(safe).all():
         raise ValueError("lp_norm: input has non-finite entries")
     zero = safe == 0
     safe[zero] = 1.0
     u = v / safe
     a = np.abs(u)
-    nr = ((a**expo_norm).sum(axis=axis) ** (1.0 / expo_norm)).reshape(safe.shape)
+    nr = ((a**expo_norm).sum(axis=-1) ** (1.0 / expo_norm)).reshape(safe.shape)
     nr[zero] = 1.0
     a[a < _FLUSH] = 0.0
     a **= expo_coord
@@ -169,33 +170,31 @@ def _norm_power_gradient(v, expo_norm, expo_coord, weight, axis=-1):
     return weight * safe * nr ** (2.0 - expo_norm) * a
 
 
-def grad_phi(w, spec, axis=-1):
+def grad_phi(w, spec):
     """Gradient of the mirror potential.
 
     grad Phi(w) = c * ||w||_s^{2-s} * (|w_i|^{s-1} sign(w_i))_i, and 0 at 0.
     """
-    return _norm_power_gradient(
-        w, spec.s, spec.s - 1.0, spec.potential_weight, axis=axis
-    )
+    return _norm_power_gradient(w, spec.s, spec.s - 1.0, spec.potential_weight)
 
 
-def inv_grad_phi(y, spec, axis=-1):
+def inv_grad_phi(y, spec):
     """Inverse mirror map, i.e. grad Phi*.
 
     With s' the dual exponent of s:
     grad Phi*(y) = (1/c) * ||y||_{s'}^{2-s'} * (|y_i|^{s'-1} sign(y_i))_i.
     """
     sc = spec.s_conjugate
-    return _norm_power_gradient(y, sc, sc - 1.0, 1.0 / spec.potential_weight, axis=axis)
+    return _norm_power_gradient(y, sc, sc - 1.0, 1.0 / spec.potential_weight)
 
 
-def bregman(y, x, spec, axis=-1):
+def bregman(y, x, spec):
     """Bregman divergence D_Phi(y, x) = Phi(y) - Phi(x) - <grad Phi(x), y - x>.
 
     Nonnegative (clamped against roundoff), zero iff y == x.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    inner = (grad_phi(x, spec, axis=axis) * (y - x)).sum(axis=axis)
-    val = phi(y, spec, axis=axis) - phi(x, spec, axis=axis) - inner
+    inner = (grad_phi(x, spec) * (y - x)).sum(axis=-1)
+    val = phi(y, spec) - phi(x, spec) - inner
     return np.maximum(val, 0.0)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -11,7 +12,7 @@ from dpsco.bench.runner import run_cell, run_experiment, stable_seed
 from dpsco.bench.slopes import fit_slope
 from dpsco.errors import ConfigError
 from test_acceptance import CONVEX_TREND_DOC, LP_TREND_DOC, STRONGLY_CONVEX_DOC
-from test_components import _md_doc
+from test_components import _logistic_doc, _md_doc
 
 
 def _base_config(**over):
@@ -172,6 +173,18 @@ class TestRunner:
             copied = pickle.loads(pickle.dumps(cfg))
             assert copied.budgets == cfg.budgets and copied.space == cfg.space
             assert without_timing([run_cell(copied, 0, 0, 0)]) == without_timing([run_cell(cfg, 0, 0, 0)])
+
+    def test_high_p_entry_at_p_2_matches_phased_dp_sgd(self):
+        # lipschitz_high_p runs phased_dp_sgd over 2 <= p <= inf; at p = 2 the
+        # two entries give the same records field for field, but the name.
+        def records(algorithm):
+            doc = _logistic_doc(algorithm=algorithm, constraint=None, n_grid=[128, 512], trials=2)
+            runs = without_timing(run_experiment(ExperimentConfig.from_dict(doc)))
+            return [dataclasses.replace(r, algorithm="") for r in runs]
+
+        high_p = records("lipschitz_high_p")
+        assert high_p == records("phased_dp_sgd")
+        assert not any(r.refused for r in high_p)
 
     def test_refusal_recorded_not_fatal(self):
         doc = _base_config(

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dpsco.bench.cli import main
-from dpsco.bench.records import read_records
+from dpsco.bench.records import read_records, without_timing
 from test_acceptance import CONVEX_TREND_DOC
 
 
@@ -67,6 +67,25 @@ class TestRunCommand:
         assert r1 != r2
         assert all(a.seed != b.seed for a, b in zip(r1, r2))
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_seed_env_not_an_integer_is_a_config_error(self, value, config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DPSCO_SEED", value)
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+        assert "DPSCO_SEED" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_env_runs_as_the_base_seed(self, config_path, tmp_path, monkeypatch):
+        # stable_seed takes any integer base, so a negative override runs.
+        monkeypatch.setenv("DPSCO_SEED", "-3")
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "env.csv")]) == 0
+        monkeypatch.delenv("DPSCO_SEED")
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(dict(_config_doc(), base_seed=-3)))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "doc.csv")]) == 0
+        env, doc = (without_timing(read_records(tmp_path / f)) for f in ("env.csv", "doc.csv"))
+        assert env == doc
+
     def test_release_distance_failure_exit_code(self, tmp_path, capsys):
         # Features eight times the declared dual bound break the smoothness
         # the certified inner count assumes, so the release check fails.
@@ -114,6 +133,18 @@ class TestWidthCommand:
         code = main(["width", "--set", "l2", "--p", "1.5", "--d", "4"])
         assert code == 2
         assert "'p'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["width", "--set", "l1", "--d", "20", "--samples", "100"],
+    ["mech-check", "--what", "gg", "--samples", "100"],
+], ids=["width", "mech-check"])
+def test_generator_seed_env_must_be_a_nonnegative_integer(argv, value, monkeypatch, capsys):
+    # width and mech-check seed numpy's generator directly, which takes no negative seed.
+    monkeypatch.setenv("DPSCO_SEED", value)
+    assert main(argv) == 2
+    assert "DPSCO_SEED" in capsys.readouterr().err
 
 
 class TestMechCheckCommand:

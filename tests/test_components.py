@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpsco.bench import runner
-from dpsco.bench.components import ALGORITHMS, CONSTRAINTS, DISTRIBUTIONS, LOSSES
+from dpsco.bench.components import ALGORITHMS, CONSTRAINTS, DISTRIBUTIONS, LOSSES, Algorithm
 from dpsco.bench.config import ExperimentConfig
 from dpsco.errors import ConfigError
 from test_acceptance import CONVEX_TREND_DOC, LP_TREND_DOC, STRONGLY_CONVEX_DOC
@@ -232,12 +232,14 @@ def test_unconstrained_algorithm_refuses_a_constraint():
 
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_runner_binds_every_algorithm_to_its_solver(name):
-    # run_cell looks the solver up by the algorithm's name in the runner, and
-    # the entry accepts exactly the solver's keyword-only parameters.
-    solver = getattr(runner, name)
-    assert solver.__name__ == name
+    # run_cell looks the solver up by the algorithm's name in the runner, the
+    # entry is the one read from that solver's signature, and it accepts
+    # exactly the solver's keyword-only parameters.  A name may bind another
+    # entry's solver: lipschitz_high_p is phased_dp_sgd over 2 <= p <= inf.
+    entry, solver = ALGORITHMS[name], getattr(runner, name)
+    assert Algorithm.of(solver, p_range=entry.p_range, p_open=entry.p_open) == entry
     params = inspect.signature(solver).parameters.values()
-    assert set(ALGORITHMS[name].keys) == {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+    assert set(entry.keys) == {p.name for p in params if p.kind is p.KEYWORD_ONLY}
 
 
 def test_solver_keys_are_the_schedule_options():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from dpsco.bench import ExperimentConfig
+from dpsco.bench import ExperimentConfig, runner
 from dpsco.errors import NumericError, RefusalError
 from dpsco.euclidean import (
     SmoothObjective,
@@ -22,7 +22,6 @@ from dpsco.euclidean import (
     phased_dp_sgd,
 )
 from dpsco.mechanisms import PrivacyBudget
-from dpsco.mirror import lipschitz_high_p
 from dpsco.problems import (
     BallCloud,
     Dataset,
@@ -34,6 +33,7 @@ from dpsco.problems import (
     empirical_risk,
 )
 from test_acceptance import CONVEX_TREND_DOC
+from test_mirror import QuadLoss
 
 HUGE_EPS = PrivacyBudget(1e6, 1e-5)
 
@@ -323,11 +323,11 @@ class TestOptionRanges:
         with pytest.raises(ValueError, match=re.escape(f"{option} must be")):
             solver(data, loss, C, PrivacyBudget(1.0, 1e-5), np.random.default_rng(0), **{option: value})
 
-    @pytest.mark.parametrize("solver", [phased_dp_sgd, lipschitz_high_p])
-    def test_eta_must_be_positive(self, solver):
+    @pytest.mark.parametrize("name", ["phased_dp_sgd", "lipschitz_high_p"])
+    def test_eta_must_be_positive(self, name):
         data, loss, _, _ = _mean_point_setup()
         with pytest.raises(ValueError, match="eta must be > 0"):
-            solver(data, loss, PrivacyBudget(1.0, 1e-5), np.random.default_rng(0), eta=-1.0)
+            getattr(runner, name)(data, loss, PrivacyBudget(1.0, 1e-5), np.random.default_rng(0), eta=-1.0)
 
     def test_zero_ridge_runs_on_the_loss_curvature_alone(self):
         # lambda_reg = 0 is in range: app_objp_sc runs on Delta, and app_objp,
@@ -414,3 +414,17 @@ class TestPhasedSGD:
         w1, _ = phased_dp_sgd(data, loss, b, np.random.default_rng(21))
         w2, _ = phased_dp_sgd(data, loss, b, np.random.default_rng(21))
         np.testing.assert_array_equal(w1, w2)
+
+
+class TestHighP:
+    """phased_dp_sgd is also the solver for 2 <= p <= inf: constants declared
+    in ||.||_p with p >= 2 hold in l2 as they stand."""
+
+    @pytest.mark.parametrize("p", [3.0, math.inf])
+    def test_zero_noise_matches_reference(self, p, zero_noise):
+        rng = np.random.default_rng(14)
+        data = Dataset(rng.standard_normal((256, 2)) * 0.3)
+        loss = QuadLoss(p)
+        w, _ = phased_dp_sgd(data, loss, HUGE_EPS, np.random.default_rng(15))
+        ref, _ = phased_dp_sgd(data, loss, HUGE_EPS, zero_noise(15))
+        assert np.linalg.norm(w - ref) <= 1e-3
