@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -529,3 +530,13 @@ class TestSolverOptions:
         with pytest.raises(ValueError, match=f"{option} must be"):
             solve(data, loss, *sets, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0),
                   **{option: value})
+
+
+class TestHighP:
+    def test_rejects_low_p(self):
+        # The p >= 2 entry is the solver the runner binds to the lipschitz_high_p config name.
+        data = Dataset(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match=re.escape("norm_p=1.5 < 2")):
+            runner.lipschitz_high_p(
+                data, QuadLoss(1.5), PrivacyBudget(1.0, 1e-5), np.random.default_rng(0)
+            )
