@@ -29,7 +29,7 @@ rng = np.random.default_rng(1)
 d, r, sigma2 = 10, 3.0, 1.0
 z = gg_sample(GGNoiseSpec(sigma2=sigma2, r=r, d=d), rng, size=200_000)
 
-radii = lp_norm(z, r, axis=-1)
+radii = lp_norm(z, r)
 ks = stats.kstest(radii, stats.chi(d).cdf)
 print(f"radius ~ chi_{d}: KS p-value {ks.pvalue:.3f}")
 print(f"E||z||_r^2 = {float((radii ** 2).mean()):.3f}  (upper bound d*sigma^2 = {d * sigma2})")

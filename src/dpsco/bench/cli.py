@@ -107,7 +107,7 @@ def _cmd_mech_check(args):
         m = args.samples
         spec = GGNoiseSpec(sigma2=sig2, r=r, d=d)
         z = gg_sample(spec, rng, size=m)
-        radii = lp_norm(z, r, axis=-1)
+        radii = lp_norm(z, r)
         print(f"generalized Gaussian check: d={d} r={r} sigma2={sig2} draws={m}")
         print(f"  mean ||z||_r^2 = {float((radii ** 2).mean()):.4f}   (d*sigma2 = {d * sig2:.4f})")
         print(f"  coordinate means max |.| = {float(np.abs(z.mean(axis=0)).max()):.4g}")

@@ -29,16 +29,15 @@ import numpy as np
 
 from .errors import NumericError, RefusalError, warn_at_caller
 from .options import check_options
-from .problems.risk import empirical_grad, empirical_risk, gaussian_width_mc
+from .problems.risk import empirical_grad, gaussian_width_mc
 
 __all__ = ["SmoothObjective", "inner_solve", "app_objp", "app_objp_sc", "phased_dp_sgd"]
 
 
 @dataclass
 class SmoothObjective:
-    """A strongly convex, smooth objective handed to the inner optimizer."""
+    """A strongly convex, smooth objective: the inner optimizer reads its gradient and constants."""
 
-    value: callable
     grad: callable
     smoothness: float
     strong_convexity: float
@@ -92,7 +91,7 @@ def inner_iteration_count(obj, C, alpha):
     if obj.strong_convexity <= 0:
         raise ValueError("inner_solve requires a strongly convex objective")
     kappa = obj.smoothness / obj.strong_convexity
-    arg = obj.smoothness * C.diameter_l2**2 / (2.0 * alpha)
+    arg = obj.smoothness * C.diameter_primal(2.0) ** 2 / (2.0 * alpha)
     if arg <= 1.0:
         return 1
     return 1 + math.ceil(math.sqrt(kappa) * math.log(arg))
@@ -142,14 +141,10 @@ def _alpha_ceiling_sc(L, D, n, budget, width, delta_c):
 def _perturbed_objective(data, loss, G, lam):
     n = data.n
 
-    def value(w):
-        return empirical_risk(w, data, loss) + float(G @ w) / n + lam * float(w @ w)
-
     def grad(w):
         return empirical_grad(w, data, loss) + G / n + 2.0 * lam * w
 
     return SmoothObjective(
-        value=value,
         grad=grad,
         smoothness=loss.smoothness + 2.0 * lam,
         strong_convexity=loss.strong_convexity + 2.0 * lam,
@@ -202,7 +197,7 @@ def _perturb_solve_release(
     n, d = data.n, data.d
     L, beta = loss.lipschitz, loss.smoothness
     r = loss.rank_bound(d)
-    D = C.diameter_l2
+    D = C.diameter_primal(2.0)
 
     if beta > budget.epsilon * n * curvature / r:
         if n_min is None:  # no n suffices without curvature
@@ -261,7 +256,7 @@ def app_objp(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None):
     check_options(alpha_opt=alpha_opt, lambda_reg=lambda_reg)
     lam, n_min = lambda_reg, None
     if lam is None:
-        L, D = loss.lipschitz, C.diameter_l2
+        L, D = loss.lipschitz, C.diameter_primal(2.0)
         lam = L / (math.sqrt(data.n) * D)
         # With this schedule the precondition reads n >= (r beta D / (eps L))^2.
         r = loss.rank_bound(data.d)
@@ -294,7 +289,7 @@ def app_objp_sc(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None):
         data, loss, C, budget, rng, lam,
         curvature=lam + delta2,
         alpha_ceiling=functools.partial(_alpha_ceiling_sc, delta_c=delta_c),
-        release_curvature=delta_c / C.diameter_l2**2, alpha_opt=alpha_opt,
+        release_curvature=delta_c / C.diameter_primal(2.0) ** 2, alpha_opt=alpha_opt,
     )
     info["delta_c"] = delta_c
     return theta_hat, info
@@ -348,7 +343,7 @@ def phased_dp_sgd(data, loss, budget, rng, *, eta=None):
         avg = w.copy()  # running mean over the n_i + 1 iterates, starts at w_i^1
         cur = w
         for t in range(n_i):
-            g = loss.gradient(cur, shard.X[t], None if shard.y is None else shard.y[t])
+            g = loss.grads(cur, shard.X[t : t + 1], None if shard.y is None else shard.y[t : t + 1])[0]
             cur = cur - eta_i * g
             avg += (cur - avg) / (t + 2.0)
         sigma_i = 4.0 * L * eta_i * math.sqrt(math.log(1.0 / budget.delta)) / budget.epsilon

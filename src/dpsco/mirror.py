@@ -89,8 +89,25 @@ class _WeightedAverage:
             self.value = (1.0 - frac) * self.value + frac * np.asarray(w, dtype=float)
 
 
+def _check_setting(name, data, space, C=None):
+    """Refuse p outside (1, 2), and data or C whose d is not space.d (it sets kappa, so the noise)."""
+    if not (1.0 < space.p < 2.0):
+        raise ValueError(f"{name} requires 1 < p < 2")
+    if data.d != space.d or (C is not None and C.d != space.d):
+        raise ValueError(f"{name}: data and C must have the space's dimension d={space.d}")
+
+
+def _schedule_T(raw, n):
+    """The automatic T: round(raw), at least 1, clamped to n with a warning."""
+    T = max(1, round(raw))
+    if T > n:
+        warn_at_caller(f"schedule T={T} exceeds n={n}; clamping to n")
+        T = n
+    return T
+
+
 def noisy_reg_md(data, loss, space, budget, rng, *, T=None, alpha_reg=None, c_t=1.0):
-    """Noisy regularized mirror descent, unconstrained, 1 < p < 2.
+    """Noisy regularized mirror descent, unconstrained.
 
     Each step minimizes
         <grad + g_t, w - w_t> + beta D_Phi(w, w_t) + alpha Phi(w)
@@ -100,13 +117,10 @@ def noisy_reg_md(data, loss, space, budget, rng, *, T=None, alpha_reg=None, c_t=
     ratio (2 beta + alpha) / (2 beta).
     """
     check_options(T=T, alpha_reg=alpha_reg, c_t=c_t)
-    if not (1.0 < space.p < 2.0):
-        raise ValueError("noisy_reg_md requires 1 < p < 2")
+    _check_setting("noisy_reg_md", data, space)
     if getattr(loss, "norm_p", None) != space.p:
         raise ValueError("loss constants must be declared w.r.t. the ambient p-norm")
     n, d = data.n, data.d
-    if d != space.d:
-        raise ValueError("data dimension does not match the space")
     L, beta = loss.lipschitz, loss.smoothness
     kappa = space.kappa
 
@@ -142,12 +156,12 @@ def truncate_gradients(G, threshold, dual_exponent, stats):
     """
     if threshold <= 0:
         raise ValueError("truncate_gradients: threshold must be > 0")
-    norms = lp_norm(G, dual_exponent, axis=-1)
+    norms = lp_norm(G, dual_exponent)
     keep = norms <= threshold
     stats.update(norms, keep)
     out = np.where(keep[:, None], G, 0.0)
     # The truncation bound must hold with probability 1.
-    if np.any(lp_norm(out, dual_exponent, axis=-1) > threshold * (1 + 1e-12)):
+    if np.any(lp_norm(out, dual_exponent) > threshold * (1 + 1e-12)):
         raise AssertionError("truncation invariant violated")
     return out
 
@@ -185,27 +199,22 @@ def mirror_step_constrained(g_hat, w_prev, gamma, C, spec, tol=None):
     f_w = value(w)
     # Base step: the potential's curvature scales like gamma * weight.
     eta = 1.0 / (gamma * max(1.0, spec.potential_weight))
-    residual = math.inf
     for _ in range(10_000):
         gw = grad(w)
         residual = float(gw @ w + C.support(-gw))
         if residual <= tol:
             return w, residual
-        accepted = False
         for _ in range(60):
             cand = C.project(w - eta * gw)
             f_cand = value(cand)
             decrease = float(gw @ (cand - w))
             if f_cand <= f_w + 0.25 * decrease:
-                accepted = True
                 break
             eta *= 0.5
-        if not accepted:
+        else:  # no candidate of the 60 halvings passed the Armijo test
             break
         w, f_w = cand, f_cand
         eta *= 2.0
-    if residual <= tol:
-        return w, residual
     raise NumericError(
         f"mirror step did not reach tol={tol:.3e} within 10000 iterations", residual=residual
     )
@@ -249,7 +258,7 @@ def _truncated_md(data, loss, C, space, T, gamma, lam, threshold, privatize):
 
 def shuffled_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=None,
                           lambda_trunc=None, c_t=1.0):
-    """Shuffled, truncated, noisy one-pass mirror descent (1 < p < 2).
+    """Shuffled, truncated, noisy one-pass mirror descent.
 
     Privacy comes from per-sample generalized Gaussian noise amplified by
     shuffling, which is only valid in the high-privacy regime
@@ -257,8 +266,7 @@ def shuffled_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=No
     so every run the solver returns holds a valid calibration.
     """
     check_options(T=T, gamma=gamma, lambda_trunc=lambda_trunc, c_t=c_t)
-    if not (1.0 < space.p < 2.0):
-        raise ValueError("shuffled_truncated_md requires 1 < p < 2")
+    _check_setting("shuffled_truncated_md", data, space, C)
     n, d = data.n, data.d
     beta = loss.smoothness
     kappa = space.kappa
@@ -275,8 +283,7 @@ def shuffled_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=No
     calib = shuffle_calibrate(n, budget, threshold, kappa)  # refuses outside the regime
 
     if T is None:
-        raw = c_t * M**2 * n**2 * budget.epsilon**2 / (lambda_trunc**2 * d * logd)
-        T = int(min(max(1, round(raw)), n))
+        T = _schedule_T(c_t * M**2 * n**2 * budget.epsilon**2 / (lambda_trunc**2 * d * logd), n)
 
     perm = rng.permutation(n)  # Fisher-Yates under the hood; rng-injected
     # lambda_trunc > 0 makes the threshold, and so sigma, positive.
@@ -301,8 +308,7 @@ def batched_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=Non
     The analysis is stated for 0 < eps < 1; nothing yet refuses eps >= 1.
     """
     check_options(T=T, gamma=gamma, lambda_trunc=lambda_trunc, c_t=c_t)
-    if not (1.0 < space.p < 2.0):
-        raise ValueError("batched_truncated_md requires 1 < p < 2")
+    _check_setting("batched_truncated_md", data, space, C)
     n, d = data.n, data.d
     beta = loss.smoothness
     kappa = space.kappa
@@ -317,11 +323,7 @@ def batched_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=Non
     threshold = beta * M + lambda_trunc
 
     if T is None:
-        raw = c_t * n * budget.epsilon / (M * lambda_trunc * math.sqrt(d * logd))
-        T = max(1, round(raw))
-        if T > n:
-            warn_at_caller(f"schedule T={T} exceeds n={n}; clamping to n")
-            T = n
+        T = _schedule_T(c_t * n * budget.epsilon / (M * lambda_trunc * math.sqrt(d * logd)), n)
 
     b = _batch_size(n, T)
     sigma2 = kappa * threshold**2 * logd / (b**2 * budget.epsilon**2)

@@ -255,14 +255,8 @@ class ConstraintSet:
     def contains(self, v, slack=1e-9):
         return self.gauge(v) <= 1.0 + slack
 
-    @property
-    def diameter_l2(self):
-        # max ||v||_2 over the ball: r for a <= 2, r * d^(1/2 - 1/a) for a > 2.
-        bump = max(0.0, 0.5 - 1.0 / self.exponent)
-        return 2.0 * self.radius * self.d**bump
-
     def diameter_primal(self, p):
-        """Diameter with respect to the ambient lp norm."""
+        """Diameter in the lp norm: 2r for p >= a, 2r d^(1/p - 1/a) below (p = 2: the l2 diameter)."""
         bump = max(0.0, 1.0 / p - 1.0 / self.exponent)
         return 2.0 * self.radius * self.d**bump
 

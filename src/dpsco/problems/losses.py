@@ -6,12 +6,14 @@ constant, smoothness, strong convexity and a Hessian-rank bound.  The
 declared constants are promises the paired data distribution must certify
 (see ``dpsco.problems.distributions``); tests sample-check them.
 
-All evaluation is vectorized over the rows of a dataset: ``values`` returns
-per-sample losses (n,).  ``grads(w, X, y=None, mean=False)`` returns the
-per-sample gradients (n, d), or with ``mean=True`` their mean (d,), which
-the shipped losses compute in matrix-vector form (``X.T @ coef / n``)
-without building the (n, d) array.  A custom loss must accept the
-``mean`` keyword: ``empirical_grad`` always passes it.
+All evaluation is vectorized over the rows of a dataset, and rows are the
+only input: one row x with label y is the one-row block ``x[None]``,
+``np.array([y])``.  ``values`` returns per-sample losses (n,), and
+``grads(w, X, y=None, mean=False)`` the per-sample gradients (n, d), or with
+``mean=True`` their mean (d,), which the shipped losses compute in
+matrix-vector form (``X.T @ coef / n``) without building the (n, d) array.
+A custom loss must accept the ``mean`` keyword: ``empirical_grad`` always
+passes it.
 
 The module needs numpy only: the logistic sigmoid is the private ``_expit``.
 """
@@ -55,16 +57,6 @@ class LossModel:
 
     def grads(self, w, X, y=None, mean=False):
         raise NotImplementedError
-
-    def value(self, w, x, y=None):
-        X = np.asarray(x, dtype=float).reshape(1, -1)
-        yy = None if y is None else np.asarray([y], dtype=float)
-        return float(self.values(w, X, yy)[0])
-
-    def gradient(self, w, x, y=None):
-        X = np.asarray(x, dtype=float).reshape(1, -1)
-        yy = None if y is None else np.asarray([y], dtype=float)
-        return self.grads(w, X, yy)[0]
 
     def rank_bound(self, d):
         """r = min{d, 2 * rank bound}, the effective rank used by solvers."""

@@ -37,8 +37,8 @@ __all__ = [
 _FLUSH = 1e-300
 
 
-def lp_norm(v, p, axis=-1):
-    """lp norm of ``v`` along ``axis``; p may be any real >= 1 or ``inf``.
+def lp_norm(v, p):
+    """lp norm of ``v`` along its last axis; p may be any real >= 1 or ``inf``.
 
     Raises ValueError on non-finite input or p < 1.  The arithmetic runs in
     place in one temporary, in the operation order of the plain
@@ -51,18 +51,18 @@ def lp_norm(v, p, axis=-1):
         raise ValueError(f"lp_norm: p must be >= 1 or inf, got {p}")
     a = np.abs(v)
     if p == math.inf:
-        return a.max(axis=axis)
+        return a.max(axis=-1)
     if p == 1:
-        return a.sum(axis=axis)
+        return a.sum(axis=-1)
     # Scale out the max to keep a**p in range, p = 2 included: the squares of
     # 1e200 overflow and those of 1e-200 underflow.  Both steps run in place
     # in ``a``, the one full-size temporary; an all-zero slice is divided by
     # 1.  ``**=`` keeps numpy's fast path (a square) for p = 2.
-    m = a.max(axis=axis, keepdims=True)
+    m = a.max(axis=-1, keepdims=True)
     m[m == 0] = 1.0
     a /= m
     a **= p
-    return m.squeeze(axis) * a.sum(axis=axis) ** (1.0 / p)
+    return m.squeeze(-1) * a.sum(axis=-1) ** (1.0 / p)
 
 
 def dual_exponent(p):

@@ -87,7 +87,7 @@ def test_criterion_02_strong_convexity():
         spec = SpaceSpec(p, d)
         X = rng.standard_normal((10_000, d))
         Y = rng.standard_normal((10_000, d))
-        margin = bregman(Y, X, spec) - 0.5 * lp_norm(Y - X, p, axis=-1) ** 2
+        margin = bregman(Y, X, spec) - 0.5 * lp_norm(Y - X, p) ** 2
         worst = min(worst, float(margin.min()))
     elapsed = time.time() - t0
     assert worst >= -1e-10
@@ -106,7 +106,7 @@ def test_criterion_03_gg_sampler_moments():
     for r in (2.0, 3.0, 8.0):
         rng = np.random.default_rng(303)
         z = gg_sample(GGNoiseSpec(sigma2=sigma2, r=r, d=d), rng, size=m_draws)
-        radii = lp_norm(z, r, axis=-1)
+        radii = lp_norm(z, r)
         for m in (1, 2, 4):
             emp = float((radii**m).mean())
             exact = (2.0 * sigma2) ** (m / 2.0) * math.exp(
@@ -490,10 +490,10 @@ def test_criterion_12_sensitivity_brute_force():
     ph = PseudoHuberLoss(huber_delta=2.0, feature_dual_bound=1.0, norm_p=1.5)
     q = 3.0
     Z = rng.standard_normal((n, d))
-    Z /= lp_norm(Z, q, axis=-1)[:, None]
+    Z /= lp_norm(Z, q)[:, None]
     yb = Z @ np.array([0.3, -0.2, 0.1]) + rng.standard_normal(n)
     zpool = rng.standard_normal((40, d))
-    zpool /= lp_norm(zpool, q, axis=-1)[:, None]
+    zpool /= lp_norm(zpool, q)[:, None]
     ypool = rng.standard_normal(40) * 3
     gq_base = ph.grads(w, Z, yb).mean(axis=0)
     worst_lq = 0.0

@@ -335,13 +335,13 @@ class TestBallSets:
 
     def test_l2_geometry(self):
         ball = L2Ball(2.0, 8)
-        assert ball.diameter_l2 == pytest.approx(4.0)
+        assert ball.diameter_primal(2.0) == pytest.approx(4.0)
         assert ball.c_min == pytest.approx(2.0)
-        assert ball.c_min <= ball.diameter_l2
+        assert ball.c_min <= ball.diameter_primal(2.0)
 
     def test_l1_geometry(self):
         ball = L1Ball(1.0, 4)
-        assert ball.diameter_l2 == pytest.approx(2.0)
+        assert ball.diameter_primal(2.0) == pytest.approx(2.0)
         # boundary point closest to the origin is a face center
         assert ball.c_min == pytest.approx(0.5)
         assert ball.diameter_primal(1.5) == pytest.approx(2.0)
@@ -351,7 +351,7 @@ class TestBallSets:
         # primal diameter in its own norm
         assert ball.diameter_primal(1.5) == pytest.approx(2.0)
         # l2 extremes: vertices for p < 2
-        assert ball.diameter_l2 == pytest.approx(2.0)
+        assert ball.diameter_primal(2.0) == pytest.approx(2.0)
         assert ball.c_min == pytest.approx(4.0 ** (0.5 - 1 / 1.5))
 
     def test_support_batched(self):

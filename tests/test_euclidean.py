@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -38,9 +39,16 @@ from test_mirror import QuadLoss
 HUGE_EPS = PrivacyBudget(1e6, 1e-5)
 
 
+@dataclass
+class _ValuedObjective(SmoothObjective):
+    """A test objective that also evaluates itself, so a test can measure a value gap."""
+
+    value: callable = None
+
+
 def _quadratic(center):
     c = np.asarray(center, dtype=float)
-    return SmoothObjective(
+    return _ValuedObjective(
         value=lambda w: 0.5 * float((w - c) @ (w - c)),
         grad=lambda w: w - c,
         smoothness=1.0,
@@ -73,9 +81,7 @@ class TestInnerSolve:
         ref = optimize.minimize(f, np.zeros(2), jac=g, method="BFGS", tol=1e-14).x
         assert np.linalg.norm(ref) < 1.0  # interior, so constrained == unconstrained
 
-        obj = SmoothObjective(
-            value=f, grad=g, smoothness=loss.smoothness + 2 * lam, strong_convexity=2 * lam
-        )
+        obj = SmoothObjective(grad=g, smoothness=loss.smoothness + 2 * lam, strong_convexity=2 * lam)
         w = inner_solve(obj, L2Ball(1.0, 2), 1e-12, np.zeros(2))
         assert np.linalg.norm(w - ref) <= 1e-5
 
@@ -98,7 +104,7 @@ def _random_quadratic(rng, d, kappa):
     A = (Q * np.geomspace(beta / kappa, beta, d)) @ Q.T
     c = rng.standard_normal(d)
     c *= rng.uniform(0.0, 3.0) / np.linalg.norm(c)  # outside the unit ball about half the time
-    return SmoothObjective(
+    return _ValuedObjective(
         value=lambda w: 0.5 * float((w - c) @ A @ (w - c)),
         grad=lambda w: A @ (w - c),
         smoothness=beta,
@@ -109,7 +115,7 @@ def _random_quadratic(rng, d, kappa):
 def _pgd_count(obj, C, alpha):
     """Certified count of plain projected gradient: ceil(kappa ln(beta ||C||^2 / 2 alpha))."""
     kappa = obj.smoothness / obj.strong_convexity
-    return math.ceil(kappa * math.log(obj.smoothness * C.diameter_l2**2 / (2.0 * alpha)))
+    return math.ceil(kappa * math.log(obj.smoothness * C.diameter_primal(2.0) ** 2 / (2.0 * alpha)))
 
 
 class TestCertificate:
@@ -135,14 +141,14 @@ class TestCertificate:
         alpha=st.floats(1e-12, 1e-3),
     )
     def test_count_below_projected_gradient(self, kappa, beta, radius, alpha):
-        obj = SmoothObjective(value=None, grad=None, smoothness=beta, strong_convexity=beta / kappa)
+        obj = SmoothObjective(grad=None, smoothness=beta, strong_convexity=beta / kappa)
         C = L2Ball(radius, 3)
         assert inner_iteration_count(obj, C, alpha) < _pgd_count(obj, C, alpha)
 
     def test_count_grows_with_sqrt_kappa(self):
         C = L2Ball(1.0, 3)
         counts = [
-            inner_iteration_count(SmoothObjective(None, None, 1.0, 1.0 / kappa), C, 1e-6)
+            inner_iteration_count(SmoothObjective(None, 1.0, 1.0 / kappa), C, 1e-6)
             for kappa in (1.0, 100.0, 1e4)
         ]
         log_arg = math.log(4.0 / 2e-6)
@@ -150,7 +156,7 @@ class TestCertificate:
 
     def test_bad_constants_rejected(self):
         with pytest.raises(ValueError, match="strongly convex"):
-            inner_iteration_count(SmoothObjective(None, None, 1.0, 0.0), L2Ball(1.0, 2), 1e-6)
+            inner_iteration_count(SmoothObjective(None, 1.0, 0.0), L2Ball(1.0, 2), 1e-6)
         with pytest.raises(ValueError, match="alpha"):
             inner_iteration_count(_quadratic([0.0, 0.0]), L2Ball(1.0, 2), -1.0)
 
@@ -158,7 +164,6 @@ class TestCertificate:
 def _inner_constants(loss, lam):
     """Curvature constants of the perturbed objective handed to the inner loop."""
     return SmoothObjective(
-        value=None,
         grad=None,
         smoothness=loss.smoothness + 2.0 * lam,
         strong_convexity=loss.strong_convexity + 2.0 * lam,

@@ -171,7 +171,7 @@ class TestGGSampler:
         d = 10
         spec = GGNoiseSpec(sigma2=1.0, r=r, d=d)
         z = gg_sample(spec, rng, size=20_000)
-        radii = lp_norm(z, r, axis=-1)
+        radii = lp_norm(z, r)
         res = stats.kstest(radii, stats.chi(d).cdf)
         assert res.pvalue > 0.01
 
@@ -179,7 +179,7 @@ class TestGGSampler:
         rng = np.random.default_rng(3)
         spec = GGNoiseSpec(sigma2=1.5, r=3.0, d=10)
         z = gg_sample(spec, rng, size=100_000)
-        m2 = float((lp_norm(z, 3.0, axis=-1) ** 2).mean())
+        m2 = float((lp_norm(z, 3.0) ** 2).mean())
         assert m2 <= 10 * 1.5 * (1 + 3.0 / math.sqrt(100_000))
 
     def test_sign_symmetry(self):
@@ -243,7 +243,7 @@ class TestLrSphereSampler:
     @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
     def test_rows_are_unit_vectors(self, r):
         u = sample_lr_sphere(5, r, np.random.default_rng(2), size=100)
-        np.testing.assert_allclose(lp_norm(u, r, axis=-1), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(lp_norm(u, r), 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "sample",

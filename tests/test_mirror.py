@@ -7,7 +7,7 @@ from scipy import optimize
 
 from dpsco.bench import runner
 from dpsco.bench.components import ALGORITHMS
-from dpsco.errors import RefusalError
+from dpsco.errors import NumericError, RefusalError
 from dpsco.mechanisms import PrivacyBudget
 from dpsco import mirror
 from dpsco.mirror import (
@@ -203,7 +203,42 @@ class TestTruncation:
             truncate_gradients(np.ones((2, 2)), 0.0, 2.0, TruncationStats())
 
 
+class _UphillBall(L2Ball):
+    """An l2 ball whose every projection after the first moves uphill from the first.
+
+    The step's search projects v = w - eta * grad, w the first point.  The first
+    such v fixes the direction w - v, along the gradient, and every candidate
+    is w moved a fixed distance that way: by convexity its objective is at least
+    f(w) + <grad, candidate - w>, above the Armijo bound, so every halving fails.
+    """
+
+    def __init__(self, radius, d):
+        super().__init__(radius, d)
+        self.points = []
+
+    def project(self, v):
+        if not self.points:
+            self.points.append(super().project(v))
+            return self.points[0]
+        w = self.points[0]
+        if len(self.points) == 1:
+            self.uphill = 0.5 * self.radius * (w - v) / np.linalg.norm(w - v)
+        self.points.append(w + self.uphill)
+        return self.points[-1]
+
+
 class TestMirrorStep:
+    def test_failed_search_raises_numeric_error(self):
+        space, C = SpaceSpec(1.5, 4), _UphillBall(0.5, 4)
+        g_hat, w_prev, gamma = np.array([3.0, -1.0, 2.0, 0.5]), np.zeros(4), 1.0
+        with pytest.raises(NumericError, match="mirror step did not reach tol") as exc:
+            mirror_step_constrained(g_hat, w_prev, gamma, C, space)
+        assert len(C.points) == 1 + 60  # the start, then 60 rejected halvings of one step
+        w = C.points[0]
+        gw = g_hat + gamma * (grad_phi(w, space) - grad_phi(w_prev, space))
+        assert exc.value.residual == pytest.approx(float(gw @ w + C.support(-gw)), rel=1e-12)
+        assert exc.value.residual > 1e-8 * gamma * C.diameter_primal(1.5) ** 2  # above the tol
+
     def test_zero_gradient_returns_previous(self):
         space = SpaceSpec(1.5, 4)
         C = LpBall(1.5, 1.0, 4)
@@ -388,6 +423,16 @@ class TestShuffledTruncatedMD:
         assert info["truncation"].zeroed == 0
         assert np.linalg.norm(w - ref) <= 1e-6
 
+    def test_t_clamped_to_n(self):
+        space, _, data, loss, C = _heavy_setup(n=64)
+        with pytest.warns(UserWarning, match="clamping") as caught:
+            _, info = shuffled_truncated_md(
+                data, loss, C, space, PrivacyBudget(0.25, 1e-5), np.random.default_rng(8),
+                lambda_trunc=2.0, c_t=1e9,
+            )
+        assert info["T"] == 64
+        assert [w.filename for w in caught] == [__file__]  # the caller's line, not dpsco's
+
     def test_deterministic(self):
         space, _, data, loss, C = _heavy_setup(n=512)
         b = PrivacyBudget(0.01, 1e-5)
@@ -484,6 +529,38 @@ class TestTruncatedSolverInfo:
                 data, loss, C, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0),
                 T=17, lambda_trunc=2.0,
             )
+
+
+def _mismatched_setting(case):
+    """The 4-dimensional heavy-tailed problem at p = 2, or with data or C in d = 20."""
+    space, _, data, loss, C = _heavy_setup(n=64, d=4)
+    if case == "p=2":
+        space = SpaceSpec(2.0, 4)
+    elif case == "data.d":
+        data = _heavy_setup(n=64, d=20)[2]
+    else:
+        C = LpBall(1.5, 1.0, 20)
+    return space, data, loss, C
+
+
+class TestSetting:
+    # kappa = min{1/(p-1), 2 ln d} calibrates the noise, so p and the space's d are
+    # privacy inputs: each solver refuses p outside (1, 2), and data or C of another d.
+    @pytest.mark.parametrize(
+        "name, case",
+        [("noisy_reg_md", "p=2"), ("noisy_reg_md", "data.d")]
+        + [(name, case) for name in ("shuffled_truncated_md", "batched_truncated_md")
+           for case in ("p=2", "data.d", "C.d")],
+    )
+    def test_refused(self, name, case):
+        space, data, loss, C = _mismatched_setting(case)
+        sets = () if name == "noisy_reg_md" else (C,)
+        with pytest.raises(ValueError, match=f"^{name}") as exc:
+            getattr(mirror, name)(
+                data, loss, *sets, space, PrivacyBudget(0.25, 1e-5), np.random.default_rng(0), T=4
+            )
+        reason = "requires 1 < p < 2" if case == "p=2" else "the space's dimension d=4"
+        assert reason in str(exc.value)
 
 
 class TestSolverOptions:
