@@ -17,6 +17,8 @@ from dpsco.problems import HeavyTailLinear, LpBall, PseudoHuberLoss, excess_popu
 from dpsco.spaces import SpaceSpec
 
 p, d, n = 1.5, 12, 4096
+# The solvers take p from the loss's norm_p and d from the data; this SpaceSpec
+# of the same (p, d) shows the kappa and noise norm they derive.
 space = SpaceSpec(p, d)
 # ||w_star||_p = 0.5 puts the minimizer inside the constraint ball C below,
 # so the constrained excess risk is scored against the constrained optimum.
@@ -30,7 +32,7 @@ data = dist.sample(n, np.random.default_rng(3))
 print(f"space: p={p}, d={d}  ->  kappa={space.kappa:.3f}, noise norm r={space.r_noise:.3f}")
 
 # Unconstrained Lipschitz solver.
-w, info = noisy_reg_md(data, loss, space, PrivacyBudget(1.0, 1e-5), np.random.default_rng(4),
+w, info = noisy_reg_md(data, loss, PrivacyBudget(1.0, 1e-5), np.random.default_rng(4),
                        c_t=5.0)
 exc, _ = excess_population_risk(w, dist, loss, None, m_eval=50_000,
                                 rng=np.random.default_rng(5))
@@ -39,13 +41,13 @@ print(f"\nnoisy regularized MD: T={info['T']}, alpha={info['alpha_reg']:.4f}, "
 
 # The shuffled solver refuses budgets outside its amplification regime.
 try:
-    shuffled_truncated_md(data, loss, C, space, PrivacyBudget(0.5, 1e-5),
+    shuffled_truncated_md(data, loss, C, PrivacyBudget(0.5, 1e-5),
                           np.random.default_rng(6), T=8)
 except RefusalError as exc_info:
     print(f"\nshuffled MD refusal at eps=0.5: {exc_info}")
 
 eps_hp = 0.5 * math.sqrt(math.log(n / 1e-5) / n)  # comfortably inside the regime
-w, info = shuffled_truncated_md(data, loss, C, space, PrivacyBudget(eps_hp, 1e-5),
+w, info = shuffled_truncated_md(data, loss, C, PrivacyBudget(eps_hp, 1e-5),
                                 np.random.default_rng(7))
 stats = info["truncation"]
 print(f"shuffled MD at eps={eps_hp:.4f}: T={info['T']}, lambda={info['lambda_trunc']:.2f}, "
@@ -56,7 +58,7 @@ print(f"shuffled MD at eps={eps_hp:.4f}: T={info['T']}, lambda={info['lambda_tru
 # the offset lambda.
 print("\nbatched MD, truncation fraction vs lambda (fixed data):")
 for lam in (1.0, 2.0, 4.0, 8.0):
-    w, info = batched_truncated_md(data, loss, C, space, PrivacyBudget(0.5, 1e-5),
+    w, info = batched_truncated_md(data, loss, C, PrivacyBudget(0.5, 1e-5),
                                    np.random.default_rng(8), T=8, lambda_trunc=lam)
     exc, _ = excess_population_risk(w, dist, loss, C, m_eval=50_000,
                                     rng=np.random.default_rng(9))

@@ -49,32 +49,28 @@ class Algorithm:
 
     ``keys`` are its keyword-only parameters.  A solver with a ``C``
     parameter is ``constrained``: it requires a constraint set and the others
-    refuse one.  One with a ``space`` parameter is handed the SpaceSpec the
-    config built from its geometry.  Geometry p must lie in ``p_range``,
-    open when ``p_open``.
+    refuse one.  Geometry p, and the p the loss declares its constants in,
+    must lie in ``p_range``, open when ``p_open``.
     """
 
     keys: tuple
     constrained: bool
-    takes_space: bool
     p_range: tuple = (2.0, 2.0)
     p_open: bool = False
 
     @classmethod
     def of(cls, solver, **kw):
-        params = inspect.signature(solver).parameters
-        return cls(tuple(solver.__kwdefaults__), "C" in params, "space" in params, **kw)
+        return cls(tuple(solver.__kwdefaults__), "C" in inspect.signature(solver).parameters, **kw)
 
-    def run(self, solve, data, loss, C, space, budget, rng, **options):
-        """``solve(data, loss, [C,] [space,] budget, rng, **options)``."""
-        args = [data, loss] + ([C] if self.constrained else []) + ([space] if self.takes_space else [])
-        return solve(*args, budget, rng, **options)
+    def run(self, solve, data, loss, C, budget, rng, **options):
+        """``solve(data, loss, [C,] budget, rng, **options)``."""
+        return solve(data, loss, *([C] if self.constrained else []), budget, rng, **options)
 
-    def check_p(self, name, p):
+    def check_p(self, name, p, source="geometry"):
         lo, hi = self.p_range
         if not (lo < p < hi if self.p_open else lo <= p <= hi):
             rel = "<" if self.p_open else "<="
-            raise ConfigError(f"{name} needs {lo} {rel} p {rel} {hi}; geometry has p={p}")
+            raise ConfigError(f"{name} needs {lo} {rel} p {rel} {hi}; {source} has p={p}")
 
 
 class Table(dict):

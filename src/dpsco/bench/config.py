@@ -10,10 +10,11 @@ Values are range-checked by ``dpsco.options.check_options`` (component
 parameters as their table builds them), which the code that takes them
 runs too; the ``evaluation`` section is the keyword arguments of
 ``excess_population_risk``, whose signature holds its defaults.  A ``T``
-that the smallest n cannot serve is refused as well.  The config builds the
-loss, distribution and constraint set, the geometry's ``SpaceSpec`` and one
-``PrivacyBudget`` per epsilon once, so a value they refuse is refused at
-parse time too; every cell, serial or pooled, runs on those objects.
+that the smallest n cannot serve is refused as well, and so is a loss whose
+declared norm lies outside the algorithm's p range.  The config builds the
+loss, distribution and constraint set and one ``PrivacyBudget`` per epsilon
+once, so a value they refuse is refused at parse time too; every cell,
+serial or pooled, runs on those objects.
 """
 
 import json
@@ -25,7 +26,6 @@ from ..errors import ConfigError
 from ..mechanisms import PrivacyBudget
 from ..options import check_options
 from ..problems.risk import closed_form_risk, excess_population_risk, population_minimizer
-from ..spaces import SpaceSpec
 from .components import ALGORITHMS, CONSTRAINTS, DISTRIBUTIONS, LOSSES
 
 # The evaluation section holds the keyword-only arguments of excess_population_risk.
@@ -70,9 +70,8 @@ class ExperimentConfig:
     solver: dict = field(default_factory=dict)
     parallelism: int = 1
     # Built once at parse: (loss, distribution, constraint set or None) from
-    # the tables, the geometry's SpaceSpec, and the PrivacyBudget of each epsilon.
+    # the tables and the PrivacyBudget of each epsilon.
     components: tuple = field(init=False, repr=False, compare=False)
-    space: SpaceSpec = field(init=False, repr=False, compare=False)
     budgets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -92,12 +91,12 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{self.algorithm}: solver.{exc}") from exc
         algo.check_p(self.algorithm, p)
-        self.space = SpaceSpec(p, d)
         if algo.constrained and self.constraint is None:
             raise ConfigError(f"{self.algorithm} requires a constraint set")
         if not algo.constrained and self.constraint is not None:
             raise ConfigError(f"{self.algorithm} is unconstrained; remove the constraint set")
         loss = LOSSES.build(self.loss, self.geometry)
+        algo.check_p(self.algorithm, loss.norm_p, f"loss {self.loss['name']!r}")
         dist = DISTRIBUTIONS.build(self.distribution, self.geometry)
         fits = DISTRIBUTIONS[self.distribution["name"]].losses
         if self.loss["name"] not in fits:

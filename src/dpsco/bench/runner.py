@@ -3,7 +3,7 @@
 Every (n, epsilon, trial) cell derives its seed as a pure function of the
 base seed and the cell indices, so reruns (serial or pooled) emit identical
 records in identical order.  A cell runs on the objects the parsed config
-built (its components, SpaceSpec and privacy budgets); pooled workers get
+built (its components and privacy budgets); pooled workers get
 the parsed config itself, pickled, and parse nothing.  Privacy-precondition
 refusals are recorded, not fatal.
 """
@@ -53,9 +53,7 @@ def run_cell(cfg, n_idx, eps_idx, trial):
                   n=n, epsilon=budget.epsilon, delta=budget.delta, trial=trial, seed=seed)
     t0 = time.perf_counter()
     try:
-        w, info = ALGORITHMS[cfg.algorithm].run(
-            solve, data, loss, C, cfg.space, budget, rng, **cfg.solver
-        )
+        w, info = ALGORITHMS[cfg.algorithm].run(solve, data, loss, C, budget, rng, **cfg.solver)
     except RefusalError as exc:
         wall = (time.perf_counter() - t0) * 1e3
         return RunRecord(

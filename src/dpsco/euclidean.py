@@ -179,12 +179,13 @@ def _solve_with_surrogate(obj, C, alpha, start, release_bound):
 
 
 def _perturb_solve_release(
-    data, loss, C, budget, rng, lam, curvature, alpha_ceiling, release_curvature,
+    name, data, loss, C, budget, rng, lam, curvature, alpha_ceiling, release_curvature,
     alpha_opt, n_min=None,
 ):
     """Approximate-minima perturbation (Iyengar et al. 2019), shared by both solvers.
 
-    Refuses unless beta <= eps * n * curvature / r, the smoothness
+    Refuses a C whose d is not data.d (C's width and c_min set the noise).
+    Then it refuses unless beta <= eps * n * curvature / r, the smoothness
     precondition that makes the perturbed-objective release private; the
     refusal names ``n_min``, by default ceil(r beta / (eps * curvature)).
     Then it adds the linear term G / n, G ~ N(0, sigma1^2 I), and the ridge
@@ -193,6 +194,8 @@ def _perturb_solve_release(
     C.project(theta2 + H), H ~ N(0, sigma2^2 I) with sigma2^2 proportional to
     alpha / release_curvature.
     """
+    if C.d != data.d:
+        raise ValueError(f"{name}: C must have the data's dimension d={data.d}, got d={C.d}")
     _require_l2_constants(loss)
     n, d = data.n, data.d
     L, beta = loss.lipschitz, loss.smoothness
@@ -262,7 +265,7 @@ def app_objp(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None):
         r = loss.rank_bound(data.d)
         n_min = math.ceil((r * loss.smoothness * D / (budget.epsilon * L)) ** 2)
     return _perturb_solve_release(
-        data, loss, C, budget, rng, lam, curvature=lam, alpha_ceiling=_alpha_ceiling,
+        "app_objp", data, loss, C, budget, rng, lam, curvature=lam, alpha_ceiling=_alpha_ceiling,
         release_curvature=lam, alpha_opt=alpha_opt, n_min=n_min,
     )
 
@@ -286,7 +289,7 @@ def app_objp_sc(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None):
         r = loss.rank_bound(data.d)
         lam = max(r * loss.smoothness / (budget.epsilon * data.n) - delta2, 0.0)
     theta_hat, info = _perturb_solve_release(
-        data, loss, C, budget, rng, lam,
+        "app_objp_sc", data, loss, C, budget, rng, lam,
         curvature=lam + delta2,
         alpha_ceiling=functools.partial(_alpha_ceiling_sc, delta_c=delta_c),
         release_curvature=delta_c / C.diameter_primal(2.0) ** 2, alpha_opt=alpha_opt,

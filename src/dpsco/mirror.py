@@ -15,8 +15,10 @@ entry ``lipschitz_high_p`` runs the Euclidean ``phased_dp_sgd``):
   parallel composition.  Its analysis is stated for epsilon in (0, 1), and
   nothing yet refuses epsilon >= 1.
 
-Each solver takes the geometry ``space`` (a ``SpaceSpec``) positionally and
-its options as keyword-only arguments.  ``T``, ``alpha_reg``, ``gamma`` and
+The problem defines the geometry: p is the loss's declared ``norm_p`` (its
+constants are stated in ||.||_p) and d is ``data.d``.  Both set kappa, so
+the noise, and a ``C`` of another dimension is refused.  Options are
+keyword-only arguments.  ``T``, ``alpha_reg``, ``gamma`` and
 ``lambda_trunc`` default to the schedules the utility analysis prescribes
 and are > 0 when given, and ``c_t`` > 0 scales the default T.  No option
 scales or skips a noise draw, and none lifts the shuffled solver's regime
@@ -37,7 +39,7 @@ from .mechanisms import GGNoiseSpec, gg_sample, shuffle_calibrate
 from .options import check_options
 from .problems.risk import empirical_grad
 # ``bregman`` is not called here; the benchmark's tracer binds dpsco.mirror.bregman.
-from .spaces import bregman, grad_phi, inv_grad_phi, lp_norm, phi  # noqa: F401
+from .spaces import SpaceSpec, bregman, grad_phi, inv_grad_phi, lp_norm, phi  # noqa: F401
 
 __all__ = [
     "TruncationStats",
@@ -89,24 +91,25 @@ class _WeightedAverage:
             self.value = (1.0 - frac) * self.value + frac * np.asarray(w, dtype=float)
 
 
-def _check_setting(name, data, space, C=None):
-    """Refuse p outside (1, 2), and data or C whose d is not space.d (it sets kappa, so the noise)."""
-    if not (1.0 < space.p < 2.0):
-        raise ValueError(f"{name} requires 1 < p < 2")
-    if data.d != space.d or (C is not None and C.d != space.d):
-        raise ValueError(f"{name}: data and C must have the space's dimension d={space.d}")
+def _space(name, data, loss, C=None):
+    """SpaceSpec(loss.norm_p, data.d), after refusing p outside (1, 2) and a C of another d."""
+    if not (1.0 < loss.norm_p < 2.0):
+        raise ValueError(f"{name} requires 1 < p < 2; the loss declares norm_p={loss.norm_p}")
+    if C is not None and C.d != data.d:
+        raise ValueError(f"{name}: C must have the data's dimension d={data.d}, got d={C.d}")
+    return SpaceSpec(loss.norm_p, data.d)
 
 
-def _schedule_T(raw, n):
-    """The automatic T: round(raw), at least 1, clamped to n with a warning."""
-    T = max(1, round(raw))
-    if T > n:
-        warn_at_caller(f"schedule T={T} exceeds n={n}; clamping to n")
-        T = n
+def _schedule_T(T, limit, bound="n"):
+    """The automatic T, at least 1, clamped to ``limit`` (named ``bound``) with a warning."""
+    T = max(1, T)
+    if T > limit:
+        warn_at_caller(f"schedule T={T} exceeds {bound}={limit}; clamping to {bound}")
+        T = limit
     return T
 
 
-def noisy_reg_md(data, loss, space, budget, rng, *, T=None, alpha_reg=None, c_t=1.0):
+def noisy_reg_md(data, loss, budget, rng, *, T=None, alpha_reg=None, c_t=1.0):
     """Noisy regularized mirror descent, unconstrained.
 
     Each step minimizes
@@ -117,9 +120,7 @@ def noisy_reg_md(data, loss, space, budget, rng, *, T=None, alpha_reg=None, c_t=
     ratio (2 beta + alpha) / (2 beta).
     """
     check_options(T=T, alpha_reg=alpha_reg, c_t=c_t)
-    _check_setting("noisy_reg_md", data, space)
-    if getattr(loss, "norm_p", None) != space.p:
-        raise ValueError("loss constants must be declared w.r.t. the ambient p-norm")
+    space = _space("noisy_reg_md", data, loss)
     n, d = data.n, data.d
     L, beta = loss.lipschitz, loss.smoothness
     kappa = space.kappa
@@ -128,7 +129,7 @@ def noisy_reg_md(data, loss, space, budget, rng, *, T=None, alpha_reg=None, c_t=
         raw = c_t * (
             n * budget.epsilon * kappa / math.sqrt(d * math.log(1.0 / budget.delta))
         ) ** 0.4
-        T = max(1, min(math.ceil(raw), max(1, n - 1)))
+        T = _schedule_T(math.ceil(raw), max(1, n - 1), "n - 1")
     if alpha_reg is None:
         if T >= n:
             raise ValueError("automatic alpha_reg needs T < n; pass alpha_reg explicitly")
@@ -256,7 +257,7 @@ def _truncated_md(data, loss, C, space, T, gamma, lam, threshold, privatize):
     return avg.value, info
 
 
-def shuffled_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=None,
+def shuffled_truncated_md(data, loss, C, budget, rng, *, T=None, gamma=None,
                           lambda_trunc=None, c_t=1.0):
     """Shuffled, truncated, noisy one-pass mirror descent.
 
@@ -266,7 +267,7 @@ def shuffled_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=No
     so every run the solver returns holds a valid calibration.
     """
     check_options(T=T, gamma=gamma, lambda_trunc=lambda_trunc, c_t=c_t)
-    _check_setting("shuffled_truncated_md", data, space, C)
+    space = _space("shuffled_truncated_md", data, loss, C)
     n, d = data.n, data.d
     beta = loss.smoothness
     kappa = space.kappa
@@ -283,7 +284,7 @@ def shuffled_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=No
     calib = shuffle_calibrate(n, budget, threshold, kappa)  # refuses outside the regime
 
     if T is None:
-        T = _schedule_T(c_t * M**2 * n**2 * budget.epsilon**2 / (lambda_trunc**2 * d * logd), n)
+        T = _schedule_T(round(c_t * M**2 * n**2 * budget.epsilon**2 / (lambda_trunc**2 * d * logd)), n)
 
     perm = rng.permutation(n)  # Fisher-Yates under the hood; rng-injected
     # lambda_trunc > 0 makes the threshold, and so sigma, positive.
@@ -299,7 +300,7 @@ def shuffled_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=No
     return out, info
 
 
-def batched_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=None,
+def batched_truncated_md(data, loss, C, budget, rng, *, T=None, gamma=None,
                          lambda_trunc=None, c_t=1.0):
     """Truncated batched mirror descent without shuffling.
 
@@ -308,7 +309,7 @@ def batched_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=Non
     The analysis is stated for 0 < eps < 1; nothing yet refuses eps >= 1.
     """
     check_options(T=T, gamma=gamma, lambda_trunc=lambda_trunc, c_t=c_t)
-    _check_setting("batched_truncated_md", data, space, C)
+    space = _space("batched_truncated_md", data, loss, C)
     n, d = data.n, data.d
     beta = loss.smoothness
     kappa = space.kappa
@@ -323,7 +324,7 @@ def batched_truncated_md(data, loss, C, space, budget, rng, *, T=None, gamma=Non
     threshold = beta * M + lambda_trunc
 
     if T is None:
-        T = _schedule_T(c_t * n * budget.epsilon / (M * lambda_trunc * math.sqrt(d * logd)), n)
+        T = _schedule_T(round(c_t * n * budget.epsilon / (M * lambda_trunc * math.sqrt(d * logd))), n)
 
     b = _batch_size(n, T)
     sigma2 = kappa * threshold**2 * logd / (b**2 * budget.epsilon**2)

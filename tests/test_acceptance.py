@@ -214,9 +214,9 @@ def test_criterion_06_zero_noise_equivalence(zero_noise, monkeypatch):
         empirical_risk(w_dp, data, loss) - empirical_risk(w_ref, data, loss)
     )
 
-    space, data, loss, C = _heavy_instance()
-    w_dp, _ = noisy_reg_md(data, loss, space, huge, np.random.default_rng(4), T=64)
-    w_ref, _ = noisy_reg_md(data, loss, space, huge, zero_noise(4), T=64)
+    _, data, loss, C = _heavy_instance()
+    w_dp, _ = noisy_reg_md(data, loss, huge, np.random.default_rng(4), T=64)
+    w_ref, _ = noisy_reg_md(data, loss, huge, zero_noise(4), T=64)
     gaps["noisy_reg_md"] = abs(empirical_risk(w_dp, data, loss) - empirical_risk(w_ref, data, loss))
 
     # eps = 1e6 lies far outside the shuffling regime at n = 512, where the
@@ -231,15 +231,15 @@ def test_criterion_06_zero_noise_equivalence(zero_noise, monkeypatch):
         return dataclasses.replace(cal, sigma=cal.sigma * eps_in / budget.epsilon)
 
     monkeypatch.setattr(mirror, "shuffle_calibrate", calibrate_past_the_ceiling)
-    w_dp, _ = shuffled_truncated_md(data, loss, C, space, huge, np.random.default_rng(5), T=16)
-    w_ref, _ = shuffled_truncated_md(data, loss, C, space, huge, zero_noise(5), T=16)
+    w_dp, _ = shuffled_truncated_md(data, loss, C, huge, np.random.default_rng(5), T=16)
+    w_ref, _ = shuffled_truncated_md(data, loss, C, huge, zero_noise(5), T=16)
     monkeypatch.undo()
     gaps["shuffled_truncated_md"] = abs(
         empirical_risk(w_dp, data, loss) - empirical_risk(w_ref, data, loss)
     )
 
-    w_dp, _ = batched_truncated_md(data, loss, C, space, huge, np.random.default_rng(6), T=16)
-    w_ref, _ = batched_truncated_md(data, loss, C, space, huge, zero_noise(6), T=16)
+    w_dp, _ = batched_truncated_md(data, loss, C, huge, np.random.default_rng(6), T=16)
+    w_ref, _ = batched_truncated_md(data, loss, C, huge, zero_noise(6), T=16)
     gaps["batched_truncated_md"] = abs(
         empirical_risk(w_dp, data, loss) - empirical_risk(w_ref, data, loss)
     )
@@ -398,7 +398,7 @@ def test_criterion_10_truncation_invariant():
     for lam in (1.0, 2.0, 4.0, 8.0):
         # any violation of the post-truncation bound raises inside the solver
         _, info = batched_truncated_md(
-            data, loss, C, space, budget, np.random.default_rng(11), T=8, lambda_trunc=lam
+            data, loss, C, budget, np.random.default_rng(11), T=8, lambda_trunc=lam
         )
         stats_obj = info["truncation"]
         assert stats_obj.total == 2048 * 1  # one pass over the data
@@ -407,7 +407,7 @@ def test_criterion_10_truncation_invariant():
 
     # shuffled variant under the same invariant, at an epsilon inside its regime
     _, info = shuffled_truncated_md(
-        data, loss, C, space, PrivacyBudget(0.05, 1e-5), np.random.default_rng(12),
+        data, loss, C, PrivacyBudget(0.05, 1e-5), np.random.default_rng(12),
         T=8, lambda_trunc=2.0,
     )
     assert info["truncation"].max_pre_norm > 0
@@ -436,19 +436,19 @@ def test_criterion_11_privacy_regime_gating():
     data_small = dist.sample(1000, np.random.default_rng(111))
     with pytest.raises(RefusalError):
         shuffled_truncated_md(
-            data_small, loss, C, space,
+            data_small, loss, C,
             PrivacyBudget(0.5, 1e-5), np.random.default_rng(1), T=4,
         )
 
     data_big = dist.sample(100_000, np.random.default_rng(112))
     shuffled_truncated_md(
-        data_big, loss, C, space,
+        data_big, loss, C,
         PrivacyBudget(0.01, 1e-5), np.random.default_rng(2), T=4,
     )
 
     for data, eps in ((data_small, 0.5), (data_big, 0.01)):
         batched_truncated_md(
-            data, loss, C, space,
+            data, loss, C,
             PrivacyBudget(eps, 1e-5), np.random.default_rng(3), T=4,
         )
     elapsed = time.time() - t0

@@ -97,6 +97,16 @@ MISCONFIGS = {
         _md_doc(algorithm="noisy_reg_md", geometry={"p": 2.0, "d": 4}, constraint=None, solver={}),
         "p=2.0",
     ),
+    # mean_point's constants are l2 ones: a mirror solver would run them in an lp geometry.
+    **{
+        f"mean_point under {name}": (
+            _base_doc(algorithm=name, geometry={"p": 1.5, "d": 6}, constraint=constraint),
+            "loss 'mean_point' has p=2.0",
+        )
+        for name, constraint in (
+            ("noisy_reg_md", None), ("batched_truncated_md", {"set": "l2", "radius": 1.0})
+        )
+    },
     "constrained algorithm without a constraint": (_md_doc(constraint=None), "constraint"),
     "oracle risk on heavy_tail_linear": (_md_doc(evaluation={"policy": "oracle"}), "oracle"),
     "heavy-tail noise without a variance": (
@@ -250,11 +260,12 @@ def test_solver_keys_are_the_schedule_options():
 
 
 def test_signature_flags_match_the_solver_families():
-    # Read from the signatures: which solvers take a constraint set C and which a SpaceSpec.
+    # Read from the signatures: which solvers take a constraint set C.  None takes a
+    # geometry: p is the loss's declared norm_p and d is data.d.
     constrained = {name for name, entry in ALGORITHMS.items() if entry.constrained}
-    mirror = {name for name, entry in ALGORITHMS.items() if entry.takes_space}
     assert constrained == {"app_objp", "app_objp_sc", "shuffled_truncated_md", "batched_truncated_md"}
-    assert mirror == {"noisy_reg_md", "shuffled_truncated_md", "batched_truncated_md"}
+    for name in ALGORITHMS:
+        assert "space" not in inspect.signature(getattr(runner, name)).parameters
 
 
 def _doc_for_algorithm(name):

@@ -20,6 +20,7 @@ from dpsco.mirror import (
     truncate_gradients,
 )
 from dpsco.problems import (
+    BallCloud,
     Dataset,
     HeavyTailLinear,
     L2Ball,
@@ -93,7 +94,7 @@ class TestNoisyRegMD:
         c = 0.8
         data = Dataset(np.full((256, 1), c))
         loss = QuadLoss(1.5)
-        w, info = noisy_reg_md(data, loss, space, HUGE_EPS, zero_noise(1), T=60)
+        w, info = noisy_reg_md(data, loss, HUGE_EPS, zero_noise(1), T=60)
         alpha = info["alpha_reg"]
         # direct minimizer of 0.5 (w-c)^2 + alpha * (kappa/2) w^2 in 1-D
         direct = c / (1.0 + alpha * space.kappa)
@@ -126,10 +127,19 @@ class TestNoisyRegMD:
         assert acc.v == pytest.approx(1 + v1 / ratio)
 
     def test_requires_p_below_two(self):
-        space = SpaceSpec(2.0, 3)
         data = Dataset(np.zeros((4, 3)))
         with pytest.raises(ValueError):
-            noisy_reg_md(data, QuadLoss(2.0), space, HUGE_EPS, np.random.default_rng(0))
+            noisy_reg_md(data, QuadLoss(2.0), HUGE_EPS, np.random.default_rng(0))
+
+    def test_t_clamped_below_n(self):
+        # The automatic alpha_reg needs T < n, so the automatic T stops at n - 1, and says so.
+        _, data, loss, _ = _heavy_setup(n=64, d=4)
+        with pytest.warns(UserWarning, match="clamping") as caught:
+            _, info = noisy_reg_md(
+                data, loss, PrivacyBudget(0.5, 1e-5), np.random.default_rng(8), alpha_reg=0.1, c_t=1e6
+            )
+        assert info["T"] == 63
+        assert [w.filename for w in caught] == [__file__]  # the caller's line, not dpsco's
 
     def test_deterministic(self):
         space = SpaceSpec(1.5, 4)
@@ -137,8 +147,8 @@ class TestNoisyRegMD:
         data = Dataset(rng.standard_normal((128, 4)) * 0.2)
         loss = QuadLoss(1.5)
         b = PrivacyBudget(1.0, 1e-5)
-        w1, _ = noisy_reg_md(data, loss, space, b, np.random.default_rng(7), T=20)
-        w2, _ = noisy_reg_md(data, loss, space, b, np.random.default_rng(7), T=20)
+        w1, _ = noisy_reg_md(data, loss, b, np.random.default_rng(7), T=20)
+        w2, _ = noisy_reg_md(data, loss, b, np.random.default_rng(7), T=20)
         np.testing.assert_array_equal(w1, w2)
 
     def test_auto_schedules(self):
@@ -147,7 +157,7 @@ class TestNoisyRegMD:
         data = Dataset(rng.standard_normal((512, 4)) * 0.2)
         loss = QuadLoss(1.5)
         b = PrivacyBudget(0.5, 1e-5)
-        _, info = noisy_reg_md(data, loss, space, b, np.random.default_rng(8))
+        _, info = noisy_reg_md(data, loss, b, np.random.default_rng(8))
         expected_T = math.ceil(
             (512 * 0.5 * space.kappa / math.sqrt(4 * math.log(1e5))) ** 0.4
         )
@@ -365,31 +375,31 @@ def _heavy_setup(n=512, d=6, p=1.5, seed=11, huber_delta=20.0, t_scale=3.0):
     data = dist.sample(n, np.random.default_rng(seed))
     loss = PseudoHuberLoss(huber_delta=huber_delta, feature_dual_bound=1.0, norm_p=p)
     C = LpBall(p, 1.0, d)
-    return space, dist, data, loss, C
+    return dist, data, loss, C
 
 
 class TestShuffledTruncatedMD:
     def test_regime_gate(self):
-        space, _, data, loss, C = _heavy_setup(n=1000)
+        _, data, loss, C = _heavy_setup(n=1000)
         with pytest.raises(RefusalError) as exc:
             shuffled_truncated_md(
-                data, loss, C, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0), T=4
+                data, loss, C, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0), T=4
             )
         assert "maximum admissible epsilon" in str(exc.value)
 
     def test_accepts_high_privacy_regime(self):
-        space, _, data, loss, C = _heavy_setup(n=4096)
+        _, data, loss, C = _heavy_setup(n=4096)
         # max admissible eps at n=4096, delta=1e-5: sqrt(ln(4096e5)/4096) ~ 0.0696
         w, info = shuffled_truncated_md(
-            data, loss, C, space, PrivacyBudget(0.01, 1e-5), np.random.default_rng(1), T=4
+            data, loss, C, PrivacyBudget(0.01, 1e-5), np.random.default_rng(1), T=4
         )
         assert info["sigma"] > 0
         assert C.gauge(w) <= 1 + 1e-9
 
     def test_truncation_invariant_and_feasibility(self):
-        space, _, data, loss, C = _heavy_setup(n=1024, huber_delta=8.0)
+        _, data, loss, C = _heavy_setup(n=1024, huber_delta=8.0)
         w, info = shuffled_truncated_md(
-            data, loss, C, space, PrivacyBudget(0.05, 1e-5), np.random.default_rng(2),
+            data, loss, C, PrivacyBudget(0.05, 1e-5), np.random.default_rng(2),
             T=8, lambda_trunc=2.0,
         )
         stats = info["truncation"]
@@ -398,11 +408,12 @@ class TestShuffledTruncatedMD:
         assert C.gauge(w) <= 1 + 1e-9
 
     def test_zero_noise_matches_plain_batched_reference(self, zero_noise):
-        space, _, data, loss, C = _heavy_setup(n=256, d=4)
+        _, data, loss, C = _heavy_setup(n=256, d=4)
+        space = SpaceSpec(1.5, 4)
         T, lam = 8, 1e9
         seed = 33
         w, info = shuffled_truncated_md(
-            data, loss, C, space, PrivacyBudget(0.25, 1e-5), zero_noise(seed), T=T, lambda_trunc=lam
+            data, loss, C, PrivacyBudget(0.25, 1e-5), zero_noise(seed), T=T, lambda_trunc=lam
         )
 
         # independent plain one-pass batched mirror descent, matched shuffle
@@ -424,49 +435,49 @@ class TestShuffledTruncatedMD:
         assert np.linalg.norm(w - ref) <= 1e-6
 
     def test_t_clamped_to_n(self):
-        space, _, data, loss, C = _heavy_setup(n=64)
+        _, data, loss, C = _heavy_setup(n=64)
         with pytest.warns(UserWarning, match="clamping") as caught:
             _, info = shuffled_truncated_md(
-                data, loss, C, space, PrivacyBudget(0.25, 1e-5), np.random.default_rng(8),
+                data, loss, C, PrivacyBudget(0.25, 1e-5), np.random.default_rng(8),
                 lambda_trunc=2.0, c_t=1e9,
             )
         assert info["T"] == 64
         assert [w.filename for w in caught] == [__file__]  # the caller's line, not dpsco's
 
     def test_deterministic(self):
-        space, _, data, loss, C = _heavy_setup(n=512)
+        _, data, loss, C = _heavy_setup(n=512)
         b = PrivacyBudget(0.01, 1e-5)
-        w1, _ = shuffled_truncated_md(data, loss, C, space, b, np.random.default_rng(9), T=4)
-        w2, _ = shuffled_truncated_md(data, loss, C, space, b, np.random.default_rng(9), T=4)
+        w1, _ = shuffled_truncated_md(data, loss, C, b, np.random.default_rng(9), T=4)
+        w2, _ = shuffled_truncated_md(data, loss, C, b, np.random.default_rng(9), T=4)
         np.testing.assert_array_equal(w1, w2)
 
 
 class TestBatchedTruncatedMD:
     def test_accepts_moderate_epsilon(self):
-        space, _, data, loss, C = _heavy_setup(n=1000)
+        _, data, loss, C = _heavy_setup(n=1000)
         w, _ = batched_truncated_md(
-            data, loss, C, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(3), T=5
+            data, loss, C, PrivacyBudget(0.5, 1e-5), np.random.default_rng(3), T=5
         )
         assert C.gauge(w) <= 1 + 1e-9
 
     def test_noise_scale_inverse_in_batch_size(self):
-        space, _, data, loss, C = _heavy_setup(n=1024)
+        _, data, loss, C = _heavy_setup(n=1024)
         b = PrivacyBudget(0.5, 1e-5)
         _, info1 = batched_truncated_md(
-            data, loss, C, space, b, np.random.default_rng(4), T=4, lambda_trunc=4.0
+            data, loss, C, b, np.random.default_rng(4), T=4, lambda_trunc=4.0
         )
         _, info2 = batched_truncated_md(
-            data, loss, C, space, b, np.random.default_rng(4), T=8, lambda_trunc=4.0
+            data, loss, C, b, np.random.default_rng(4), T=8, lambda_trunc=4.0
         )
         # batch size halves => sigma doubles
         assert math.sqrt(info2["sigma2_step"] / info1["sigma2_step"]) == pytest.approx(2.0)
 
     def test_truncation_monotone_in_lambda(self, zero_noise):
-        space, _, data, loss, C = _heavy_setup(n=2048, huber_delta=20.0, t_scale=3.0)
+        _, data, loss, C = _heavy_setup(n=2048, huber_delta=20.0, t_scale=3.0)
         fracs = []
         for lam in (1.0, 2.0, 4.0, 8.0):
             _, info = batched_truncated_md(
-                data, loss, C, space, PrivacyBudget(0.5, 1e-5), zero_noise(5), T=8, lambda_trunc=lam
+                data, loss, C, PrivacyBudget(0.5, 1e-5), zero_noise(5), T=8, lambda_trunc=lam
             )
             fracs.append(info["truncation"].zeroed_fraction)
         assert all(a > b for a, b in zip(fracs, fracs[1:]))
@@ -474,18 +485,18 @@ class TestBatchedTruncatedMD:
     def test_single_batch_coincides_with_shuffled(self, zero_noise):
         # T = 1: one batch covers the whole dataset, so the shuffle cannot
         # matter; with the noise off both variants produce the same point.
-        space, _, data, loss, C = _heavy_setup(n=128, d=4)
+        _, data, loss, C = _heavy_setup(n=128, d=4)
         opts = dict(T=1, lambda_trunc=5.0)
         b = PrivacyBudget(0.25, 1e-5)  # in the shuffling regime at n = 128
-        w1, _ = batched_truncated_md(data, loss, C, space, b, zero_noise(6), **opts)
-        w2, _ = shuffled_truncated_md(data, loss, C, space, b, zero_noise(7), **opts)
+        w1, _ = batched_truncated_md(data, loss, C, b, zero_noise(6), **opts)
+        w2, _ = shuffled_truncated_md(data, loss, C, b, zero_noise(7), **opts)
         np.testing.assert_allclose(w1, w2, atol=1e-12)
 
     def test_t_clamped_to_n(self):
-        space, _, data, loss, C = _heavy_setup(n=64)
+        _, data, loss, C = _heavy_setup(n=64)
         with pytest.warns(UserWarning, match="clamping") as caught:
             batched_truncated_md(
-                data, loss, C, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(8),
+                data, loss, C, PrivacyBudget(0.5, 1e-5), np.random.default_rng(8),
                 lambda_trunc=2.0, c_t=1e9,
             )
         assert [w.filename for w in caught] == [__file__]  # the caller's line, not dpsco's
@@ -496,11 +507,11 @@ SHARED_INFO = {"T", "lambda_trunc", "threshold", "gamma", "truncation", "max_ste
 
 class TestTruncatedSolverInfo:
     def test_info_keys(self):
-        space, _, data, loss, C = _heavy_setup(n=128, d=4)
+        _, data, loss, C = _heavy_setup(n=128, d=4)
         opts = dict(T=4, lambda_trunc=2.0)
         b = PrivacyBudget(0.25, 1e-5)
-        _, shuffled = shuffled_truncated_md(data, loss, C, space, b, np.random.default_rng(0), **opts)
-        _, batched = batched_truncated_md(data, loss, C, space, b, np.random.default_rng(0), **opts)
+        _, shuffled = shuffled_truncated_md(data, loss, C, b, np.random.default_rng(0), **opts)
+        _, batched = batched_truncated_md(data, loss, C, b, np.random.default_rng(0), **opts)
         assert set(shuffled) == SHARED_INFO | {"sigma"}
         assert set(batched) == SHARED_INFO | {"sigma2_step"}
         for info in (shuffled, batched):
@@ -511,55 +522,55 @@ class TestTruncatedSolverInfo:
     def test_average_outside_the_set_raises(self, solve, monkeypatch):
         # The shared pass checks its average: a step that leaves C is caught
         # in either solver.
-        space, _, data, loss, C = _heavy_setup(n=128, d=4)
+        _, data, loss, C = _heavy_setup(n=128, d=4)
         monkeypatch.setattr(
             mirror, "mirror_step_constrained", lambda g, w, gamma, C, spec: (np.full_like(w, 2.0), 0.0)
         )
         with pytest.raises(AssertionError, match="left the constraint set"):
             solve(
-                data, loss, C, space, PrivacyBudget(0.25, 1e-5), np.random.default_rng(0),
+                data, loss, C, PrivacyBudget(0.25, 1e-5), np.random.default_rng(0),
                 T=4, lambda_trunc=2.0,
             )
 
     @pytest.mark.parametrize("solve", [shuffled_truncated_md, batched_truncated_md])
     def test_more_batches_than_rows_refused(self, solve):
-        space, _, data, loss, C = _heavy_setup(n=16, d=4)
+        _, data, loss, C = _heavy_setup(n=16, d=4)
         with pytest.raises(ValueError, match="need n >= T"):
             solve(
-                data, loss, C, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0),
+                data, loss, C, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0),
                 T=17, lambda_trunc=2.0,
             )
 
 
-def _mismatched_setting(case):
-    """The 4-dimensional heavy-tailed problem at p = 2, or with data or C in d = 20."""
-    space, _, data, loss, C = _heavy_setup(n=64, d=4)
+def _mismatched_setting(name, case):
+    """A 4-dimensional problem for ``name`` with its loss declared at p = 2, or with C in d = 20."""
+    _, data, loss, C = _heavy_setup(n=64, d=4)
+    if name in ("app_objp", "app_objp_sc"):
+        data, loss = BallCloud(np.full(4, 0.2)).sample(64, np.random.default_rng(0)), MeanPointLoss()
     if case == "p=2":
-        space = SpaceSpec(2.0, 4)
-    elif case == "data.d":
-        data = _heavy_setup(n=64, d=20)[2]
+        loss = PseudoHuberLoss(huber_delta=20.0, feature_dual_bound=1.0, norm_p=2.0)
     else:
-        C = LpBall(1.5, 1.0, 20)
-    return space, data, loss, C
+        C = L2Ball(1.0, 20)
+    return data, loss, C
 
 
 class TestSetting:
-    # kappa = min{1/(p-1), 2 ln d} calibrates the noise, so p and the space's d are
-    # privacy inputs: each solver refuses p outside (1, 2), and data or C of another d.
+    # kappa = min{1/(p-1), 2 ln d} calibrates the mirror solvers' noise, and C's
+    # width and c_min that of objective perturbation, so p and d are privacy
+    # inputs.  p is the loss's norm_p and d is data.d: each mirror solver refuses
+    # a loss declared outside 1 < p < 2, and every constrained solver a C of another d.
     @pytest.mark.parametrize(
         "name, case",
-        [("noisy_reg_md", "p=2"), ("noisy_reg_md", "data.d")]
-        + [(name, case) for name in ("shuffled_truncated_md", "batched_truncated_md")
-           for case in ("p=2", "data.d", "C.d")],
+        [(name, "p=2") for name in ("noisy_reg_md", "shuffled_truncated_md", "batched_truncated_md")]
+        + [(name, "C.d") for name, entry in ALGORITHMS.items() if entry.constrained],
     )
     def test_refused(self, name, case):
-        space, data, loss, C = _mismatched_setting(case)
-        sets = () if name == "noisy_reg_md" else (C,)
+        data, loss, C = _mismatched_setting(name, case)
         with pytest.raises(ValueError, match=f"^{name}") as exc:
-            getattr(mirror, name)(
-                data, loss, *sets, space, PrivacyBudget(0.25, 1e-5), np.random.default_rng(0), T=4
+            ALGORITHMS[name].run(
+                getattr(runner, name), data, loss, C, PrivacyBudget(0.25, 1e-5), np.random.default_rng(0)
             )
-        reason = "requires 1 < p < 2" if case == "p=2" else "the space's dimension d=4"
+        reason = "requires 1 < p < 2" if case == "p=2" else "the data's dimension d=4"
         assert reason in str(exc.value)
 
 
@@ -580,10 +591,10 @@ class TestSolverOptions:
     )
     def test_option_the_solver_does_not_read_raises(self, name, option):
         # Called as a config calls it: the entry and the solver the runner binds to its name.
-        space, _, data, loss, C = _heavy_setup(n=64, d=4)
+        _, data, loss, C = _heavy_setup(n=64, d=4)
         with pytest.raises(TypeError, match=option):
             ALGORITHMS[name].run(
-                getattr(runner, name), data, loss, C, space, PrivacyBudget(0.5, 1e-5),
+                getattr(runner, name), data, loss, C, PrivacyBudget(0.5, 1e-5),
                 np.random.default_rng(0), **{option: 1.0},
             )
 
@@ -602,10 +613,10 @@ class TestSolverOptions:
         ],
     )
     def test_out_of_range_option_raises(self, solve, option, value):
-        space, _, data, loss, C = _heavy_setup(n=64, d=4)
+        _, data, loss, C = _heavy_setup(n=64, d=4)
         sets = () if solve is noisy_reg_md else (C,)
         with pytest.raises(ValueError, match=f"{option} must be"):
-            solve(data, loss, *sets, space, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0),
+            solve(data, loss, *sets, PrivacyBudget(0.5, 1e-5), np.random.default_rng(0),
                   **{option: value})
 
 
