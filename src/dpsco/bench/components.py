@@ -60,7 +60,7 @@ class Algorithm:
 
     @classmethod
     def of(cls, solver, **kw):
-        return cls(tuple(solver.__kwdefaults__), "C" in inspect.signature(solver).parameters, **kw)
+        return cls(tuple(solver.__kwdefaults__ or ()), "C" in inspect.signature(solver).parameters, **kw)
 
     def run(self, solve, data, loss, C, budget, rng, **options):
         """``solve(data, loss, [C,] budget, rng, **options)``."""

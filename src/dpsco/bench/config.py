@@ -10,9 +10,9 @@ Values are range-checked by ``dpsco.options.check_options`` (component
 parameters as their table builds them), which the code that takes them
 runs too; the ``evaluation`` section is the keyword arguments of
 ``excess_population_risk``, whose signature holds its defaults.  A ``T``
-that the smallest n cannot serve is refused as well, and so is a loss whose
-declared norm lies outside the algorithm's p range.  The config builds the
-loss, distribution and constraint set and one ``PrivacyBudget`` per epsilon
+or a smallest n that the solver cannot serve is refused as well, and so is
+a loss whose declared norm lies outside the algorithm's p range.  The config
+builds the loss, distribution and constraint set and one ``PrivacyBudget`` per epsilon
 once, so a value they refuse is refused at parse time too; every cell,
 serial or pooled, runs on those objects.
 """
@@ -39,18 +39,16 @@ def _check_keys(mapping, allowed, where):
 
 
 def _check_T(algorithm, solver, n_min):
-    """A T the smallest n cannot serve: the truncated solvers split n rows
-    into T nonempty batches, and noisy_reg_md's automatic alpha_reg needs T < n."""
+    """A T or a smallest n the solver cannot serve: noisy_reg_md's alpha_reg
+    needs T < n (its automatic T is at least 1), shuffling needs n >= 2, and
+    the truncated solvers split n rows into T nonempty batches."""
     T = solver.get("T")
-    if T is None:
-        return
-    if algorithm == "noisy_reg_md":
-        if "alpha_reg" not in solver and T >= n_min:
-            raise ConfigError(
-                f"noisy_reg_md: automatic alpha_reg needs T < n, but T={T} and the smallest n is "
-                f"{n_min}; lower T or set alpha_reg"
-            )
-    elif T > n_min:
+    if algorithm == "noisy_reg_md" and (T or 1) >= n_min:
+        raise ConfigError(f"noisy_reg_md: alpha_reg needs T < n, but T={T or 'auto >= 1'} and the "
+                          f"smallest n is {n_min}")
+    if algorithm == "shuffled_truncated_md" and n_min < 2:
+        raise ConfigError("shuffled_truncated_md: shuffling needs n >= 2, but the smallest n is 1")
+    if algorithm != "noisy_reg_md" and T is not None and T > n_min:
         raise ConfigError(f"{algorithm}: T={T} batches need n >= T, but the smallest n is {n_min}")
 
 

@@ -298,29 +298,28 @@ def app_objp_sc(data, loss, C, budget, rng, *, alpha_opt=None, lambda_reg=None):
     return theta_hat, info
 
 
-def phased_dp_sgd(data, loss, budget, rng, *, eta=None):
+def phased_dp_sgd(data, loss, budget, rng):
     """Phased one-pass DP-SGD (unconstrained).
 
     Runs ceil(log2 n) phases on disjoint, geometrically shrinking shards;
     each phase averages its one-pass SGD iterates and perturbs the average
     with Gaussian noise whose scale shrinks 4x per phase.  Returns
-    (w_k, info).  ``eta`` > 0 is the base step size (None selects the
-    schedule).
+    (w_k, info).  The base step size is the schedule
+    eta = min(4 / sqrt(n), eps / (2 sqrt(d ln(1/delta)))) / L, and a step above
+    1/beta is refused.
 
     For 2 <= p <= inf (config entry ``lipschitz_high_p``) it is the Euclidean
     reduction of Bassily, Guzman and Nandi 2021: constants declared in ||.||_p,
     p >= 2, hold in l2 as they stand, and the l2 guarantee reads in lp through
     the diameter conversion d^{1/2 - 1/p} (d^{1/2} at p = inf).
     """
-    check_options(eta=eta)
     _require_l2_constants(loss)
     n, d = data.n, data.d
     L, beta = loss.lipschitz, loss.smoothness
-    if eta is None:
-        eta = (1.0 / L) * min(
-            4.0 / math.sqrt(n),
-            budget.epsilon / (2.0 * math.sqrt(d * math.log(1.0 / budget.delta))),
-        )
+    eta = (1.0 / L) * min(
+        4.0 / math.sqrt(n),
+        budget.epsilon / (2.0 * math.sqrt(d * math.log(1.0 / budget.delta))),
+    )
     if eta > 1.0 / beta:
         n_min = math.ceil(16.0 * beta**2 / L**2)
         raise RefusalError(

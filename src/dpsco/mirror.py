@@ -18,11 +18,12 @@ entry ``lipschitz_high_p`` runs the Euclidean ``phased_dp_sgd``):
 The problem defines the geometry: p is the loss's declared ``norm_p`` (its
 constants are stated in ||.||_p) and d is ``data.d``.  Both set kappa, so
 the noise, and a ``C`` of another dimension is refused.  Options are
-keyword-only arguments.  ``T``, ``alpha_reg``, ``gamma`` and
-``lambda_trunc`` default to the schedules the utility analysis prescribes
-and are > 0 when given, and ``c_t`` > 0 scales the default T.  No option
-scales or skips a noise draw, and none lifts the shuffled solver's regime
-gate.
+keyword-only arguments.  ``T`` and ``lambda_trunc`` default to the
+schedules the utility analysis prescribes and are > 0 when given, and
+``noisy_reg_md``'s ``c_t`` > 0 scales its default T.  The regularization
+weight alpha and the truncated solvers' step weight gamma = sqrt(T) are
+always the schedule.  No option scales or skips a noise draw, and none
+lifts the shuffled solver's regime gate.
 
 ``lambda`` is an overloaded symbol in this corner of the literature; here
 ``lambda_trunc`` always means the truncation offset and ``lambda_reg`` a
@@ -109,7 +110,7 @@ def _schedule_T(T, limit, bound="n"):
     return T
 
 
-def noisy_reg_md(data, loss, budget, rng, *, T=None, alpha_reg=None, c_t=1.0):
+def noisy_reg_md(data, loss, budget, rng, *, T=None, c_t=1.0):
     """Noisy regularized mirror descent, unconstrained.
 
     Each step minimizes
@@ -117,9 +118,12 @@ def noisy_reg_md(data, loss, budget, rng, *, T=None, alpha_reg=None, c_t=1.0):
     whose first-order condition gives the closed-form update
         w_{t+1} = (grad Phi)^{-1}((beta grad Phi(w_t) - grad - g_t) / (beta + alpha)).
     The output is the geometrically weighted average of w_2..w_{T+1} with
-    ratio (2 beta + alpha) / (2 beta).
+    ratio (2 beta + alpha) / (2 beta).  The weight is the schedule
+    alpha = (4 beta / T) log2(n / T), so T must be below n; the automatic T,
+    c_t * (n eps kappa / sqrt(d ln(1/delta)))^0.4 rounded up, is clamped to
+    n - 1.
     """
-    check_options(T=T, alpha_reg=alpha_reg, c_t=c_t)
+    check_options(T=T, c_t=c_t)
     space = _space("noisy_reg_md", data, loss)
     n, d = data.n, data.d
     L, beta = loss.lipschitz, loss.smoothness
@@ -130,10 +134,9 @@ def noisy_reg_md(data, loss, budget, rng, *, T=None, alpha_reg=None, c_t=1.0):
             n * budget.epsilon * kappa / math.sqrt(d * math.log(1.0 / budget.delta))
         ) ** 0.4
         T = _schedule_T(math.ceil(raw), max(1, n - 1), "n - 1")
-    if alpha_reg is None:
-        if T >= n:
-            raise ValueError("automatic alpha_reg needs T < n; pass alpha_reg explicitly")
-        alpha_reg = (4.0 * beta / T) * math.log2(n / T)
+    if T >= n:
+        raise ValueError(f"noisy_reg_md: alpha_reg needs T < n; got T={T}, n={n}")
+    alpha_reg = (4.0 * beta / T) * math.log2(n / T)
 
     sigma2 = 64.0 * L**2 * kappa * T * math.log(1.0 / budget.delta) / (n**2 * budget.epsilon**2)
     noise = GGNoiseSpec(sigma2=sigma2, r=space.r_noise, d=d)
@@ -227,18 +230,18 @@ def _batch_size(n, T):
     return n // T
 
 
-def _truncated_md(data, loss, C, space, T, gamma, lam, threshold, privatize):
+def _truncated_md(data, loss, C, space, T, lam, threshold, privatize):
     """One constrained mirror step per batch: the pass both truncated solvers share.
 
     Batch t is rows [t b, (t+1) b) of ``data``, b = floor(n/T), with the
     remainder in the last batch.  Its per-sample gradients are truncated at
     ``threshold`` and ``privatize`` turns them into the noisy gradient for a
-    step with gamma (default sqrt(T)).  Returns the plain average of the
+    step with gamma = sqrt(T).  Returns the plain average of the
     iterates, which must lie in C, and the info fields both solvers report.
     """
     n = data.n
     b = _batch_size(n, T)
-    gamma = math.sqrt(T) if gamma is None else gamma
+    gamma = math.sqrt(T)
     stats = TruncationStats()
     w = np.zeros(data.d)
     avg = _WeightedAverage(1.0)  # uniform gamma_t => plain average
@@ -257,8 +260,7 @@ def _truncated_md(data, loss, C, space, T, gamma, lam, threshold, privatize):
     return avg.value, info
 
 
-def shuffled_truncated_md(data, loss, C, budget, rng, *, T=None, gamma=None,
-                          lambda_trunc=None, c_t=1.0):
+def shuffled_truncated_md(data, loss, C, budget, rng, *, T=None, lambda_trunc=None):
     """Shuffled, truncated, noisy one-pass mirror descent.
 
     Privacy comes from per-sample generalized Gaussian noise amplified by
@@ -266,7 +268,7 @@ def shuffled_truncated_md(data, loss, C, budget, rng, *, T=None, gamma=None,
     eps <= sqrt(ln(n/delta)/n); outside it ``shuffle_calibrate`` refuses,
     so every run the solver returns holds a valid calibration.
     """
-    check_options(T=T, gamma=gamma, lambda_trunc=lambda_trunc, c_t=c_t)
+    check_options(T=T, lambda_trunc=lambda_trunc)
     space = _space("shuffled_truncated_md", data, loss, C)
     n, d = data.n, data.d
     beta = loss.smoothness
@@ -284,7 +286,7 @@ def shuffled_truncated_md(data, loss, C, budget, rng, *, T=None, gamma=None,
     calib = shuffle_calibrate(n, budget, threshold, kappa)  # refuses outside the regime
 
     if T is None:
-        T = _schedule_T(round(c_t * M**2 * n**2 * budget.epsilon**2 / (lambda_trunc**2 * d * logd)), n)
+        T = _schedule_T(round(M**2 * n**2 * budget.epsilon**2 / (lambda_trunc**2 * d * logd)), n)
 
     perm = rng.permutation(n)  # Fisher-Yates under the hood; rng-injected
     # lambda_trunc > 0 makes the threshold, and so sigma, positive.
@@ -293,22 +295,19 @@ def shuffled_truncated_md(data, loss, C, budget, rng, *, T=None, gamma=None,
     def privatize(G):  # one draw per sample, before averaging
         return (G + gg_sample(noise, rng, size=len(G))).mean(axis=0)
 
-    out, info = _truncated_md(
-        data.subset(perm), loss, C, space, T, gamma, lambda_trunc, threshold, privatize
-    )
+    out, info = _truncated_md(data.subset(perm), loss, C, space, T, lambda_trunc, threshold, privatize)
     info["sigma"] = calib.sigma
     return out, info
 
 
-def batched_truncated_md(data, loss, C, budget, rng, *, T=None, gamma=None,
-                         lambda_trunc=None, c_t=1.0):
+def batched_truncated_md(data, loss, C, budget, rng, *, T=None, lambda_trunc=None):
     """Truncated batched mirror descent without shuffling.
 
     Disjoint batches compose in parallel, so each step adds a single
     generalized Gaussian draw calibrated to the batch-mean sensitivity.
     The analysis is stated for 0 < eps < 1; nothing yet refuses eps >= 1.
     """
-    check_options(T=T, gamma=gamma, lambda_trunc=lambda_trunc, c_t=c_t)
+    check_options(T=T, lambda_trunc=lambda_trunc)
     space = _space("batched_truncated_md", data, loss, C)
     n, d = data.n, data.d
     beta = loss.smoothness
@@ -324,7 +323,7 @@ def batched_truncated_md(data, loss, C, budget, rng, *, T=None, gamma=None,
     threshold = beta * M + lambda_trunc
 
     if T is None:
-        T = _schedule_T(round(c_t * n * budget.epsilon / (M * lambda_trunc * math.sqrt(d * logd))), n)
+        T = _schedule_T(round(n * budget.epsilon / (M * lambda_trunc * math.sqrt(d * logd))), n)
 
     b = _batch_size(n, T)
     sigma2 = kappa * threshold**2 * logd / (b**2 * budget.epsilon**2)
@@ -333,6 +332,6 @@ def batched_truncated_md(data, loss, C, budget, rng, *, T=None, gamma=None,
     def privatize(G):  # one draw per batch mean
         return G.mean(axis=0) + gg_sample(noise, rng)
 
-    out, info = _truncated_md(data, loss, C, space, T, gamma, lambda_trunc, threshold, privatize)
+    out, info = _truncated_md(data, loss, C, space, T, lambda_trunc, threshold, privatize)
     info["sigma2_step"] = sigma2
     return out, info

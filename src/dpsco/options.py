@@ -23,9 +23,6 @@ _RANGES = {
     "T": _COUNT,
     "alpha_opt": (_number(lambda v: 0 < v <= 1), "in (0, 1]"),
     "lambda_reg": (_number(lambda v: v >= 0), ">= 0"),
-    "alpha_reg": _POSITIVE,
-    "gamma": _POSITIVE,
-    "eta": _POSITIVE,
     "lambda_trunc": _POSITIVE,
     "c_t": _POSITIVE,
     "epsilon": _POSITIVE,
@@ -43,7 +40,7 @@ _RANGES = {
     "p": _finite(lambda v: v > 1, "> 1"),
 }
 # The solver options whose None selects a default schedule.
-_SCHEDULED = {"T", "alpha_opt", "lambda_reg", "alpha_reg", "gamma", "eta", "lambda_trunc"}
+_SCHEDULED = {"T", "alpha_opt", "lambda_reg", "lambda_trunc"}
 
 
 def check_options(**options):

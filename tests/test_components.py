@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import dataclasses
 import inspect
 import json
 import math
@@ -16,6 +17,9 @@ from dpsco.bench import runner
 from dpsco.bench.components import ALGORITHMS, CONSTRAINTS, DISTRIBUTIONS, LOSSES, Algorithm
 from dpsco.bench.config import ExperimentConfig
 from dpsco.errors import ConfigError
+from dpsco.mechanisms import PrivacyBudget
+from dpsco.options import _RANGES, _SCHEDULED
+from dpsco.problems.risk import excess_population_risk
 from test_acceptance import CONVEX_TREND_DOC, LP_TREND_DOC, STRONGLY_CONVEX_DOC
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -132,6 +136,16 @@ MISCONFIGS = {
         _md_doc(algorithm="noisy_reg_md", constraint=None, n_grid=[16], solver={"T": 16}),
         "alpha_reg",
     ),
+    # Both parsed and then aborted in the first cell: noisy_reg_md's automatic T is at
+    # least 1 = n, and shuffling amplification needs n >= 2.  The batched solver runs at n = 1.
+    "noisy_reg_md at n = 1": (
+        {**LP_TREND_DOC, "n_grid": [1, 256]},
+        "the smallest n is 1",
+    ),
+    "shuffled_truncated_md at n = 1": (
+        _tight_md_doc(algorithm="shuffled_truncated_md", eps_grid=[0.05], n_grid=[1, 16], solver={}),
+        "shuffling needs n >= 2",
+    ),
     "fractional solver T": (_md_doc(solver={"T": 4.5}), "T must be a positive integer"),
     "boolean solver T": (_md_doc(solver={"T": True}), "T must be a positive integer"),
     "zero solver T": (_md_doc(solver={"T": 0}), "T must be a positive integer"),
@@ -154,21 +168,22 @@ MISCONFIGS = {
     ),
     "negative lambda_reg": (_base_doc(solver={"lambda_reg": -0.5}), "lambda_reg must be >= 0"),
     "alpha_opt above 1": (_base_doc(solver={"alpha_opt": 2.0}), "alpha_opt must be in (0, 1]"),
+    # Options no solver takes: each is an unknown key, refused by name.
     "negative alpha_reg on noisy_reg_md": (
         _md_doc(algorithm="noisy_reg_md", constraint=None, solver={"alpha_reg": -1}),
-        "alpha_reg must be > 0",
+        "unknown key(s) for algorithm 'noisy_reg_md': ['alpha_reg']",
     ),
     "negative gamma on batched_truncated_md": (
         _md_doc(solver={"T": 4, "gamma": -1}),
-        "gamma must be > 0",
+        "unknown key(s) for algorithm 'batched_truncated_md': ['gamma']",
     ),
     "negative eta on phased_dp_sgd": (
         _base_doc(algorithm="phased_dp_sgd", constraint=None, solver={"eta": -1}),
-        "eta must be > 0",
+        "unknown key(s) for algorithm 'phased_dp_sgd': ['eta']",
     ),
     "c_noise, renamed noise_multiplier": (_md_doc(solver={"T": 4, "c_noise": 0.0}), "c_noise"),
     "negative lambda_trunc": (_md_doc(solver={"T": 4, "lambda_trunc": -5.0}), "lambda_trunc must be > 0"),
-    "zero c_t": (_md_doc(solver={"c_t": 0}), "c_t must be > 0"),
+    "zero c_t": (_md_doc(solver={"c_t": 0}), "unknown key(s) for algorithm 'batched_truncated_md': ['c_t']"),
     "negative noise_multiplier": (
         _md_doc(solver={"T": 4, "noise_multiplier": -1}),
         "unknown key(s) for algorithm 'batched_truncated_md': ['noise_multiplier']",
@@ -256,7 +271,24 @@ def test_solver_keys_are_the_schedule_options():
     # No solver option scales or skips a noise draw or lifts a privacy
     # precondition; a new key must be added here on purpose.
     keys = set().union(*(entry.keys for entry in ALGORITHMS.values()))
-    assert keys == {"T", "alpha_opt", "lambda_reg", "alpha_reg", "gamma", "eta", "lambda_trunc", "c_t"}
+    assert keys == {"T", "alpha_opt", "lambda_reg", "lambda_trunc", "c_t"}
+
+
+def test_every_option_range_has_a_taker():
+    # A range left behind by a removed option would range-check a key that nothing reads.
+    solver_options = {key for entry in ALGORITHMS.values() for key in entry.keys}
+    component_keys = {key for table in (LOSSES, DISTRIBUTIONS, CONSTRAINTS)
+                      for entry in table.values() for key in entry.keys}
+    budget = {field.name for field in dataclasses.fields(PrivacyBudget)}
+    grid = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    evaluation = set(excess_population_risk.__kwdefaults__)
+    assert set(_RANGES) <= solver_options | component_keys | budget | grid | evaluation
+
+
+def test_scheduled_options_are_the_none_defaults():
+    # None selects a schedule exactly where a solver's signature defaults an option to None.
+    defaults = [getattr(runner, name).__kwdefaults__ or {} for name in ALGORITHMS]
+    assert _SCHEDULED == {key for kw in defaults for key, value in kw.items() if value is None}
 
 
 def test_signature_flags_match_the_solver_families():
@@ -304,8 +336,6 @@ def test_every_loss_fits_a_distribution():
 
 def test_a_t_every_n_can_serve_parses():
     ExperimentConfig.from_dict(_tight_md_doc(solver={"T": 16, "lambda_trunc": 1.0}))
-    doc = _md_doc(algorithm="noisy_reg_md", constraint=None, n_grid=[16], solver={"T": 16, "alpha_reg": 0.1})
-    ExperimentConfig.from_dict(doc)
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))

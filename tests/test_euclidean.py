@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from dpsco.bench import ExperimentConfig, runner
+from dpsco.bench import ExperimentConfig
 from dpsco.errors import NumericError, RefusalError
 from dpsco.euclidean import (
     SmoothObjective,
@@ -328,12 +328,6 @@ class TestOptionRanges:
         with pytest.raises(ValueError, match=re.escape(f"{option} must be")):
             solver(data, loss, C, PrivacyBudget(1.0, 1e-5), np.random.default_rng(0), **{option: value})
 
-    @pytest.mark.parametrize("name", ["phased_dp_sgd", "lipschitz_high_p"])
-    def test_eta_must_be_positive(self, name):
-        data, loss, _, _ = _mean_point_setup()
-        with pytest.raises(ValueError, match="eta must be > 0"):
-            getattr(runner, name)(data, loss, PrivacyBudget(1.0, 1e-5), np.random.default_rng(0), eta=-1.0)
-
     def test_zero_ridge_runs_on_the_loss_curvature_alone(self):
         # lambda_reg = 0 is in range: app_objp_sc runs on Delta, and app_objp,
         # which then has no curvature, refuses it as a privacy precondition.
@@ -404,11 +398,14 @@ class TestPhasedSGD:
         assert abs(ref[0] - 0.5) <= 3.0 / math.sqrt(512)
 
     def test_eta_cap_refusal(self):
+        # L = 8 and beta = 16: at n = 16 the scheduled step 4 / (L sqrt(n)) = 1/8
+        # exceeds 1/beta, and 16 beta^2 / L^2 = 64 rows would be needed.
         rng = np.random.default_rng(14)
-        data = Dataset(rng.standard_normal((64, 2)))
-        loss = MeanPointLoss()
-        with pytest.raises(RefusalError):
-            phased_dp_sgd(data, loss, PrivacyBudget(1.0, 1e-5), rng, eta=100.0)
+        data = LogisticSphere(np.full(2, 0.5)).sample(16, rng)
+        loss = LogisticLoss(feature_dual_bound=8.0)
+        with pytest.raises(RefusalError, match=re.escape("step size 0.125 exceeds 1/beta=0.0625")) as exc:
+            phased_dp_sgd(data, loss, PrivacyBudget(1e6, 1e-5), rng)
+        assert exc.value.requirement == 64
 
     def test_deterministic(self):
         rng = np.random.default_rng(15)
