@@ -1,9 +1,10 @@
 """Tour of the lp geometry layer: norms, mirror potentials, Bregman divergences.
 
-The mirror potential Phi(w) = (c/2) ||w||_s^2 is the engine behind every
-lp solver in this package.  This script shows the derived constants for a
-few spaces, checks the gradient/inverse-gradient pair numerically, and
-illustrates the strong-convexity inequality that the solvers rely on.
+The mirror potential Phi(w) = (c/2) ||w||_p^2, 1 < p <= 2, is the engine
+behind every lp solver in this package.  This script shows the derived
+constants for a few spaces, checks the gradient/inverse-gradient pair
+numerically, and illustrates the strong-convexity inequality that the
+solvers rely on.
 """
 
 import numpy as np
@@ -13,13 +14,13 @@ from dpsco import SpaceSpec, bregman, grad_phi, inv_grad_phi, lp_norm
 rng = np.random.default_rng(0)
 
 print("derived constants")
-print("p      d    q      kappa   r_noise  s      weight")
+print("p      d    q      kappa   r_noise  weight")
 for p in (1.1, 1.5, 1.9):
     for d in (5, 50):
         s = SpaceSpec(p, d)
         print(
             f"{s.p:<5} {s.d:<4} {s.q:<6.3f} {s.kappa:<7.3f} {s.r_noise:<8.3f} "
-            f"{s.s:<6.3f} {s.potential_weight:.3f}"
+            f"{s.potential_weight:.3f}"
         )
 
 # The gradient of Phi and the gradient of its conjugate invert each other.

@@ -22,7 +22,7 @@ from .mechanisms import (
     gg_sample,
     shuffle_calibrate,
 )
-from .spaces import SpaceSpec, bregman, grad_phi, inv_grad_phi, lp_norm, phi, phi_conjugate
+from .spaces import SpaceSpec, bregman, grad_phi, inv_grad_phi, lp_norm, phi
 
 __all__ = [
     "ConfigError",
@@ -38,7 +38,6 @@ __all__ = [
     "SpaceSpec",
     "lp_norm",
     "phi",
-    "phi_conjugate",
     "grad_phi",
     "inv_grad_phi",
     "bregman",

@@ -2,10 +2,12 @@
 
 Unknown keys anywhere in the document are hard errors: a silently ignored
 typo in a schedule constant would corrupt an experiment, so the parser
-refuses instead.  Component names, their keys, each algorithm's geometry
-and constraint needs, and the losses each distribution's population
-minimizer is known for come from the tables in ``components``; whether a
-distribution allows oracle evaluation is asked of the distribution, once.
+refuses instead.  A key repeated in one object is refused too; plain JSON
+loading would keep its last value.  Component names, their keys, each
+algorithm's geometry and constraint needs, and the losses each
+distribution's population minimizer is known for come from the tables in
+``components``; whether a distribution allows oracle evaluation is asked
+of the distribution, once.
 Values are range-checked by ``dpsco.options.check_options`` (component
 parameters as their table builds them), which the code that takes them
 runs too; the ``evaluation`` section is the keyword arguments of
@@ -36,6 +38,14 @@ def _check_keys(mapping, allowed, where):
     unknown = set(mapping).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+
+
+def _unique_keys(pairs):
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ConfigError(f"repeated key(s) in a config object: {repeated}")
+    return dict(pairs)
 
 
 def _check_T(algorithm, solver, n_min):
@@ -141,7 +151,7 @@ class ExperimentConfig:
     def from_json(cls, path):
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)

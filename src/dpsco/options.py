@@ -16,13 +16,14 @@ def _finite(test, text):
     return _number(lambda v: math.isfinite(v) and test(v)), f"a finite number {text}"
 
 
-_POSITIVE = (_number(lambda v: v > 0), "> 0")
+_POSITIVE = _finite(lambda v: v > 0, "> 0")
+_NONNEGATIVE = _finite(lambda v: v >= 0, ">= 0")
 _COUNT = (_number(lambda v: v >= 1, Integral), "a positive integer")
 
 _RANGES = {
     "T": _COUNT,
     "alpha_opt": (_number(lambda v: 0 < v <= 1), "in (0, 1]"),
-    "lambda_reg": (_number(lambda v: v >= 0), ">= 0"),
+    "lambda_reg": _NONNEGATIVE,
     "lambda_trunc": _POSITIVE,
     "c_t": _POSITIVE,
     "epsilon": _POSITIVE,
@@ -34,8 +35,8 @@ _RANGES = {
     "base_seed": (_number(lambda v: True, Integral), "an integer"),
     # Component parameters: radii, bounds, scales, t_dof and the spread.
     **dict.fromkeys(("feature_dual_bound", "huber_delta", "mu_scale", "spread", "w_star_norm",
-                     "feature_radius", "t_dof", "t_scale", "radius"), _finite(lambda v: v > 0, "> 0")),
-    **dict.fromkeys(("domain_radius", "constraint_radius"), _finite(lambda v: v >= 0, ">= 0")),
+                     "feature_radius", "t_dof", "t_scale", "radius"), _POSITIVE),
+    **dict.fromkeys(("domain_radius", "constraint_radius"), _NONNEGATIVE),
     "sphere_exponent": _finite(lambda v: v >= 1, ">= 1"),
     "p": _finite(lambda v: v > 1, "> 1"),
 }

@@ -1,15 +1,15 @@
 """lp geometry: norms, regularity constants, mirror potentials and Bregman divergences.
 
-The mirror potential used throughout is
+The mirror solvers run in lp for 1 < p <= 2 (problems with 2 <= p <= inf
+take the Euclidean reduction), with the mirror potential
 
-    Phi(w) = (c/2) * ||w||_s^2,
+    Phi(w) = (c/2) * ||w||_p^2,    c = 1/(p-1)
 
-where for 1 < p < 2 the exponent is s = p and the weight is c = 1/(p-1)
-(equivalently c = q - 1 with q the dual exponent).  This pair makes Phi
+(equivalently c = q - 1 with q the dual exponent).  This weight makes Phi
 exactly 1-strongly convex with respect to ||.||_p, which is the property
-every solver in this package leans on.  For p >= 2 the potential degrades
-gracefully to the Euclidean one (s = 2, c = 1).  Each map acts along the
-last axis, so the rows of a 2-D array are points.
+every solver in this package leans on; at p = 2 it is the Euclidean
+potential (1/2)||w||_2^2.  Each map acts along the last axis, so the rows
+of a 2-D array are points.
 
 The regularity constant ``kappa`` of the dual space is kept separate from
 the potential: it is capped logarithmically in the dimension and only
@@ -17,7 +17,7 @@ enters noise calibration.  The noise norm index is r_noise = kappa + 1.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +25,13 @@ __all__ = [
     "SpaceSpec",
     "lp_norm",
     "phi",
-    "phi_conjugate",
     "grad_phi",
     "inv_grad_phi",
     "bregman",
 ]
 
 # Magnitudes below this are flushed to zero before fractional powers are
-# taken; keeps |w|^(s-1) out of the subnormal range without affecting any
+# taken; keeps |w|^(p-1) out of the subnormal range without affecting any
 # tolerance used here (roundtrips are checked at 1e-8).
 _FLUSH = 1e-300
 
@@ -76,84 +75,66 @@ def dual_exponent(p):
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """Geometry of the ambient lp^d space and its derived constants.
+    """Geometry of the ambient lp^d space a mirror solver runs in, 1 < p <= 2.
 
     Parameters
     ----------
     p : float
-        Primal norm exponent, in (1, inf].
+        Primal norm exponent, in (1, 2].  Problems with 2 <= p <= inf run
+        through the Euclidean reduction (``lipschitz_high_p``) instead.
     d : int
         Ambient dimension.
 
-    Attributes (derived)
-    --------------------
-    q : dual exponent, 1/p + 1/q = 1.
-    kappa : regularity constant of the dual space,
-        min{1/(p-1), 2 ln d} for 1 < p < 2 (the cap is skipped at d = 1
-        where ln d = 0 would be degenerate).  For p >= 2 it is the
-        primal-space constant min{p-1, 2 ln d}, floored at 1.
-    r_noise : norm index of the generalized Gaussian noise, kappa + 1 on
-        the dual side for 1 < p < 2.
-    s : mirror-potential norm index (p for 1 < p < 2, else 2).
-    potential_weight : coefficient c of Phi = (c/2)||.||_s^2.
+    Derived constants (properties)
+    ------------------------------
+    q : dual exponent p/(p-1), so 1/p + 1/q = 1.
+    kappa : regularity constant of the dual space, min{1/(p-1), 2 ln d}
+        (the cap is skipped at d = 1, where ln d = 0 would be degenerate).
+        kappa >= 1 since p <= 2.
+    r_noise : norm index of the generalized Gaussian noise, kappa + 1.
+    potential_weight : coefficient c = 1/(p-1) of Phi = (c/2)||.||_p^2.
+
+    At p = 2 these are the Euclidean q = 2, kappa = 1, r_noise = 2, c = 1.
     """
 
     p: float
     d: int
-    q: float = field(init=False)
-    kappa: float = field(init=False)
-    r_noise: float = field(init=False)
-    s: float = field(init=False)
-    potential_weight: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.p > 1.0):
-            raise ValueError(f"SpaceSpec: p must be in (1, inf], got {self.p}")
+        if not (1.0 < self.p <= 2.0):
+            raise ValueError(f"SpaceSpec: p must be in (1, 2], got {self.p}")
         if int(self.d) != self.d or self.d < 1:
             raise ValueError(f"SpaceSpec: d must be a positive integer, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
-        q = dual_exponent(self.p)
-        object.__setattr__(self, "q", q)
-        cap = 2.0 * math.log(self.d) if self.d >= 2 else math.inf
-        if self.p < 2:
-            kappa = min(1.0 / (self.p - 1.0), cap)
-            r_noise = kappa + 1.0  # == min{q, 2 ln(d) + 1}
-            s = self.p
-            weight = 1.0 / (self.p - 1.0)
-        else:
-            kappa = max(1.0, min(self.p - 1.0, cap) if self.p != math.inf else cap)
-            r_noise = min(q, 2.0)  # informational: the p >= 2 solvers do not draw GG noise
-            s = 2.0
-            weight = 1.0
-        if kappa < 1.0:
-            raise ValueError("SpaceSpec: derived kappa < 1; check (p, d)")
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "r_noise", r_noise)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "potential_weight", weight)
 
     @property
-    def s_conjugate(self):
-        """Dual exponent of the potential index s (the mirror map's range)."""
-        return dual_exponent(self.s)
+    def q(self):
+        return self.p / (self.p - 1.0)
+
+    @property
+    def kappa(self):
+        cap = 2.0 * math.log(self.d) if self.d >= 2 else math.inf
+        return min(1.0 / (self.p - 1.0), cap)
+
+    @property
+    def r_noise(self):
+        return self.kappa + 1.0  # == min{q, 2 ln(d) + 1}
+
+    @property
+    def potential_weight(self):
+        return 1.0 / (self.p - 1.0)
 
 
 def phi(w, spec):
-    """Mirror potential Phi(w) = (c/2)||w||_s^2."""
-    return 0.5 * spec.potential_weight * lp_norm(w, spec.s) ** 2
+    """Mirror potential Phi(w) = (c/2)||w||_p^2."""
+    return 0.5 * spec.potential_weight * lp_norm(w, spec.p) ** 2
 
 
-def phi_conjugate(y, spec):
-    """Convex conjugate Phi*(y) = (1/(2c))||y||_{s'}^2 with s' dual to s."""
-    return (0.5 / spec.potential_weight) * lp_norm(y, spec.s_conjugate) ** 2
-
-
-def _norm_power_gradient(v, expo_norm, expo_coord, weight):
-    # weight * ||v||_a^(2-a) * |v_i|^(a-1) sign(v_i) with a = expo_norm and
-    # expo_coord = a - 1.  The map is 1-homogeneous, so it is evaluated on
-    # u = v/max|v| and rescaled once; fractional powers then stay in range
-    # even for exponents near 10.  max|u| is exactly 1, so ||u||_a needs no
-    # further scaling.  A zero slice is divided by 1 and keeps a norm of 1.
+def _norm_power_gradient(v, a, weight):
+    # weight * ||v||_a^(2-a) * |v_i|^(a-1) sign(v_i).  The map is
+    # 1-homogeneous, so it is evaluated on u = v/max|v| and rescaled once;
+    # fractional powers then stay in range even for exponents near 10.
+    # max|u| is exactly 1, so ||u||_a needs no further scaling.  A zero slice
+    # is divided by 1 and keeps a norm of 1.
     v = np.asarray(v, dtype=float)
     safe = np.abs(v).max(axis=-1, keepdims=True)
     if not np.isfinite(safe).all():
@@ -161,31 +142,29 @@ def _norm_power_gradient(v, expo_norm, expo_coord, weight):
     zero = safe == 0
     safe[zero] = 1.0
     u = v / safe
-    a = np.abs(u)
-    nr = ((a**expo_norm).sum(axis=-1) ** (1.0 / expo_norm)).reshape(safe.shape)
+    b = np.abs(u)
+    nr = ((b**a).sum(axis=-1) ** (1.0 / a)).reshape(safe.shape)
     nr[zero] = 1.0
-    a[a < _FLUSH] = 0.0
-    a **= expo_coord
-    a *= np.sign(u)
-    return weight * safe * nr ** (2.0 - expo_norm) * a
+    b[b < _FLUSH] = 0.0
+    b **= a - 1.0
+    b *= np.sign(u)
+    return weight * safe * nr ** (2.0 - a) * b
 
 
 def grad_phi(w, spec):
     """Gradient of the mirror potential.
 
-    grad Phi(w) = c * ||w||_s^{2-s} * (|w_i|^{s-1} sign(w_i))_i, and 0 at 0.
+    grad Phi(w) = c * ||w||_p^{2-p} * (|w_i|^{p-1} sign(w_i))_i, and 0 at 0.
     """
-    return _norm_power_gradient(w, spec.s, spec.s - 1.0, spec.potential_weight)
+    return _norm_power_gradient(w, spec.p, spec.potential_weight)
 
 
 def inv_grad_phi(y, spec):
-    """Inverse mirror map, i.e. grad Phi*.
+    """Inverse mirror map, i.e. grad Phi* with Phi*(y) = (1/(2c))||y||_q^2:
 
-    With s' the dual exponent of s:
-    grad Phi*(y) = (1/c) * ||y||_{s'}^{2-s'} * (|y_i|^{s'-1} sign(y_i))_i.
+    grad Phi*(y) = (1/c) * ||y||_q^{2-q} * (|y_i|^{q-1} sign(y_i))_i.
     """
-    sc = spec.s_conjugate
-    return _norm_power_gradient(y, sc, sc - 1.0, 1.0 / spec.potential_weight)
+    return _norm_power_gradient(y, spec.q, 1.0 / spec.potential_weight)
 
 
 def bregman(y, x, spec):

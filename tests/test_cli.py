@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from dpsco.bench.cli import main
+from dpsco.bench.config import ExperimentConfig
 from dpsco.bench.records import read_records, without_timing
 from test_acceptance import CONVEX_TREND_DOC
 
@@ -56,6 +58,29 @@ class TestRunCommand:
         bad.write_text("{not json")
         code = main(["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("twice", [
+        ('"delta": 1e-05', '"delta": 1e-05, "delta": 0.5'),
+        ('"geometry": {', '"geometry": {"d": 5, '),
+    ], ids=["top-level", "nested"])
+    def test_repeated_key_exit_code(self, twice, tmp_path, capsys):
+        # json.load would keep the last value, and the record would claim it.
+        text = json.dumps(_config_doc())
+        assert twice[0] in text
+        bad = tmp_path / "twice.json"
+        bad.write_text(text.replace(*twice))
+        code = main(["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "repeated key" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_json_infinity_is_a_number(self, tmp_path):
+        # JSON has no infinity; Python's Infinity token is how a file writes p = inf.
+        doc = {**_config_doc(), "algorithm": "lipschitz_high_p", "geometry": {"p": "INF", "d": 3},
+               "constraint": None}
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc).replace('"INF"', "Infinity"))
+        assert ExperimentConfig.from_json(path).geometry["p"] == math.inf
 
     def test_seed_env_override_changes_output(self, config_path, tmp_path, monkeypatch):
         out1 = tmp_path / "a.csv"

@@ -166,7 +166,7 @@ MISCONFIGS = {
         _md_doc(algorithm="shuffled_truncated_md", solver={"T": 4, "c_eps": 10.0}),
         "c_eps",
     ),
-    "negative lambda_reg": (_base_doc(solver={"lambda_reg": -0.5}), "lambda_reg must be >= 0"),
+    "negative lambda_reg": (_base_doc(solver={"lambda_reg": -0.5}), "lambda_reg must be a finite number >= 0"),
     "alpha_opt above 1": (_base_doc(solver={"alpha_opt": 2.0}), "alpha_opt must be in (0, 1]"),
     # Options no solver takes: each is an unknown key, refused by name.
     "negative alpha_reg on noisy_reg_md": (
@@ -182,7 +182,9 @@ MISCONFIGS = {
         "unknown key(s) for algorithm 'phased_dp_sgd': ['eta']",
     ),
     "c_noise, renamed noise_multiplier": (_md_doc(solver={"T": 4, "c_noise": 0.0}), "c_noise"),
-    "negative lambda_trunc": (_md_doc(solver={"T": 4, "lambda_trunc": -5.0}), "lambda_trunc must be > 0"),
+    "negative lambda_trunc": (
+        _md_doc(solver={"T": 4, "lambda_trunc": -5.0}), "lambda_trunc must be a finite number > 0"
+    ),
     "zero c_t": (_md_doc(solver={"c_t": 0}), "unknown key(s) for algorithm 'batched_truncated_md': ['c_t']"),
     "negative noise_multiplier": (
         _md_doc(solver={"T": 4, "noise_multiplier": -1}),
@@ -196,8 +198,19 @@ MISCONFIGS = {
         _md_doc(algorithm="shuffled_truncated_md", solver={"T": 4, "bypass_regime_check": True}),
         "unknown key(s) for algorithm 'shuffled_truncated_md': ['bypass_regime_check']",
     ),
-    "zero epsilon": (_base_doc(eps_grid=[0.0]), "eps_grid[0]: epsilon must be > 0"),
-    "negative epsilon": (_base_doc(eps_grid=[1.0, -1.0]), "eps_grid[1]: epsilon must be > 0"),
+    "zero epsilon": (_base_doc(eps_grid=[0.0]), "eps_grid[0]: epsilon must be a finite number > 0"),
+    "negative epsilon": (_base_doc(eps_grid=[1.0, -1.0]), "eps_grid[1]: epsilon must be a finite number > 0"),
+    # Infinite values parsed, then crashed the first cell (OverflowError, or a
+    # non-finite norm or NaN inside the solver).
+    "infinite epsilon": (_base_doc(eps_grid=[1.0, math.inf]), "eps_grid[1]: epsilon must be a finite number > 0"),
+    "infinite lambda_reg": (_base_doc(solver={"lambda_reg": math.inf}), "lambda_reg must be a finite number >= 0"),
+    "infinite lambda_trunc": (
+        _md_doc(solver={"T": 4, "lambda_trunc": math.inf}), "lambda_trunc must be a finite number > 0"
+    ),
+    "infinite c_t": (
+        _md_doc(algorithm="noisy_reg_md", constraint=None, solver={"c_t": math.inf}),
+        "c_t must be a finite number > 0",
+    ),
     "delta given as a string": (_base_doc(delta="1e-5"), "delta must be in (0, 1)"),
     **{
         f"m_eval {m!r}": (_base_doc(evaluation={"policy": "mc", "m_eval": m}), "m_eval must be an integer >= 2")
@@ -283,6 +296,13 @@ def test_every_option_range_has_a_taker():
     grid = {field.name for field in dataclasses.fields(ExperimentConfig)}
     evaluation = set(excess_population_risk.__kwdefaults__)
     assert set(_RANGES) <= solver_options | component_keys | budget | grid | evaluation
+
+
+def test_every_range_refuses_non_finite_values():
+    # An infinite option parsed and then crashed the first cell; no range may reopen that.
+    leaky = sorted(key for key, (accepts, _) in _RANGES.items()
+                   if any(accepts(v) for v in (math.inf, -math.inf, math.nan)))
+    assert leaky == []
 
 
 def test_scheduled_options_are_the_none_defaults():

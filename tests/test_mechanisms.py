@@ -29,12 +29,14 @@ class TestPrivacyBudget:
             PrivacyBudget(1.0, 0.0)
         with pytest.raises(ValueError):
             PrivacyBudget(1.0, 1.0)
+        with pytest.raises(ValueError, match="epsilon must be a finite number"):
+            PrivacyBudget(math.inf, 1e-5)
 
     def test_values_are_checked_as_given_and_stored_as_floats(self):
         # A string or a boolean is refused rather than converted.
         with pytest.raises(ValueError, match="delta must be in"):
             PrivacyBudget(1.0, "1e-5")
-        with pytest.raises(ValueError, match="epsilon must be > 0"):
+        with pytest.raises(ValueError, match="epsilon must be a finite number > 0"):
             PrivacyBudget(True, 1e-5)
         b = PrivacyBudget(2, 1e-5)
         assert type(b.epsilon) is float and b.epsilon == 2.0

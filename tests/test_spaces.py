@@ -13,7 +13,6 @@ from dpsco.spaces import (
     inv_grad_phi,
     lp_norm,
     phi,
-    phi_conjugate,
 )
 
 GRID = [(p, d) for p in (1.1, 1.5, 1.9) for d in (5, 50)]
@@ -109,13 +108,16 @@ class TestSpaceSpec:
         s = SpaceSpec(1.5, 1)
         assert s.kappa == pytest.approx(2.0)
 
-    def test_potential_pairing(self):
-        # potential exponent and the noise index are Holder conjugates of
-        # the uncapped pair; s always lands in (1, 2]
-        for p, d in GRID:
-            s = SpaceSpec(p, d)
-            assert 1.0 < s.s <= 2.0
-            assert 1.0 / s.s + 1.0 / s.s_conjugate == pytest.approx(1.0)
+    @pytest.mark.parametrize("p", [2.5, 3.0, math.inf])
+    def test_refuses_p_above_two(self, p):
+        # 2 <= p <= inf runs through the Euclidean reduction, never in a SpaceSpec.
+        with pytest.raises(ValueError, match=r"p must be in \(1, 2\]"):
+            SpaceSpec(p, 5)
+
+    @pytest.mark.parametrize("d", [1, 2, 50])
+    def test_p2_is_euclidean(self, d):
+        s = SpaceSpec(2.0, d)
+        assert (s.kappa, s.r_noise, s.potential_weight, s.q) == (1.0, 2.0, 1.0, 2.0)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -180,7 +182,7 @@ class TestMirrorMap:
             w = rng.standard_normal(d)
             y = grad_phi(w, s)
             lhs = float(y @ w)
-            rhs = phi(w, s) + phi_conjugate(y, s)
+            rhs = phi(w, s) + 0.5 / s.potential_weight * lp_norm(y, s.q) ** 2
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
 
     def test_batched_grad(self):
@@ -278,17 +280,16 @@ class TestSameBitsAsReference:
             for r in (p, dual_exponent(p)):
                 _same_bits(lp_norm(v, r), _reference_lp_norm(v, r))
 
-    @pytest.mark.parametrize("p", [1.2, 1.5, 1.8, 2.5])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.8, 2.0])
     @pytest.mark.parametrize("d", [1, 2, 6, 33])
     def test_mirror_maps(self, p, d):
         s = SpaceSpec(p, d)
-        sc = s.s_conjugate
         for v in _pin_inputs(d):
             _same_bits(
                 grad_phi(v, s),
-                _reference_norm_power_gradient(v, s.s, s.s - 1.0, s.potential_weight),
+                _reference_norm_power_gradient(v, s.p, s.p - 1.0, s.potential_weight),
             )
             _same_bits(
                 inv_grad_phi(v, s),
-                _reference_norm_power_gradient(v, sc, sc - 1.0, 1.0 / s.potential_weight),
+                _reference_norm_power_gradient(v, s.q, s.q - 1.0, 1.0 / s.potential_weight),
             )
