@@ -6,9 +6,10 @@ Subcommands:
   width      Monte Carlo Gaussian width of a constraint set
   mech-check print sampler statistics and calibration tables
 
-Exit codes: 0 success, 2 configuration error, 3 numeric error.  The
-environment variable DPSCO_SEED, when set, overrides the base seed; it must
-be an integer, and >= 0 for width and mech-check.
+Exit codes: 0 success, 2 configuration error, 3 numeric error (arithmetic
+overflow included).  The environment variable DPSCO_SEED, when set,
+overrides the base seed; it must be an integer, and >= 0 for width and
+mech-check.
 """
 
 import argparse
@@ -156,7 +157,7 @@ def main(argv=None):
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, ValueError) as exc:
+    except (NumericError, ValueError, ArithmeticError) as exc:  # ArithmeticError: a cell overflowed
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

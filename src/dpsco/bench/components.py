@@ -6,7 +6,8 @@ runner builds every cell from the same entries, so a key is accepted exactly
 when a builder consumes it.  Builders pass on only the keys a config gives:
 every default lives in the constructor or solver signature that consumes it.
 An algorithm entry is read from its solver's signature, which is the one
-place that lists the solver's options.
+place that lists the solver's options.  The loss a distribution serves is
+the distribution's to say (its ``minimizer`` and ``certify``).
 """
 
 import inspect
@@ -24,7 +25,7 @@ from ..problems.constraints import L1Ball, L2Ball, LpBall
 from ..problems.distributions import BallCloud, HeavyTailLinear, LogisticSphere
 from ..problems.losses import LogisticLoss, MeanPointLoss, PseudoHuberLoss
 
-__all__ = ["Component", "Distribution", "Algorithm", "Table",
+__all__ = ["Component", "Algorithm", "Table",
            "LOSSES", "DISTRIBUTIONS", "CONSTRAINTS", "ALGORITHMS"]
 
 
@@ -34,13 +35,6 @@ class Component:
 
     build: Callable
     keys: tuple = ()
-
-
-@dataclass(frozen=True)
-class Distribution(Component):
-    """``losses`` are the losses whose population minimizer is the distribution's ``true_minimizer``."""
-
-    losses: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -128,21 +122,17 @@ LOSSES = Table("loss", {
 })
 
 DISTRIBUTIONS = Table("distribution", {
-    "ball_cloud": Distribution(
-        lambda g, mu_scale=0.5, **kw: BallCloud(_diagonal(g["d"], mu_scale), **kw),
-        ("mu_scale", "spread"),
-        losses=("mean_point",),
+    "ball_cloud": Component(
+        lambda g, mu_scale=0.5, **kw: BallCloud(_diagonal(g["d"], mu_scale), **kw), ("mu_scale", "spread")
     ),
-    "logistic_sphere": Distribution(
+    "logistic_sphere": Component(
         lambda g, w_star_norm=0.8, feature_radius=1.0, **kw: LogisticSphere(
             _diagonal(g["d"], w_star_norm), radius=feature_radius, **kw),
         ("w_star_norm", "sphere_exponent", "feature_radius"),
-        losses=("logistic",),
     ),
-    "heavy_tail_linear": Distribution(
+    "heavy_tail_linear": Component(
         lambda g, w_star_norm=0.5, **kw: HeavyTailLinear(_diagonal(g["d"], w_star_norm), **kw),
         ("w_star_norm", "sphere_exponent", "t_dof", "t_scale"),
-        losses=("pseudo_huber",),
     ),
 })
 

@@ -3,11 +3,11 @@
 Unknown keys anywhere in the document are hard errors: a silently ignored
 typo in a schedule constant would corrupt an experiment, so the parser
 refuses instead.  A key repeated in one object is refused too; plain JSON
-loading would keep its last value.  Component names, their keys, each
-algorithm's geometry and constraint needs, and the losses each
-distribution's population minimizer is known for come from the tables in
-``components``; whether a distribution allows oracle evaluation is asked
-of the distribution, once.
+loading would keep its last value.  Component names, their keys, and each
+algorithm's geometry and constraint needs come from the tables in
+``components``.  The distribution is asked once for its loss's
+``minimizer``, which refuses a loss it does not serve, for ``certify``, and
+whether it has a closed form there, which oracle evaluation needs.
 Values are range-checked by ``dpsco.options.check_options`` (component
 parameters as their table builds them), which the code that takes them
 runs too; the ``evaluation`` section is the keyword arguments of
@@ -27,7 +27,7 @@ from typing import Optional
 from ..errors import ConfigError
 from ..mechanisms import PrivacyBudget
 from ..options import check_options
-from ..problems.risk import closed_form_risk, excess_population_risk, population_minimizer
+from ..problems.risk import closed_form_risk, excess_population_risk
 from .components import ALGORITHMS, CONSTRAINTS, DISTRIBUTIONS, LOSSES
 
 # The evaluation section holds the keyword-only arguments of excess_population_risk.
@@ -106,14 +106,9 @@ class ExperimentConfig:
         loss = LOSSES.build(self.loss, self.geometry)
         algo.check_p(self.algorithm, loss.norm_p, f"loss {self.loss['name']!r}")
         dist = DISTRIBUTIONS.build(self.distribution, self.geometry)
-        fits = DISTRIBUTIONS[self.distribution["name"]].losses
-        if self.loss["name"] not in fits:
-            raise ConfigError(
-                f"loss {self.loss['name']!r} does not fit distribution {self.distribution['name']!r}, "
-                f"whose population minimizer is known for {list(fits)}"
-            )
         C = None if self.constraint is None else CONSTRAINTS.build(self.constraint, self.geometry)
-        population_minimizer(dist, C, loss)
+        theta_star = dist.minimizer(loss, C)
+        dist.certify(loss, C)
         self.components = (loss, dist, C)
 
         if not self.n_grid or not self.eps_grid:
@@ -126,7 +121,7 @@ class ExperimentConfig:
         try:
             check_options(trials=self.trials, parallelism=self.parallelism, base_seed=self.base_seed,
                           delta=self.delta, **self.evaluation)
-            closed_form_risk(dist.true_minimizer, dist, loss, self.evaluation.get("policy"))
+            closed_form_risk(theta_star, dist, loss, self.evaluation.get("policy"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         budgets = []

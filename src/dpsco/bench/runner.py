@@ -3,12 +3,12 @@
 Every (n, epsilon, trial) cell derives its seed as a pure function of the
 base seed and the cell indices, so reruns (serial or pooled) emit identical
 records in identical order.  A cell runs on the objects the parsed config
-built (its components and privacy budgets); pooled workers get
-the parsed config itself, pickled, and parse nothing.  Privacy-precondition
-refusals are recorded, not fatal.
+built (its components and privacy budgets); each pooled worker gets the
+parsed config once, when it starts, and parses nothing, so a value a cell
+caches on a built object (the Gaussian width of C, say) is computed once per
+worker.  Privacy-precondition refusals are recorded, not fatal.
 """
 
-import functools
 import hashlib
 import time
 
@@ -70,6 +70,18 @@ def run_cell(cfg, n_idx, eps_idx, trial):
     return RunRecord(**record, excess_risk=excess, trunc_fraction=trunc, wall_ms=wall)
 
 
+_worker_cfg = None  # the config a pool worker runs its cells on
+
+
+def _start_worker(cfg):
+    global _worker_cfg
+    _worker_cfg = cfg
+
+
+def _run_worker_cell(n_idx, eps_idx, trial):
+    return run_cell(_worker_cfg, n_idx, eps_idx, trial)
+
+
 def run_experiment(cfg):
     """Run every (n, eps, trial) cell; records come back in deterministic order."""
     cells = [
@@ -83,8 +95,7 @@ def run_experiment(cfg):
     # Imported here, so that serial runs never load multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=cfg.parallelism, initializer=_start_worker, initargs=(cfg,)) as pool:
         return list(pool.map(
-            functools.partial(run_cell, cfg), *zip(*cells),
-            chunksize=max(1, len(cells) // (8 * cfg.parallelism)),
+            _run_worker_cell, *zip(*cells), chunksize=max(1, len(cells) // (8 * cfg.parallelism)),
         ))

@@ -1,13 +1,14 @@
 """Synthetic data distributions and the Dataset container.
 
-Distributions certify the constants their paired loss declares: bounded
-feature norms for the Lipschitz losses, an analytic second-moment bound on
-gradient noise for the heavy-tailed generator.  Sampling is deterministic
+Each distribution serves one loss, ``loss_type``, and answers for it:
+``minimizer(loss, C=None)`` is that loss's population minimizer over C, and
+``certify(loss, C=None)`` refuses a declared constant the data does not
+certify (a relative 1e-12 short passes, for rounding).  Both raise
+ConfigError for any other loss.  ``population_risk(w, loss)`` is the closed
+form at every w, or None at every w (only ``BallCloud`` under
+``MeanPointLoss`` has one).  The heavy-tailed generator also certifies an
+analytic second-moment bound on gradient noise.  Sampling is deterministic
 given (distribution parameters, seed).
-
-Each distribution scores itself: ``population_risk(w, loss)`` is the
-closed-form population risk of ``loss`` at w, or None at every w when there
-is none (only ``BallCloud`` under ``MeanPointLoss`` has one).
 """
 
 import math
@@ -16,8 +17,10 @@ from typing import Optional
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..mechanisms import sample_lr_sphere
-from .losses import MeanPointLoss
+from ..spaces import dual_exponent
+from .losses import LogisticLoss, MeanPointLoss, PseudoHuberLoss
 
 __all__ = [
     "Dataset",
@@ -77,6 +80,53 @@ class Dataset:
         return Dataset(self.X[idx], None if self.y is None else self.y[idx])
 
 
+def _refuse_unpaired(dist, loss):
+    if not isinstance(loss, dist.loss_type):
+        raise ConfigError(f"loss {getattr(loss, 'name', type(loss).__name__)!r} does not fit distribution "
+                          f"{dist.name!r}, whose population minimizer is known for {dist.loss_type.name!r}")
+
+
+def _refuse_below(dist, loss, constant, declared, needed, source):
+    if declared < needed * (1.0 - 1e-12):
+        raise ConfigError(f"loss {loss.name!r} declares {constant} {declared:.6g}, below the {needed:.6g} "
+                          f"that distribution {dist.name!r} certifies ({source})")
+
+
+class _LinearModel:
+    """Features on the l_sphere_exponent sphere of radius ``radius``, labels centred on <w_star, z>."""
+
+    radius = 1.0
+
+    def minimizer(self, loss, C=None):
+        """w_star, refused outside C (projecting it would not give the constrained
+        optimum) and else projected onto C.  The logistic model is well specified;
+        the heavy-tailed model has symmetric unimodal noise under an even convex
+        penalty, so its risk is minimized where every residual is centred."""
+        _refuse_unpaired(self, loss)
+        if C is None:
+            return self.w_star.copy()
+        if C.gauge(self.w_star) > 1.0 + 1e-9:
+            raise ConfigError(f"the population minimizer of loss {loss.name!r} on {self.name!r} lies outside "
+                              f"the constraint set (gauge {C.gauge(self.w_star):.4g} > 1), where projecting "
+                              "it does not give the constrained optimum")
+        return C.project(self.w_star)
+
+    def certify(self, loss, C=None):
+        """Refuses a ``feature_dual_bound`` below ``feature_radius`` in the norm dual to the loss's."""
+        _refuse_unpaired(self, loss)
+        q = dual_exponent(loss.norm_p)
+        _refuse_below(self, loss, "feature_dual_bound", loss.feature_dual_bound, self.feature_radius(q),
+                      f"the largest l{q:g} norm of its features")
+
+    def feature_radius(self, dual_exponent=2.0):
+        # Draws have sphere_exponent-norm equal to radius; convert to the
+        # requested dual norm by the standard norm-comparison factor.
+        a, b = self.sphere_exponent, dual_exponent
+        if b <= a:
+            return self.radius * self.d ** (1.0 / b - 1.0 / a)
+        return self.radius
+
+
 def _uniform_ball(d, rng, size, exponent=2.0):
     # Uniform in the unit l_exponent ball: cone direction scaled by U^(1/d).
     theta = sample_lr_sphere(d, exponent, rng, size=size)
@@ -95,6 +145,7 @@ class BallCloud:
     """
 
     name = "ball_cloud"
+    loss_type = MeanPointLoss
 
     def __init__(self, mu, spread=1.0):
         self.mu = np.asarray(mu, dtype=float)
@@ -107,9 +158,20 @@ class BallCloud:
         X += self.mu
         return Dataset(X)
 
-    @property
-    def true_minimizer(self):
-        return self.mu.copy()
+    def minimizer(self, loss, C=None):
+        """mu projected onto C, as the closed form above is 0.5 ||w - mu||_2^2 plus a constant."""
+        _refuse_unpaired(self, loss)
+        return self.mu.copy() if C is None else C.project(self.mu)
+
+    def certify(self, loss, C=None):
+        """Refuses a Lipschitz constant below sup ||theta - x||_2 over C and the support."""
+        _refuse_unpaired(self, loss)
+        if C is None:
+            raise ConfigError(f"loss {loss.name!r} on {self.name!r} needs a constraint set: the quadratic "
+                              "loss has no Lipschitz constant on an unbounded domain")
+        _refuse_below(self, loss, "Lipschitz constant domain_radius + constraint_radius", loss.lipschitz,
+                      self.feature_radius() + C.diameter_primal(2.0) / 2,
+                      "sup ||theta - x||_2 over the constraint set and its support")
 
     @property
     def trace_cov(self):
@@ -127,7 +189,7 @@ class BallCloud:
         return math.sqrt(float(self.mu @ self.mu)) + self.spread
 
 
-class LogisticSphere:
+class LogisticSphere(_LinearModel):
     """Well-specified logistic model with features on a sphere.
 
     Features are drawn from the cone measure of the l_sphere_exponent sphere
@@ -139,6 +201,7 @@ class LogisticSphere:
     """
 
     name = "logistic_sphere"
+    loss_type = LogisticLoss
 
     def __init__(self, w_star, sphere_exponent=2.0, radius=1.0):
         self.w_star = np.asarray(w_star, dtype=float)
@@ -153,24 +216,12 @@ class LogisticSphere:
         y = np.where(rng.uniform(size=n) < probs, 1.0, -1.0)
         return Dataset(Z, y)
 
-    @property
-    def true_minimizer(self):
-        return self.w_star.copy()
-
     def population_risk(self, w, loss):
         """None: no closed form yet, so the risk is scored by Monte Carlo."""
         return None
 
-    def feature_radius(self, dual_exponent=2.0):
-        # Draws have sphere_exponent-norm equal to radius; convert to the
-        # requested dual norm by the standard norm-comparison factor.
-        a, b = self.sphere_exponent, dual_exponent
-        if b <= a:
-            return self.radius * self.d ** (1.0 / b - 1.0 / a)
-        return self.radius
 
-
-class HeavyTailLinear:
+class HeavyTailLinear(_LinearModel):
     """Linear model with Student-t noise: y = <w_star, z> + scale * t(dof).
 
     Features live on the unit l_sphere_exponent sphere.  For dof = 3 the
@@ -182,6 +233,7 @@ class HeavyTailLinear:
     """
 
     name = "heavy_tail_linear"
+    loss_type = PseudoHuberLoss
 
     def __init__(self, w_star, sphere_exponent=2.0, t_dof=3.0, t_scale=1.0):
         if t_dof <= 2:
@@ -196,12 +248,6 @@ class HeavyTailLinear:
         Z = sample_lr_sphere(self.d, self.sphere_exponent, rng, size=n)
         noise = self.t_scale * rng.standard_t(self.t_dof, size=n)
         return Dataset(Z, Z @ self.w_star + noise)
-
-    @property
-    def true_minimizer(self):
-        # Symmetric unimodal noise and an even convex penalty: the population
-        # risk is minimized where every residual distribution is centered.
-        return self.w_star.copy()
 
     def sigma_sq_bound(self, psi_max):
         """Analytic second-moment bound on gradient noise, 4 * psi_max^2."""

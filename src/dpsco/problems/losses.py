@@ -3,8 +3,10 @@
 Each loss declares the norm its constants refer to (``norm_p``: 2.0 for the
 Euclidean solvers, the ambient p for mirror-descent runs), its Lipschitz
 constant, smoothness, strong convexity and a Hessian-rank bound.  The
-declared constants are promises the paired data distribution must certify
-(see ``dpsco.problems.distributions``); tests sample-check them.
+declared constants are promises the paired data distribution must certify:
+the config parser refuses a constant its ``certify(loss, C)`` does not (see
+``dpsco.problems.distributions``), and tests sample-check them.  ``name`` is
+the loss's name in a config.
 
 All evaluation is vectorized over the rows of a dataset, and rows are the
 only input: one row x with label y is the one-row block ``x[None]``,
@@ -89,6 +91,7 @@ class LogisticLoss(LossModel):
     the declared norm; it yields L = bound and beta = bound^2 / 4.
     """
 
+    name = "logistic"
     hessian_rank = 1
 
     def __init__(self, feature_dual_bound=1.0, norm_p=2.0):
@@ -122,6 +125,7 @@ class MeanPointLoss(LossModel):
     rho is R + rho (declared via the constructor).
     """
 
+    name = "mean_point"
     hessian_rank = None  # identity Hessian: full rank
     norm_p = 2.0
     _mean_of = None  # (X, its column mean) for the last read-only X seen
@@ -158,6 +162,7 @@ class PseudoHuberLoss(LossModel):
     L = delta * feature_dual_bound and beta = feature_dual_bound^2.
     """
 
+    name = "pseudo_huber"
     hessian_rank = 1
 
     def __init__(self, huber_delta=1.0, feature_dual_bound=1.0, norm_p=2.0):

@@ -1,11 +1,12 @@
 """Empirical and population risk evaluation, Gaussian width estimation.
 
-A population risk comes from the distribution itself: ``population_risk(w,
-loss)`` is a closed form at every w, or None at every w, in which case it
-is estimated by fresh-sample Monte Carlo.  Excess risk is always estimated
-with common random numbers (the same evaluation sample scores both the
-candidate and the reference minimizer), which removes the shared bias and
-shrinks the variance of the difference.
+The distribution supplies both the reference point, ``dist.minimizer(loss,
+C)``, and the population risk: ``population_risk(w, loss)`` is a closed form
+at every w, or None at every w, in which case it is estimated by
+fresh-sample Monte Carlo.  Excess risk is always estimated with common
+random numbers (the same evaluation sample scores both the candidate and
+the reference minimizer), which removes the shared bias and shrinks the
+variance of the difference.
 
 The module needs numpy only; ``max_abs_gaussian_mean`` integrates with a
 Gauss-Legendre rule.
@@ -15,9 +16,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError
 from ..options import check_options
-from .losses import MeanPointLoss
 
 __all__ = [
     "empirical_risk",
@@ -56,30 +55,9 @@ def closed_form_risk(w, dist, loss, policy="auto"):
     return risk
 
 
-def population_minimizer(dist, C, loss):
-    """The unconstrained population minimizer w_star, checked against C.
-
-    Every shipped distribution knows its w_star.  For the quadratic point
-    loss the constrained optimum is the Euclidean projection of w_star onto
-    C; for any other loss that projection is not the optimum in general, so
-    w_star must already lie in C.  A distribution without a known minimizer,
-    or such a w_star outside C, raises ConfigError rather than score against
-    a wrong point.
-    """
-    theta = getattr(dist, "true_minimizer", None)
-    if theta is None:
-        raise ConfigError(f"{type(dist).__name__} has no known population minimizer")
-    if C is not None and not isinstance(loss, MeanPointLoss) and C.gauge(theta) > 1.0 + 1e-9:
-        raise ConfigError(
-            f"the population minimizer lies outside the constraint set (gauge "
-            f"{C.gauge(theta):.4g} > 1), where projecting it does not give the constrained "
-            f"optimum of {type(loss).__name__}"
-        )
-    return theta
-
-
 def excess_population_risk(w, dist, loss, C=None, rng=None, *, m_eval=100_000, policy="auto"):
-    """Excess population risk against the constrained minimizer: (value, se).
+    """Excess population risk against ``dist.minimizer(loss, C)``, which raises
+    ConfigError for a loss ``dist`` does not serve: (value, se).
 
     ``policy`` "auto" takes the distribution's closed form (se = 0) when it
     has one for ``loss``, else Monte Carlo over ``m_eval`` (an integer >= 2)
@@ -90,9 +68,7 @@ def excess_population_risk(w, dist, loss, C=None, rng=None, *, m_eval=100_000, p
     """
     check_options(m_eval=m_eval, policy=policy)
     w = np.asarray(w, dtype=float)
-    theta_star = population_minimizer(dist, C, loss)
-    if C is not None:
-        theta_star = C.project(theta_star)
+    theta_star = dist.minimizer(loss, C)
     # Asked under every policy, so a profiler wrapping population_risk sees each evaluation.
     risk = closed_form_risk(w, dist, loss, policy)
     if risk is not None and policy != "mc":

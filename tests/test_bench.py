@@ -166,6 +166,23 @@ class TestRunner:
             pooled = run_experiment(ExperimentConfig.from_dict({**doc, "parallelism": 2}))
             assert without_timing(serial) == without_timing(pooled)
 
+    def test_pool_sends_the_config_once_per_worker(self, monkeypatch):
+        # Sent with every chunk, the config was pickled once per cell here, and
+        # each copy redrew the Gaussian width app_objp caches on its C.
+        pickled = []
+
+        def getstate(cfg):
+            pickled.append(cfg)
+            return dict(vars(cfg))
+
+        monkeypatch.setattr(ExperimentConfig, "__getstate__", getstate, raising=False)
+        doc = _base_config(trials=3, n_grid=[32, 64], parallelism=2)
+        cfg = ExperimentConfig.from_dict(doc)
+        pooled = run_experiment(cfg)
+        assert len(pickled) <= 2
+        assert without_timing(pooled) == without_timing(run_experiment(ExperimentConfig.from_dict(
+            {**doc, "parallelism": 1})))
+
     def test_pickled_config_runs_a_cell_to_the_same_record(self):
         # What a pool worker receives: the parsed config, built objects included.
         for doc in (_base_config(), _md_doc()):

@@ -3,9 +3,11 @@ import math
 
 import pytest
 
+from dpsco.bench import runner
 from dpsco.bench.cli import main
 from dpsco.bench.config import ExperimentConfig
 from dpsco.bench.records import read_records, without_timing
+from dpsco.errors import NumericError
 from test_acceptance import CONVEX_TREND_DOC
 
 
@@ -76,8 +78,11 @@ class TestRunCommand:
 
     def test_json_infinity_is_a_number(self, tmp_path):
         # JSON has no infinity; Python's Infinity token is how a file writes p = inf.
+        # At p = inf the dual norm is l1, and features on the unit l1 sphere meet the bound of 1.
         doc = {**_config_doc(), "algorithm": "lipschitz_high_p", "geometry": {"p": "INF", "d": 3},
-               "constraint": None}
+               "loss": {"name": "logistic", "feature_dual_bound": 1.0},
+               "distribution": {"name": "logistic_sphere", "sphere_exponent": 1.0},
+               "constraint": None, "evaluation": {}}
         path = tmp_path / "inf.json"
         path.write_text(json.dumps(doc).replace('"INF"', "Infinity"))
         assert ExperimentConfig.from_json(path).geometry["p"] == math.inf
@@ -111,9 +116,9 @@ class TestRunCommand:
         env, doc = (without_timing(read_records(tmp_path / f)) for f in ("env.csv", "doc.csv"))
         assert env == doc
 
-    def test_release_distance_failure_exit_code(self, tmp_path, capsys):
-        # Features eight times the declared dual bound break the smoothness
-        # the certified inner count assumes, so the release check fails.
+    def test_uncertified_feature_bound_exit_code(self, tmp_path, capsys):
+        # Features eight times the declared dual bound: noise calibrated to the
+        # bound would not give the claimed epsilon, so the grid never runs.
         doc = dict(
             CONVEX_TREND_DOC, n_grid=[4096], trials=1, parallelism=1,
             loss={"name": "logistic", "feature_dual_bound": 1.0},
@@ -122,8 +127,33 @@ class TestRunCommand:
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(doc))
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "feature_dual_bound" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_numeric_error_exit_code(self, config_path, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise NumericError("release distance 1 exceeds certified bound 0.5")
+
+        monkeypatch.setattr(runner, "app_objp_sc", fail)
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "x.csv")])
         assert code == 3
-        assert "exceeds certified bound" in capsys.readouterr().err
+        assert "error: release distance 1 exceeds certified bound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("over", [
+        {"eps_grid": [1e308]},
+        {"algorithm": "noisy_reg_md", "constraint": None, "solver": {"c_t": 1e308},
+         "loss": {"name": "pseudo_huber", "huber_delta": 20.0, "feature_dual_bound": 1.0},
+         "distribution": {"name": "heavy_tail_linear", "w_star_norm": 0.3, "sphere_exponent": 3.0},
+         "geometry": {"p": 1.5, "d": 3}, "evaluation": {"policy": "mc", "m_eval": 1000}},
+    ], ids=["epsilon", "c_t"])
+    def test_arithmetic_overflow_exit_code(self, over, tmp_path, capsys):
+        # A finite value whose arithmetic overflows in the first cell: exit 3, not a traceback.
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({**_config_doc(), "n_grid": [32], "trials": 1, **over}))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSlopeCommand:

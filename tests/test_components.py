@@ -242,6 +242,25 @@ MISCONFIGS = {
         _logistic_doc(distribution={"name": "logistic_sphere", "sphere_exponent": "2"}),
         "sphere_exponent must be a finite number >= 1",
     ),
+    # Declared constants the data does not certify: each parsed and claimed its epsilon.
+    "convex_trend with half its feature_dual_bound": (
+        {**CONVEX_TREND_DOC, "loss": {**CONVEX_TREND_DOC["loss"],
+                                      "feature_dual_bound": CONVEX_TREND_DOC["loss"]["feature_dual_bound"] / 2}},
+        "feature_dual_bound",
+    ),
+    "default mean_point on default ball_cloud in a unit l2 ball": (
+        _base_doc(loss={"name": "mean_point"}, distribution={"name": "ball_cloud"}),
+        "declares Lipschitz constant domain_radius + constraint_radius 2, below the 2.5",
+    ),
+    "pseudo_huber bound 1 on sphere_exponent 3 at p = 2": (
+        _base_doc(algorithm="app_objp", loss={"name": "pseudo_huber", "feature_dual_bound": 1.0},
+                  distribution={"name": "heavy_tail_linear", "sphere_exponent": 3.0}),
+        "declares feature_dual_bound 1, below the 1.25992 that distribution 'heavy_tail_linear'",
+    ),
+    "mean_point under phased_dp_sgd without a constraint set": (
+        _base_doc(algorithm="phased_dp_sgd", constraint=None),
+        "needs a constraint set",
+    ),
     "missing trials": (
         {k: v for k, v in _base_doc().items() if k != "trials"},
         "missing required config keys: ['trials']",
@@ -324,12 +343,24 @@ def _doc_for_algorithm(name):
     entry = ALGORITHMS[name]
     lo, hi = entry.p_range
     p = 0.5 * (lo + hi) if entry.p_open else lo
+    # Features on the unit sphere of the dual norm meet the declared bound of 1.
     return _md_doc(
         algorithm=name,
+        distribution={"name": "heavy_tail_linear", "w_star_norm": 0.3, "sphere_exponent": p / (p - 1.0)},
         geometry={"p": p, "d": 4},
         constraint={"set": "l2", "radius": 1.0} if entry.constrained else None,
         solver={},
     )
+
+
+# The losses each distribution's population minimizer is known for.
+PAIRS = {("mean_point", "ball_cloud"), ("logistic", "logistic_sphere"), ("pseudo_huber", "heavy_tail_linear")}
+
+
+def _pair_doc(loss, distribution):
+    """``_base_doc`` with the loss on the distribution, at constants the default data certifies."""
+    section = _base_doc()["loss"] if loss == "mean_point" else {"name": loss}
+    return _base_doc(loss=section, distribution={"name": distribution})
 
 
 def _entry_docs():
@@ -338,11 +369,9 @@ def _entry_docs():
     for name in ALGORITHMS:
         yield ALGORITHMS, name, _doc_for_algorithm(name), "solver"
     # A loss and a distribution are tested in a pairing the parser accepts.
-    for name, entry in DISTRIBUTIONS.items():
-        for loss in entry.losses:
-            yield LOSSES, loss, _base_doc(loss={"name": loss}, distribution={"name": name}), "loss"
-        doc = _base_doc(loss={"name": entry.losses[0]}, distribution={"name": name})
-        yield DISTRIBUTIONS, name, doc, "distribution"
+    for loss, name in sorted(PAIRS):
+        yield LOSSES, loss, _pair_doc(loss, name), "loss"
+        yield DISTRIBUTIONS, name, _pair_doc(loss, name), "distribution"
     for name in CONSTRAINTS:
         yield CONSTRAINTS, name, _base_doc(constraint={"set": name}), "constraint"
 
@@ -351,7 +380,18 @@ ENTRIES = {f"{table.kind}:{name}": (table, doc, section) for table, name, doc, s
 
 
 def test_every_loss_fits_a_distribution():
-    assert {loss for entry in DISTRIBUTIONS.values() for loss in entry.losses} == set(LOSSES)
+    # Every other pairing is refused by its distribution's minimizer.
+    parsed = set()
+    for loss in LOSSES:
+        for name in DISTRIBUTIONS:
+            try:
+                ExperimentConfig.from_dict(_pair_doc(loss, name))
+            except ConfigError as exc:
+                assert "does not fit" in str(exc)
+            else:
+                parsed.add((loss, name))
+    assert parsed == PAIRS
+    assert {loss for loss, _ in PAIRS} == set(LOSSES)
 
 
 def test_a_t_every_n_can_serve_parses():

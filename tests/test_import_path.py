@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from test_acceptance import CONVEX_TREND_DOC, LP_TREND_DOC, STRONGLY_CONVEX_DOC
-from test_components import _base_doc, _logistic_doc, _md_doc
+from test_components import _logistic_doc, _md_doc
 
 from dpsco.bench.components import ALGORITHMS
 
@@ -21,8 +21,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 DOCS = {
     "app_objp": CONVEX_TREND_DOC,
     "app_objp_sc": STRONGLY_CONVEX_DOC,
-    "phased_dp_sgd": _base_doc(algorithm="phased_dp_sgd", constraint=None),
+    "phased_dp_sgd": _logistic_doc(algorithm="phased_dp_sgd", constraint=None),
+    # Features on the unit sphere of the dual l1.5 norm meet the declared bound of 1.
     "lipschitz_high_p": _logistic_doc(algorithm="lipschitz_high_p", geometry={"p": 3.0, "d": 4},
+                                      distribution={"name": "logistic_sphere", "sphere_exponent": 1.5},
                                       constraint=None),
     "noisy_reg_md": LP_TREND_DOC,
     "shuffled_truncated_md": _md_doc(algorithm="shuffled_truncated_md", n_grid=[512], eps_grid=[0.1]),

@@ -203,6 +203,39 @@ class TestDeclaredConstants:
         assert MeanPointLoss().rank_bound(20) == 20
 
 
+class TestCertify:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("dist,loss_type", [
+        (LogisticSphere(np.array([0.3, -0.2, 0.1, 0.0]), sphere_exponent=3.0, radius=2.0), LogisticLoss),
+        (HeavyTailLinear(np.array([0.3, -0.2, 0.1, 0.0]), sphere_exponent=3.0), PseudoHuberLoss),
+    ], ids=["logistic_sphere", "heavy_tail_linear"])
+    def test_feature_bound_is_the_largest_dual_norm(self, dist, loss_type, p):
+        q = p / (p - 1.0)
+        bound = dist.feature_radius(q)
+        assert lp_norm(dist.sample(2000, np.random.default_rng(1)).X, q).max() <= bound * (1 + 1e-12)
+        dist.certify(loss_type(feature_dual_bound=bound, norm_p=p))
+        # Rounding slack: a bound one computation away from the data's passes.
+        dist.certify(loss_type(feature_dual_bound=bound * (1 - 1e-13), norm_p=p))
+        with pytest.raises(ConfigError, match="declares feature_dual_bound"):
+            dist.certify(loss_type(feature_dual_bound=bound * (1 - 1e-9), norm_p=p))
+
+    def test_mean_point_needs_the_support_and_the_set(self):
+        # Feature radius 0.5 + 0.5; the l1 ball of radius 2 reaches l2 norm 2.
+        dist, C = BallCloud(np.array([0.3, -0.4]), spread=0.5), L1Ball(2.0, 2)
+        X = dist.sample(2000, np.random.default_rng(2)).X
+        vertices = np.array([[2.0, 0.0], [-2.0, 0.0], [0.0, 2.0], [0.0, -2.0]])
+        assert lp_norm(vertices[:, None, :] - X[None], 2.0).max() <= 3.0
+        dist.certify(MeanPointLoss(domain_radius=1.0, constraint_radius=2.0), C)
+        with pytest.raises(ConfigError, match="declares Lipschitz constant"):
+            dist.certify(MeanPointLoss(domain_radius=1.0, constraint_radius=1.99), C)
+        with pytest.raises(ConfigError, match="needs a constraint set"):
+            dist.certify(MeanPointLoss(domain_radius=1.0, constraint_radius=2.0))
+
+    def test_unpaired_loss_is_refused(self):
+        with pytest.raises(ConfigError, match="does not fit"):
+            BallCloud(np.zeros(2)).certify(LogisticLoss(), L2Ball(1.0, 2))
+
+
 class TestNumpyReplacements:
     """The numpy/math forms the package uses in place of scipy's."""
 
@@ -255,7 +288,8 @@ class TestDatasetCsv:
 class TestPopulationRisk:
     def test_oracle_at_minimizer(self):
         dist = BallCloud(np.array([0.2, -0.1]), spread=1.0)
-        assert dist.population_risk(dist.true_minimizer, MeanPointLoss()) == pytest.approx(0.5 * dist.trace_cov)
+        loss = MeanPointLoss()
+        assert dist.population_risk(dist.minimizer(loss), loss) == pytest.approx(0.5 * dist.trace_cov)
 
     def test_mc_matches_oracle(self):
         dist = BallCloud(np.array([0.2, -0.1, 0.3]), spread=0.7)
@@ -272,7 +306,7 @@ class TestPopulationRisk:
     def test_excess_at_minimizer_is_zero(self):
         dist = BallCloud(np.array([0.2, -0.1]))
         loss = MeanPointLoss()
-        excess, _ = excess_population_risk(dist.true_minimizer, dist, loss)
+        excess, _ = excess_population_risk(dist.minimizer(loss), dist, loss)
         assert excess == pytest.approx(0.0, abs=1e-15)
 
     def test_excess_policies(self):
@@ -293,7 +327,9 @@ class TestPopulationRisk:
         (HeavyTailLinear(np.array([0.3, -0.2])), PseudoHuberLoss()),
     ], ids=["ball_cloud-logistic", "logistic_sphere", "heavy_tail_linear"])
     def test_no_closed_form_at_any_point(self, dist, loss):
-        for w in (dist.true_minimizer, dist.true_minimizer + 0.1, np.zeros(2)):
+        # Explicit points: BallCloud has no minimizer for the logistic loss.
+        w0 = np.array([0.3, -0.2])
+        for w in (w0, w0 + 0.1, np.zeros(2)):
             assert dist.population_risk(w, loss) is None
 
     def test_oracle_without_a_closed_form_is_refused(self):
@@ -358,13 +394,11 @@ class TestGaussianWidth:
 
 
 class TestReferenceBaseline:
-    def test_unknown_minimizer_is_a_config_error(self):
-        class NoOptimumCloud(BallCloud):
-            true_minimizer = None
-
-        dist = NoOptimumCloud(np.array([0.3, -0.2]), spread=0.5)
-        with pytest.raises(ConfigError, match="no known population minimizer"):
-            excess_population_risk(np.zeros(2), dist, MeanPointLoss(), rng=np.random.default_rng(0))
+    def test_unpaired_loss_is_a_config_error(self):
+        # w_star is not the pseudo-Huber minimizer on logistic data, so no excess is measured against it.
+        dist = LogisticSphere(0.4 * np.ones(4))
+        with pytest.raises(ConfigError, match="loss 'pseudo_huber' does not fit distribution 'logistic_sphere'"):
+            excess_population_risk(np.zeros(4), dist, PseudoHuberLoss(), m_eval=20_000, rng=np.random.default_rng(0))
 
     def test_minimizer_outside_the_set_is_a_config_error(self):
         # ||w_star||_1.5 = 0.5 * 12^(1/3) > 1: projecting w_star onto the ball
