@@ -4,10 +4,11 @@ Each table maps a component name to its builder and the keys it accepts.
 ``ExperimentConfig`` validates a document against these tables and the
 runner builds every cell from the same entries, so a key is accepted exactly
 when a builder consumes it.  Builders pass on only the keys a config gives:
-every default lives in the constructor or solver signature that consumes it.
-An algorithm entry is read from its solver's signature, which is the one
-place that lists the solver's options.  The loss a distribution serves is
-the distribution's to say (its ``minimizer`` and ``certify``).
+every default lives in the constructor or schedule signature that consumes
+it.  An algorithm entry is read from its solver: the keyword-only parameters
+of its schedule are the one list of the solver's options.  The loss a
+distribution serves is the distribution's to say (its ``minimizer`` and
+``certify``).
 """
 
 import inspect
@@ -39,14 +40,16 @@ class Component:
 
 @dataclass(frozen=True)
 class Algorithm:
-    """How a config calls a solver, read from the solver's signature by ``of``.
+    """How a config calls a solver, read from the solver by ``of``.
 
-    ``keys`` are its keyword-only parameters.  A solver with a ``C``
+    ``schedule`` is the solver's ``schedule(n, d, loss, C, budget, **options)``
+    and ``keys`` are its keyword-only parameters.  A solver with a ``C``
     parameter is ``constrained``: it requires a constraint set and the others
     refuse one.  Geometry p, and the p the loss declares its constants in,
     must lie in ``p_range``, open when ``p_open``.
     """
 
+    schedule: Callable
     keys: tuple
     constrained: bool
     p_range: tuple = (2.0, 2.0)
@@ -54,7 +57,8 @@ class Algorithm:
 
     @classmethod
     def of(cls, solver, **kw):
-        return cls(tuple(solver.__kwdefaults__ or ()), "C" in inspect.signature(solver).parameters, **kw)
+        keys = tuple(solver.schedule.__kwdefaults__ or ())
+        return cls(solver.schedule, keys, "C" in inspect.signature(solver).parameters, **kw)
 
     def run(self, solve, data, loss, C, budget, rng, **options):
         """``solve(data, loss, [C,] budget, rng, **options)``."""

@@ -9,22 +9,26 @@ algorithm's geometry and constraint needs come from the tables in
 ``minimizer``, which refuses a loss it does not serve, for ``certify``, and
 whether it has a closed form there, which oracle evaluation needs.
 Values are range-checked by ``dpsco.options.check_options`` (component
-parameters as their table builds them), which the code that takes them
-runs too; the ``evaluation`` section is the keyword arguments of
-``excess_population_risk``, whose signature holds its defaults.  A ``T``
-or a smallest n that the solver cannot serve is refused as well, and so is
-a loss whose declared norm lies outside the algorithm's p range.  The config
-builds the loss, distribution and constraint set and one ``PrivacyBudget`` per epsilon
-once, so a value they refuse is refused at parse time too; every cell,
-serial or pooled, runs on those objects.
+parameters as their table builds them, solver options by the solver's
+schedule), which the code that takes them runs too; the ``evaluation``
+section is the keyword arguments of ``excess_population_risk``, whose
+signature holds its defaults.  A loss whose declared norm lies outside the
+algorithm's p range is refused.  The config builds the loss, distribution
+and constraint set and one ``PrivacyBudget`` per epsilon once, so a value
+they refuse is refused at parse time too; every cell, serial or pooled,
+runs on those objects.  Then it evaluates the solver's data-independent
+schedule at every (n, epsilon) of the grid, as the cell will: a ``T`` or an
+n the solver cannot serve, arithmetic that overflows and a schedule field
+that is not finite are refused, and a privacy refusal is left to its cell.
 """
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from numbers import Real
 from typing import Optional
 
-from ..errors import ConfigError
+from ..errors import ConfigError, RefusalError
 from ..mechanisms import PrivacyBudget
 from ..options import check_options
 from ..problems.risk import closed_form_risk, excess_population_risk
@@ -48,18 +52,34 @@ def _unique_keys(pairs):
     return dict(pairs)
 
 
-def _check_T(algorithm, solver, n_min):
-    """A T or a smallest n the solver cannot serve: noisy_reg_md's alpha_reg
-    needs T < n (its automatic T is at least 1), shuffling needs n >= 2, and
-    the truncated solvers split n rows into T nonempty batches."""
-    T = solver.get("T")
-    if algorithm == "noisy_reg_md" and (T or 1) >= n_min:
-        raise ConfigError(f"noisy_reg_md: alpha_reg needs T < n, but T={T or 'auto >= 1'} and the "
-                          f"smallest n is {n_min}")
-    if algorithm == "shuffled_truncated_md" and n_min < 2:
-        raise ConfigError("shuffled_truncated_md: shuffling needs n >= 2, but the smallest n is 1")
-    if algorithm != "noisy_reg_md" and T is not None and T > n_min:
-        raise ConfigError(f"{algorithm}: T={T} batches need n >= T, but the smallest n is {n_min}")
+def _finite(value):
+    """False for a float, or a list holding one, that is inf or NaN."""
+    values = value if isinstance(value, list) else [value]
+    return all(math.isfinite(v) for v in values if isinstance(v, float))
+
+
+def _check_schedules(cfg, schedule):
+    """Evaluate the solver's schedule at every (n, epsilon) of the grid.
+
+    A RefusalError is left to the cell, which records it.  A ValueError, an
+    ArithmeticError or a field that is not finite would abort the grid in
+    that cell, so it is a ConfigError naming the cell.
+    """
+    loss, _, C = cfg.components
+    for n in map(int, cfg.n_grid):
+        for i, budget in enumerate(cfg.budgets):
+            where = f"{cfg.algorithm} at n={n}, eps_grid[{i}]={budget.epsilon!r}"
+            if cfg.solver:
+                where += f" with solver {cfg.solver}"
+            try:
+                s = schedule(n, cfg.geometry["d"], loss, C, budget, **cfg.solver)
+            except RefusalError:
+                continue
+            except (ValueError, ArithmeticError) as exc:
+                raise ConfigError(f"{where}: {type(exc).__name__}: {exc}") from exc
+            bad = [f"{key}={value}" for key, value in vars(s).items() if not _finite(value)]
+            if bad:
+                raise ConfigError(f"{where}: the schedule is not finite: {', '.join(bad)}")
 
 
 @dataclass
@@ -94,10 +114,6 @@ class ExperimentConfig:
             raise ConfigError(f"geometry.d must be a positive integer, got {d!r}")
 
         algo = ALGORITHMS.select(self.algorithm, self.solver)
-        try:
-            check_options(**self.solver)
-        except ValueError as exc:
-            raise ConfigError(f"{self.algorithm}: solver.{exc}") from exc
         algo.check_p(self.algorithm, p)
         if algo.constrained and self.constraint is None:
             raise ConfigError(f"{self.algorithm} requires a constraint set")
@@ -116,7 +132,6 @@ class ExperimentConfig:
         if not all(isinstance(n, Real) and not isinstance(n, bool) and n >= 1 and float(n).is_integer()
                    for n in self.n_grid):
             raise ConfigError("n_grid must contain positive integers")
-        _check_T(self.algorithm, self.solver, min(self.n_grid))
         _check_keys(self.evaluation, _EVAL_KEYS, "evaluation")
         try:
             check_options(trials=self.trials, parallelism=self.parallelism, base_seed=self.base_seed,
@@ -131,6 +146,7 @@ class ExperimentConfig:
             except ValueError as exc:  # delta passed above, so this names the epsilon
                 raise ConfigError(f"eps_grid[{i}]: {exc}") from exc
         self.budgets = tuple(budgets)
+        _check_schedules(self, algo.schedule)
 
     @classmethod
     def from_dict(cls, doc):

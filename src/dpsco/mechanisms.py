@@ -1,5 +1,10 @@
 """Noise mechanisms and privacy accounting.
 
+Neighbouring datasets are replace-one neighbours: the same size n, one row
+replaced by any other row of the domain.  Every sensitivity a calibration
+takes is the largest change of the released statistic between two such
+datasets.
+
 Calibration formulas are exact arithmetic (bit-for-bit reproducible given
 identical inputs).  Sampling routines take an explicit ``numpy.random.
 Generator``; there is no hidden global state.  The random source is

@@ -17,7 +17,10 @@ entry ``lipschitz_high_p`` runs the Euclidean ``phased_dp_sgd``):
 
 The problem defines the geometry: p is the loss's declared ``norm_p`` (its
 constants are stated in ||.||_p) and d is ``data.d``.  Both set kappa, so
-the noise, and a ``C`` of another dimension is refused.  Options are
+the noise, and a ``C`` of another dimension is refused.  Each solver is a
+pure ``solver.schedule(n, d, loss, C, budget, **options)`` (T, threshold,
+step weights, noise scale), which reads no rng and no data, and a data pass
+that calls it and reads only its fields.  Options are the schedule's
 keyword-only arguments.  ``T`` and ``lambda_trunc`` default to the
 schedules the utility analysis prescribes and are > 0 when given, and
 ``noisy_reg_md``'s ``c_t`` > 0 scales its default T.  The regularization
@@ -35,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, warn_at_caller
+from .errors import NumericError
 from .mechanisms import GGNoiseSpec, gg_sample, shuffle_calibrate
-from .options import check_options
+from .options import Schedule, check_options
 from .problems.risk import empirical_grad
 # ``bregman`` is not called here; the benchmark's tracer binds dpsco.mirror.bregman.
 from .spaces import SpaceSpec, bregman, grad_phi, inv_grad_phi, lp_norm, phi  # noqa: F401
@@ -92,25 +95,46 @@ class _WeightedAverage:
             self.value = (1.0 - frac) * self.value + frac * np.asarray(w, dtype=float)
 
 
-def _space(name, data, loss, C=None):
-    """SpaceSpec(loss.norm_p, data.d), after refusing p outside (1, 2) and a C of another d."""
+def _space(name, d, loss, C=None):
+    """SpaceSpec(loss.norm_p, d), after refusing p outside (1, 2) and a C of another d."""
     if not (1.0 < loss.norm_p < 2.0):
         raise ValueError(f"{name} requires 1 < p < 2; the loss declares norm_p={loss.norm_p}")
-    if C is not None and C.d != data.d:
-        raise ValueError(f"{name}: C must have the data's dimension d={data.d}, got d={C.d}")
-    return SpaceSpec(loss.norm_p, data.d)
+    if C is not None and C.d != d:
+        raise ValueError(f"{name}: C must have the data's dimension d={d}, got d={C.d}")
+    return SpaceSpec(loss.norm_p, d)
 
 
-def _schedule_T(T, limit, bound="n"):
-    """The automatic T, at least 1, clamped to ``limit`` (named ``bound``) with a warning."""
+def _schedule_T(T, limit, warnings, bound="n"):
+    """The automatic T, at least 1, clamped to ``limit`` (named ``bound``) with a warning text."""
     T = max(1, T)
     if T > limit:
-        warn_at_caller(f"schedule T={T} exceeds {bound}={limit}; clamping to {bound}")
+        warnings.append(f"schedule T={T} exceeds {bound}={limit}; clamping to {bound}")
         T = limit
     return T
 
 
-def noisy_reg_md(data, loss, budget, rng, *, T=None, c_t=1.0):
+def _noisy_reg_md_schedule(n, d, loss, C, budget, *, T=None, c_t=1.0):
+    check_options(T=T, c_t=c_t)
+    space = _space("noisy_reg_md", d, loss)
+    L, beta = loss.lipschitz, loss.smoothness
+    kappa = space.kappa
+    warnings = []
+    if T is None:
+        raw = c_t * (
+            n * budget.epsilon * kappa / math.sqrt(d * math.log(1.0 / budget.delta))
+        ) ** 0.4
+        T = _schedule_T(math.ceil(raw), max(1, n - 1), warnings, "n - 1")
+    if T >= n:
+        raise ValueError(f"noisy_reg_md: alpha_reg needs T < n; got T={T}, n={n}")
+    alpha_reg = (4.0 * beta / T) * math.log2(n / T)
+    sigma2 = 64.0 * L**2 * kappa * T * math.log(1.0 / budget.delta) / (n**2 * budget.epsilon**2)
+    return Schedule(
+        warnings=warnings, T=T, alpha_reg=alpha_reg, sigma2=sigma2, r_noise=space.r_noise, space=space,
+        noise=GGNoiseSpec(sigma2=sigma2, r=space.r_noise, d=d), ratio=(2.0 * beta + alpha_reg) / (2.0 * beta),
+    )
+
+
+def noisy_reg_md(data, loss, budget, rng, **options):
     """Noisy regularized mirror descent, unconstrained.
 
     Each step minimizes
@@ -123,33 +147,18 @@ def noisy_reg_md(data, loss, budget, rng, *, T=None, c_t=1.0):
     c_t * (n eps kappa / sqrt(d ln(1/delta)))^0.4 rounded up, is clamped to
     n - 1.
     """
-    check_options(T=T, c_t=c_t)
-    space = _space("noisy_reg_md", data, loss)
-    n, d = data.n, data.d
-    L, beta = loss.lipschitz, loss.smoothness
-    kappa = space.kappa
-
-    if T is None:
-        raw = c_t * (
-            n * budget.epsilon * kappa / math.sqrt(d * math.log(1.0 / budget.delta))
-        ) ** 0.4
-        T = _schedule_T(math.ceil(raw), max(1, n - 1), "n - 1")
-    if T >= n:
-        raise ValueError(f"noisy_reg_md: alpha_reg needs T < n; got T={T}, n={n}")
-    alpha_reg = (4.0 * beta / T) * math.log2(n / T)
-
-    sigma2 = 64.0 * L**2 * kappa * T * math.log(1.0 / budget.delta) / (n**2 * budget.epsilon**2)
-    noise = GGNoiseSpec(sigma2=sigma2, r=space.r_noise, d=d)
-
-    w = np.zeros(d)
-    avg = _WeightedAverage((2.0 * beta + alpha_reg) / (2.0 * beta))
-    for _ in range(T):
-        g_t = gg_sample(noise, rng)
-        dual = beta * grad_phi(w, space) - empirical_grad(w, data, loss) - g_t
-        w = inv_grad_phi(dual / (beta + alpha_reg), space)
+    s = _noisy_reg_md_schedule(data.n, data.d, loss, None, budget, **options)
+    s.warn()
+    beta = loss.smoothness
+    w = np.zeros(data.d)
+    avg = _WeightedAverage(s.ratio)
+    for _ in range(s.T):
+        g_t = gg_sample(s.noise, rng)
+        dual = beta * grad_phi(w, s.space) - empirical_grad(w, data, loss) - g_t
+        w = inv_grad_phi(dual / (beta + s.alpha_reg), s.space)
         avg.add(w)
 
-    info = {"T": T, "alpha_reg": alpha_reg, "sigma2": sigma2, "r_noise": space.r_noise}
+    info = {"T": s.T, "alpha_reg": s.alpha_reg, "sigma2": s.sigma2, "r_noise": s.r_noise}
     return avg.value, info
 
 
@@ -224,43 +233,73 @@ def mirror_step_constrained(g_hat, w_prev, gamma, C, spec, tol=None):
     )
 
 
-def _batch_size(n, T):
-    if T > n:
+def _truncated_schedule(name, n, d, loss, C, budget, T, lambda_trunc, auto_lambda, auto_T):
+    """The schedule both truncated solvers share: their space, the truncation
+    offset ``lambda_trunc`` (``auto_lambda(kappa, M)`` floored at
+    max(beta, 1) M when None, M the lp diameter of C), the ``threshold``
+    beta M + lambda_trunc, and ``T`` batches of ``b`` = floor(n/T) rows:
+    a given T is at most n, and ``auto_T(M, lambda_trunc)`` is rounded and
+    clamped to n.  The step weight is ``gamma`` = sqrt(T)."""
+    check_options(T=T, lambda_trunc=lambda_trunc)
+    space = _space(name, d, loss, C)
+    beta = loss.smoothness
+    M = C.diameter_primal(space.p)
+    if lambda_trunc is None:
+        # floor: the threshold is at least 2 beta M
+        lambda_trunc = max(auto_lambda(space.kappa, M), max(beta, 1.0) * M)
+    threshold = beta * M + lambda_trunc
+    warnings = []
+    if T is None:
+        T = _schedule_T(round(auto_T(M, lambda_trunc)), n, warnings)
+    elif T > n:
         raise ValueError(f"T={T} batches need n >= T rows; got n={n}")
-    return n // T
+    return Schedule(warnings=warnings, space=space, T=T, b=n // T, gamma=math.sqrt(T),
+                    lambda_trunc=lambda_trunc, threshold=threshold)
 
 
-def _truncated_md(data, loss, C, space, T, lam, threshold, privatize):
-    """One constrained mirror step per batch: the pass both truncated solvers share.
+def _truncated_md(data, loss, C, s, privatize):
+    """One constrained mirror step per batch: the data pass both truncated solvers share.
 
-    Batch t is rows [t b, (t+1) b) of ``data``, b = floor(n/T), with the
-    remainder in the last batch.  Its per-sample gradients are truncated at
-    ``threshold`` and ``privatize`` turns them into the noisy gradient for a
-    step with gamma = sqrt(T).  Returns the plain average of the
-    iterates, which must lie in C, and the info fields both solvers report.
+    Batch t is rows [t b, (t+1) b) of ``data``, with the remainder in the
+    last batch.  Its per-sample gradients are truncated at the threshold and
+    ``privatize`` turns them into the noisy gradient for a step with weight
+    gamma.  Returns the plain average of the iterates, which must lie in C,
+    and the info fields both solvers report.
     """
-    n = data.n
-    b = _batch_size(n, T)
-    gamma = math.sqrt(T)
+    s.warn()
+    n, b = data.n, s.b
     stats = TruncationStats()
     w = np.zeros(data.d)
     avg = _WeightedAverage(1.0)  # uniform gamma_t => plain average
     residuals = []
-    for t in range(T):
-        lo, hi = t * b, n if t == T - 1 else (t + 1) * b
+    for t in range(s.T):
+        lo, hi = t * b, n if t == s.T - 1 else (t + 1) * b
         y = None if data.y is None else data.y[lo:hi]
-        G = truncate_gradients(loss.grads(w, data.X[lo:hi], y), threshold, space.q, stats)
-        w, res = mirror_step_constrained(privatize(G), w, gamma, C, space)
+        G = truncate_gradients(loss.grads(w, data.X[lo:hi], y), s.threshold, s.space.q, stats)
+        w, res = mirror_step_constrained(privatize(G), w, s.gamma, C, s.space)
         residuals.append(res)
         avg.add(w)
     if not C.contains(avg.value, slack=1e-9):
         raise AssertionError("averaged iterate left the constraint set")
-    info = {"T": T, "lambda_trunc": lam, "threshold": threshold, "gamma": gamma,
+    info = {"T": s.T, "lambda_trunc": s.lambda_trunc, "threshold": s.threshold, "gamma": s.gamma,
             "truncation": stats, "max_step_residual": max(residuals)}
     return avg.value, info
 
 
-def shuffled_truncated_md(data, loss, C, budget, rng, *, T=None, lambda_trunc=None):
+def _shuffled_truncated_md_schedule(n, d, loss, C, budget, *, T=None, lambda_trunc=None):
+    logd = math.log(1.0 / budget.delta)
+    s = _truncated_schedule(
+        "shuffled_truncated_md", n, d, loss, C, budget, T, lambda_trunc,
+        lambda kappa, M: math.sqrt(n * budget.epsilon) / (kappa**2 * d * logd) ** 0.25,
+        lambda M, lam: M**2 * n**2 * budget.epsilon**2 / (lam**2 * d * logd),
+    )
+    s.sigma = shuffle_calibrate(n, budget, s.threshold, s.space.kappa).sigma  # refuses outside the regime
+    # lambda_trunc > 0 makes the threshold, and so sigma, positive.
+    s.noise = GGNoiseSpec(sigma2=s.sigma**2, r=s.space.r_noise, d=d)
+    return s
+
+
+def shuffled_truncated_md(data, loss, C, budget, rng, **options):
     """Shuffled, truncated, noisy one-pass mirror descent.
 
     Privacy comes from per-sample generalized Gaussian noise amplified by
@@ -268,70 +307,46 @@ def shuffled_truncated_md(data, loss, C, budget, rng, *, T=None, lambda_trunc=No
     eps <= sqrt(ln(n/delta)/n); outside it ``shuffle_calibrate`` refuses,
     so every run the solver returns holds a valid calibration.
     """
-    check_options(T=T, lambda_trunc=lambda_trunc)
-    space = _space("shuffled_truncated_md", data, loss, C)
-    n, d = data.n, data.d
-    beta = loss.smoothness
-    kappa = space.kappa
-    M = C.diameter_primal(space.p)
-    logd = math.log(1.0 / budget.delta)
-
-    if lambda_trunc is None:
-        lambda_trunc = max(
-            math.sqrt(n * budget.epsilon) / (kappa**2 * d * logd) ** 0.25,
-            max(beta, 1.0) * M,  # floor: the threshold is at least 2 beta M
-        )
-    threshold = beta * M + lambda_trunc
-
-    calib = shuffle_calibrate(n, budget, threshold, kappa)  # refuses outside the regime
-
-    if T is None:
-        T = _schedule_T(round(M**2 * n**2 * budget.epsilon**2 / (lambda_trunc**2 * d * logd)), n)
-
-    perm = rng.permutation(n)  # Fisher-Yates under the hood; rng-injected
-    # lambda_trunc > 0 makes the threshold, and so sigma, positive.
-    noise = GGNoiseSpec(sigma2=calib.sigma**2, r=space.r_noise, d=d)
+    s = _shuffled_truncated_md_schedule(data.n, data.d, loss, C, budget, **options)
+    perm = rng.permutation(data.n)  # Fisher-Yates under the hood; rng-injected
 
     def privatize(G):  # one draw per sample, before averaging
-        return (G + gg_sample(noise, rng, size=len(G))).mean(axis=0)
+        return (G + gg_sample(s.noise, rng, size=len(G))).mean(axis=0)
 
-    out, info = _truncated_md(data.subset(perm), loss, C, space, T, lambda_trunc, threshold, privatize)
-    info["sigma"] = calib.sigma
+    out, info = _truncated_md(data.subset(perm), loss, C, s, privatize)
+    info["sigma"] = s.sigma
     return out, info
 
 
-def batched_truncated_md(data, loss, C, budget, rng, *, T=None, lambda_trunc=None):
+def _batched_truncated_md_schedule(n, d, loss, C, budget, *, T=None, lambda_trunc=None):
+    logd = math.log(1.0 / budget.delta)
+    s = _truncated_schedule(
+        "batched_truncated_md", n, d, loss, C, budget, T, lambda_trunc,
+        lambda kappa, M: (math.sqrt(n * budget.epsilon) * M / (kappa * (d * logd) ** 0.25)) ** (2.0 / 3.0),
+        lambda M, lam: n * budget.epsilon / (M * lam * math.sqrt(d * logd)),
+    )
+    s.sigma2_step = s.space.kappa * s.threshold**2 * logd / (s.b**2 * budget.epsilon**2)
+    s.noise = GGNoiseSpec(sigma2=s.sigma2_step, r=s.space.r_noise, d=d)
+    return s
+
+
+def batched_truncated_md(data, loss, C, budget, rng, **options):
     """Truncated batched mirror descent without shuffling.
 
     Disjoint batches compose in parallel, so each step adds a single
     generalized Gaussian draw calibrated to the batch-mean sensitivity.
     The analysis is stated for 0 < eps < 1; nothing yet refuses eps >= 1.
     """
-    check_options(T=T, lambda_trunc=lambda_trunc)
-    space = _space("batched_truncated_md", data, loss, C)
-    n, d = data.n, data.d
-    beta = loss.smoothness
-    kappa = space.kappa
-    M = C.diameter_primal(space.p)
-    logd = math.log(1.0 / budget.delta)
-
-    if lambda_trunc is None:
-        lambda_trunc = max(
-            (math.sqrt(n * budget.epsilon) * M / (kappa * (d * logd) ** 0.25)) ** (2.0 / 3.0),
-            max(beta, 1.0) * M,  # floor: the threshold is at least 2 beta M
-        )
-    threshold = beta * M + lambda_trunc
-
-    if T is None:
-        T = _schedule_T(round(n * budget.epsilon / (M * lambda_trunc * math.sqrt(d * logd))), n)
-
-    b = _batch_size(n, T)
-    sigma2 = kappa * threshold**2 * logd / (b**2 * budget.epsilon**2)
-    noise = GGNoiseSpec(sigma2=sigma2, r=space.r_noise, d=d)
+    s = _batched_truncated_md_schedule(data.n, data.d, loss, C, budget, **options)
 
     def privatize(G):  # one draw per batch mean
-        return G.mean(axis=0) + gg_sample(noise, rng)
+        return G.mean(axis=0) + gg_sample(s.noise, rng)
 
-    out, info = _truncated_md(data, loss, C, space, T, lambda_trunc, threshold, privatize)
-    info["sigma2_step"] = sigma2
+    out, info = _truncated_md(data, loss, C, s, privatize)
+    info["sigma2_step"] = s.sigma2_step
     return out, info
+
+
+noisy_reg_md.schedule = _noisy_reg_md_schedule
+shuffled_truncated_md.schedule = _shuffled_truncated_md_schedule
+batched_truncated_md.schedule = _batched_truncated_md_schedule

@@ -2,10 +2,14 @@
 (``ValueError``) and by the config parser (``ConfigError``), so both refuse
 the same values: solver options, the privacy budget, the evaluation options
 of ``excess_population_risk`` and the grid's counts; and component
-parameters, which the component tables check as they build them."""
+parameters, which the component tables check as they build them.  Solvers
+range-check their options in their schedules, which return a ``Schedule``."""
 
 import math
 from numbers import Integral, Real
+from types import SimpleNamespace
+
+from .errors import warn_at_caller
 
 
 def _number(test, kind=Real):
@@ -49,3 +53,13 @@ def check_options(**options):
     for key, value in options.items():
         if key in _RANGES and not (value is None and key in _SCHEDULED or _RANGES[key][0](value)):
             raise ValueError(f"{key} must be {_RANGES[key][1]}, got {value!r}")
+
+
+class Schedule(SimpleNamespace):
+    """A solver's data-independent choices, by field name: functions of n, d, the loss,
+    C, the budget and the options alone.  ``warnings`` holds the texts of the
+    UserWarnings the solver emits for them (``warn``), so evaluating a schedule is silent."""
+
+    def warn(self):
+        for text in self.warnings:
+            warn_at_caller(text)

@@ -9,6 +9,7 @@ from dpsco.bench.config import ExperimentConfig
 from dpsco.bench.records import read_records, without_timing
 from dpsco.errors import NumericError
 from test_acceptance import CONVEX_TREND_DOC
+from test_components import _base_doc, _md_doc
 
 
 def _config_doc():
@@ -140,20 +141,32 @@ class TestRunCommand:
         assert code == 3
         assert "error: release distance 1 exceeds certified bound" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("over", [
-        {"eps_grid": [1e308]},
-        {"algorithm": "noisy_reg_md", "constraint": None, "solver": {"c_t": 1e308},
-         "loss": {"name": "pseudo_huber", "huber_delta": 20.0, "feature_dual_bound": 1.0},
-         "distribution": {"name": "heavy_tail_linear", "w_star_norm": 0.3, "sphere_exponent": 3.0},
-         "geometry": {"p": 1.5, "d": 3}, "evaluation": {"policy": "mc", "m_eval": 1000}},
-    ], ids=["epsilon", "c_t"])
-    def test_arithmetic_overflow_exit_code(self, over, tmp_path, capsys):
-        # A finite value whose arithmetic overflows in the first cell: exit 3, not a traceback.
+    @pytest.mark.parametrize("doc, named", [
+        (_base_doc(eps_grid=[1e308]), "eps_grid[0]=1e+308"),
+        (_md_doc(eps_grid=[1e308]), "eps_grid[0]=1e+308"),
+        (_md_doc(solver={"T": 4, "lambda_trunc": 1e308}), "'lambda_trunc': 1e+308"),
+        (_md_doc(algorithm="noisy_reg_md", constraint=None, solver={"c_t": 1e308}), "'c_t': 1e+308"),
+        (_base_doc(solver={"lambda_reg": 1e308}), "'lambda_reg': 1e+308"),
+    ], ids=["epsilon", "batched-epsilon", "lambda_trunc", "c_t", "lambda_reg"])
+    def test_arithmetic_overflow_exit_code(self, doc, named, tmp_path, capsys):
+        # A finite value whose schedule overflows, or is not finite, at some cell of
+        # the grid: refused at parse, naming the value, before any cell runs.
         path = tmp_path / "exp.json"
-        path.write_text(json.dumps({**_config_doc(), "n_grid": [32], "trials": 1, **over}))
+        path.write_text(json.dumps(doc))
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_arithmetic_error_in_a_cell_exit_code(self, config_path, tmp_path, monkeypatch, capsys):
+        def overflow(*args, **kwargs):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        monkeypatch.setattr(runner, "app_objp_sc", overflow)
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "x.csv")])
         assert code == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith("error: (34, 'Numerical result out of range')")
 
 
 class TestSlopeCommand:

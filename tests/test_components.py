@@ -140,11 +140,11 @@ MISCONFIGS = {
     # least 1 = n, and shuffling amplification needs n >= 2.  The batched solver runs at n = 1.
     "noisy_reg_md at n = 1": (
         {**LP_TREND_DOC, "n_grid": [1, 256]},
-        "the smallest n is 1",
+        "alpha_reg needs T < n; got T=1, n=1",
     ),
     "shuffled_truncated_md at n = 1": (
         _tight_md_doc(algorithm="shuffled_truncated_md", eps_grid=[0.05], n_grid=[1, 16], solver={}),
-        "shuffling needs n >= 2",
+        "shuffle_calibrate: n must be >= 2",
     ),
     "fractional solver T": (_md_doc(solver={"T": 4.5}), "T must be a positive integer"),
     "boolean solver T": (_md_doc(solver={"T": True}), "T must be a positive integer"),
@@ -290,12 +290,13 @@ def test_unconstrained_algorithm_refuses_a_constraint():
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_runner_binds_every_algorithm_to_its_solver(name):
     # run_cell looks the solver up by the algorithm's name in the runner, the
-    # entry is the one read from that solver's signature, and it accepts
-    # exactly the solver's keyword-only parameters.  A name may bind another
+    # entry is the one read from that solver, and it accepts exactly the
+    # keyword-only parameters of the solver's schedule.  A name may bind another
     # entry's solver: lipschitz_high_p is phased_dp_sgd over 2 <= p <= inf.
     entry, solver = ALGORITHMS[name], getattr(runner, name)
     assert Algorithm.of(solver, p_range=entry.p_range, p_open=entry.p_open) == entry
-    params = inspect.signature(solver).parameters.values()
+    assert entry.schedule is solver.schedule
+    params = inspect.signature(solver.schedule).parameters.values()
     assert set(entry.keys) == {p.name for p in params if p.kind is p.KEYWORD_ONLY}
 
 
@@ -325,8 +326,8 @@ def test_every_range_refuses_non_finite_values():
 
 
 def test_scheduled_options_are_the_none_defaults():
-    # None selects a schedule exactly where a solver's signature defaults an option to None.
-    defaults = [getattr(runner, name).__kwdefaults__ or {} for name in ALGORITHMS]
+    # None selects a schedule exactly where a schedule's signature defaults an option to None.
+    defaults = [getattr(runner, name).schedule.__kwdefaults__ or {} for name in ALGORITHMS]
     assert _SCHEDULED == {key for kw in defaults for key, value in kw.items() if value is None}
 
 
@@ -340,6 +341,8 @@ def test_signature_flags_match_the_solver_families():
 
 
 def _doc_for_algorithm(name):
+    if name == "app_objp_sc":  # the one solver that needs a strongly convex loss
+        return _base_doc(solver={})
     entry = ALGORITHMS[name]
     lo, hi = entry.p_range
     p = 0.5 * (lo + hi) if entry.p_open else lo
@@ -358,9 +361,10 @@ PAIRS = {("mean_point", "ball_cloud"), ("logistic", "logistic_sphere"), ("pseudo
 
 
 def _pair_doc(loss, distribution):
-    """``_base_doc`` with the loss on the distribution, at constants the default data certifies."""
+    """``_base_doc`` under ``app_objp``, which runs every loss, with the loss on the
+    distribution, at constants the default data certifies."""
     section = _base_doc()["loss"] if loss == "mean_point" else {"name": loss}
-    return _base_doc(loss=section, distribution={"name": distribution})
+    return _base_doc(algorithm="app_objp", loss=section, distribution={"name": distribution})
 
 
 def _entry_docs():
