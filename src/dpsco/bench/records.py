@@ -76,7 +76,11 @@ def write_records(records, path):
 
 
 def read_records(path):
-    """Parse a CSV written by ``write_records``; round-trips field-for-field."""
+    """Parse a CSV written by ``write_records``; round-trips field-for-field.
+
+    A row with too few fields, or with a value that does not parse, raises
+    ValueError naming the file and the line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().strip()
         if first != SCHEMA_LINE:
@@ -85,10 +89,15 @@ def read_records(path):
         if header != _COLUMNS:
             raise ValueError("CSV columns do not match schema 1")
         out = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=3):
             line = line.rstrip("\n")
             if not line:
                 continue
             values = line.split(",", len(_COLUMNS) - 1)
-            out.append(RunRecord(**{c: parse(v) for c, parse, v in zip(_COLUMNS, _PARSERS, values)}))
+            if len(values) < len(_COLUMNS):
+                raise ValueError(f"{path}, line {lineno}: {len(values)} fields, schema 1 has {len(_COLUMNS)}")
+            try:
+                out.append(RunRecord(**{c: parse(v) for c, parse, v in zip(_COLUMNS, _PARSERS, values)}))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from exc
     return out

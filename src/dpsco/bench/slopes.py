@@ -1,11 +1,12 @@
 """Log-log slope fitting for rate checks."""
 
 import math
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..errors import warn_at_caller
 
 __all__ = ["SlopeFit", "fit_slope", "GROUP_ALIASES"]
 
@@ -61,14 +62,11 @@ def fit_slope(records, group_keys):
         pts = []
         for n, mean_risk in sorted(by_n.items()):
             if mean_risk <= 0:
-                warnings.warn(
-                    f"group {key}: nonpositive mean excess risk at n={n}; cell excluded",
-                    stacklevel=2,
-                )
+                warn_at_caller(f"group {key}: nonpositive mean excess risk at n={n}; cell excluded")
                 continue
             pts.append((math.log(n), math.log(mean_risk)))
         if len(pts) < 3:
-            warnings.warn(f"group {key}: fewer than 3 usable cells after exclusion; skipped")
+            warn_at_caller(f"group {key}: fewer than 3 usable cells after exclusion; skipped")
             continue
         x = np.array([p[0] for p in pts])
         y = np.array([p[1] for p in pts])

@@ -1,7 +1,19 @@
-"""Shared fixtures."""
+"""Shared fixtures and helpers."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+
+
+def peak_bytes(fn):
+    """The peak of the memory tracemalloc traces while ``fn()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class ZeroNoiseGenerator:

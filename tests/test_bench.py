@@ -290,6 +290,15 @@ class TestSlopes:
             fits = fit_slope(recs, ["algo"])
         assert fits[("app_objp",)].n_cells == 4
 
+    def test_warnings_name_the_caller(self):
+        # One cell excluded leaves two usable cells of three, so the group is skipped.
+        recs = [r for r in _synthetic_records(-1.0) if r.n in (128, 256)]
+        recs.append(RunRecord("app_objp", 2.0, 4, 512, 1.0, 1e-5, 0, 0, -5.0, None, 1.0))
+        with pytest.warns(UserWarning) as caught:
+            assert fit_slope(recs, ["algo"]) == {}
+        assert [str(w.message).split("; ")[-1] for w in caught] == ["cell excluded", "skipped"]
+        assert {w.filename for w in caught} == {__file__}
+
     def test_too_few_n_values_rejected(self):
         recs = [r for r in _synthetic_records(-1.0) if r.n in (128, 256)]
         with pytest.raises(ValueError, match="3 distinct n"):

@@ -179,6 +179,23 @@ class TestSlopeCommand:
         assert "slope" in text and "app_objp_sc" in text
 
 
+    @pytest.mark.parametrize("cut, named", [
+        (lambda fields: fields[:9], "line 4: 9 fields, schema 1 has 13"),
+        (lambda fields: [*fields[:3], "12x", *fields[4:]], "line 4: invalid literal for int()"),
+    ], ids=["too-few-fields", "unparsable-value"])
+    def test_malformed_row_exit_code(self, cut, named, config_path, tmp_path, capsys):
+        out = tmp_path / "runs.csv"
+        main(["run", "--config", str(config_path), "--out", str(out)])
+        lines = out.read_text().splitlines()
+        lines[3] = ",".join(cut(lines[3].split(",")))
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["slope", "--in", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+
 class TestWidthCommand:
     def test_l2_width(self, capsys):
         code = main(["width", "--set", "l2", "--d", "2", "--radius", "1.0", "--samples", "20000"])

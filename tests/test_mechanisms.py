@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from dpsco.mechanisms import (
 )
 from dpsco.problems import BallCloud, HeavyTailLinear, LogisticSphere
 from dpsco.spaces import lp_norm
+from conftest import peak_bytes
 
 
 class TestPrivacyBudget:
@@ -259,10 +259,5 @@ class TestLrSphereSampler:
     )
     def test_sample_holds_one_full_size_buffer(self, sample):
         m, d = 50_000, 20
-        tracemalloc.start()
-        try:
-            sample(m, np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: sample(m, np.random.default_rng(0)))
         assert peak <= 1.3 * m * d * 8, peak / (m * d * 8)

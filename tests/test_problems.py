@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from dpsco.errors import ConfigError
+from dpsco.mechanisms import _BLOCK_ENTRIES, sample_lr_sphere
 from dpsco.problems import (
     L1Ball,
     BallCloud,
@@ -28,7 +28,9 @@ from dpsco.problems import (
     max_abs_gaussian_mean,
 )
 from dpsco.problems.losses import _expit
+from dpsco.problems.risk import _score_rows
 from dpsco.spaces import lp_norm
+from conftest import peak_bytes
 
 
 def _fd_grad(loss, w, x, y=None, h=1e-6):
@@ -350,6 +352,87 @@ class TestPopulationRisk:
         assert excess == pytest.approx(0.0, abs=1e-15)
 
 
+def _mc_case(name, d):
+    """(dist, loss, C) for Monte Carlo scoring: labelled logistic and heavy-tail data, unlabelled ball_cloud."""
+    if name == "logistic_sphere":
+        return LogisticSphere(np.full(d, 0.15), radius=2.0), LogisticLoss(feature_dual_bound=2.0), None
+    if name == "heavy_tail_linear":
+        return HeavyTailLinear(np.full(d, 0.1), t_scale=0.7), PseudoHuberLoss(), None
+    return BallCloud(np.full(d, 0.1), spread=0.8), MeanPointLoss(), L2Ball(1.0, d)
+
+
+_MC_CASES = ["logistic_sphere", "heavy_tail_linear", "ball_cloud"]
+
+
+class TestMonteCarloScoring:
+    @pytest.mark.parametrize("name", _MC_CASES)
+    @pytest.mark.parametrize("m_eval", ["2", "block-1", "block", "block+1", "50000"])
+    def test_same_bits_as_the_whole_sample(self, name, m_eval):
+        d = 20 if name != "ball_cloud" else 6
+        block = _score_rows(d)
+        m = {"2": 2, "block-1": block - 1, "block": block, "block+1": block + 1, "50000": 50_000}[m_eval]
+        dist, loss, C = _mc_case(name, d)
+        w = 0.05 * np.random.default_rng(1).standard_normal(d)
+
+        rng = np.random.default_rng(2)
+        theta_star = dist.minimizer(loss, C)
+        sample = dist.sample(m, rng)
+        diff = loss.values(w, sample.X, sample.y) - loss.values(theta_star, sample.X, sample.y)
+        expected = float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(m))
+
+        got = excess_population_risk(w, dist, loss, C, np.random.default_rng(2), m_eval=m, policy="mc")
+        assert got == expected
+
+    @pytest.mark.parametrize("name", _MC_CASES)
+    def test_row_blocks_score_each_row_as_the_whole_sample(self, name):
+        # A loss difference a few ulps off on a few rows rarely moves the mean's
+        # bits, so each row's loss is checked.  m is a multiple of 4 t for t up
+        # to 8, so a threaded BLAS product over the whole sample splits it at
+        # whole row groups for up to 8 threads.
+        d, m = (20 if name != "ball_cloud" else 6), 50_400
+        dist, loss, _ = _mc_case(name, d)
+        w = 0.05 * np.random.default_rng(1).standard_normal(d)
+        sample = dist.sample(m, np.random.default_rng(2))
+        X, y = sample.X, sample.y
+        step = _score_rows(d)
+        blocks = [loss.values(w, X[i : i + step], None if y is None else y[i : i + step]) for i in range(0, m, step)]
+        assert np.concatenate(blocks).tobytes() == loss.values(w, X, y).tobytes()
+
+    def test_logistic_labels_same_stream(self):
+        d, n = 6, 2 * _BLOCK_ENTRIES + 5
+        dist = LogisticSphere(np.full(d, 0.3), radius=2.0)
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        data = dist.sample(n, rng)
+        Z = sample_lr_sphere(d, 2.0, ref, size=n)
+        Z *= 2.0
+        probs = 1.0 / (1.0 + np.exp(-(Z @ dist.w_star)))
+        y = np.where(ref.uniform(size=n) < probs, 1.0, -1.0)
+        assert data.X.tobytes() == Z.tobytes() and data.y.tobytes() == y.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_heavy_tail_labels_same_stream(self):
+        d, n = 6, 2 * _BLOCK_ENTRIES + 5
+        dist = HeavyTailLinear(np.full(d, 0.3), sphere_exponent=2.25, t_scale=0.7)
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        data = dist.sample(n, rng)
+        Z = sample_lr_sphere(d, 2.25, ref, size=n)
+        noise = 0.7 * ref.standard_t(3.0, size=n)
+        y = Z @ dist.w_star + noise
+        assert data.X.tobytes() == Z.tobytes() and data.y.tobytes() == y.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("name", _MC_CASES)
+    @pytest.mark.parametrize("d", [6, 20])
+    def test_holds_the_sample_and_two_vectors(self, name, d):
+        # The (m, d) sample, its labels and the loss differences, plus at most two blocks.
+        m = 50_000
+        dist, loss, C = _mc_case(name, d)
+        peak = peak_bytes(
+            lambda: excess_population_risk(np.zeros(d), dist, loss, C, np.random.default_rng(0), m_eval=m, policy="mc")
+        )
+        assert peak <= m * d * 8 + 2 * m * 8 + 2 * _BLOCK_ENTRIES * 8, peak / (m * d * 8)
+
+
 class TestGaussianWidth:
     def test_l2_ball_closed_form(self):
         # E ||xi||_2 in d=2: sqrt(2) Gamma(3/2) / Gamma(1) = sqrt(pi/2)
@@ -373,12 +456,7 @@ class TestGaussianWidth:
     def test_one_batch_and_one_temporary(self):
         # The Gaussian batch and lp_norm's one full-size temporary.
         m, d = 20_000, 20
-        tracemalloc.start()
-        try:
-            gaussian_width_mc(L2Ball(1.0, d), m, np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: gaussian_width_mc(L2Ball(1.0, d), m, np.random.default_rng(0)))
         assert peak <= 2.5 * m * d * 8, peak / (m * d * 8)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 20, 100, 1000, 100_000])

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +13,7 @@ from dpsco.spaces import (
     lp_norm,
     phi,
 )
+from conftest import peak_bytes
 
 GRID = [(p, d) for p in (1.1, 1.5, 1.9) for d in (5, 50)]
 
@@ -58,12 +58,7 @@ class TestLpNorm:
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_one_full_size_temporary(self, p):
         v = np.random.default_rng(0).standard_normal((20_000, 20))
-        tracemalloc.start()
-        try:
-            lp_norm(v, p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: lp_norm(v, p))
         assert peak <= 1.3 * v.nbytes, peak / v.nbytes
 
     @pytest.mark.parametrize("p", [1, 1.5, 2, math.inf])
