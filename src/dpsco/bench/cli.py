@@ -6,10 +6,10 @@ Subcommands:
   width      Monte Carlo Gaussian width of a constraint set
   mech-check print sampler statistics and calibration tables
 
-Exit codes: 0 success, 2 configuration error, 3 numeric error (arithmetic
-overflow included).  The environment variable DPSCO_SEED, when set,
-overrides the base seed; it must be an integer, and >= 0 for width and
-mech-check.
+Exit codes: 0 success, 2 configuration error or an argument out of range,
+3 numeric error (arithmetic overflow included).  The environment variable
+DPSCO_SEED, when set, overrides the base seed; it must be an integer, and
+>= 0 for width and mech-check.
 """
 
 import argparse
@@ -47,6 +47,22 @@ def _env_seed(default, nonnegative=False):
     if nonnegative and seed < 0:
         raise ConfigError(f"DPSCO_SEED must be >= 0 to seed a generator, got {seed}")
     return seed
+
+
+def _at_least(kind, low, text):
+    """An argparse type: a finite ``kind`` value >= ``low``, else an error naming the range ``text``."""
+    def parse(raw):
+        try:
+            value = kind(raw)
+        except ValueError:
+            value = None
+        if value is None or not low <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be {text}, got {raw!r}")
+        return value
+    return parse
+
+
+_DIMENSION = _at_least(int, 1, "a positive integer")
 
 
 def _cmd_run(args):
@@ -104,7 +120,7 @@ def _cmd_mech_check(args):
             f"(regime ceiling eps <= {cal.max_epsilon:.4f})"
         )
     else:  # gg
-        d, r, sig2 = args.d, (args.p or 3.0), 1.0
+        d, r, sig2 = args.d, args.p, 1.0
         m = args.samples
         spec = GGNoiseSpec(sigma2=sig2, r=r, d=d)
         z = gg_sample(spec, rng, size=m)
@@ -135,16 +151,16 @@ def build_parser():
     p_width = sub.add_parser("width", help="Monte Carlo Gaussian width")
     p_width.add_argument("--set", choices=tuple(CONSTRAINTS), required=True)
     p_width.add_argument("--p", type=float, default=None)
-    p_width.add_argument("--d", type=int, required=True)
+    p_width.add_argument("--d", type=_DIMENSION, required=True)
     p_width.add_argument("--radius", type=float, default=1.0)
-    p_width.add_argument("--samples", type=int, default=100_000)
+    p_width.add_argument("--samples", type=_at_least(int, 2, "an integer >= 2"), default=100_000)
     p_width.set_defaults(fn=_cmd_width)
 
     p_mech = sub.add_parser("mech-check", help="sampler statistics and calibration tables")
     p_mech.add_argument("--what", choices=("gg", "gauss", "compose"), required=True)
-    p_mech.add_argument("--d", type=int, default=10)
-    p_mech.add_argument("--p", type=float, default=None)
-    p_mech.add_argument("--samples", type=int, default=100_000)
+    p_mech.add_argument("--d", type=_DIMENSION, default=10)
+    p_mech.add_argument("--p", type=_at_least(float, 1.0, "a finite number >= 1"), default=3.0)
+    p_mech.add_argument("--samples", type=_at_least(int, 1, "a positive integer"), default=100_000)
     p_mech.set_defaults(fn=_cmd_mech_check)
     return ap
 

@@ -27,14 +27,28 @@ __all__ = [
     "gg_calibrate",
     "gg_sample",
     "sample_lr_sphere",
+    "row_blocks",
     "advanced_composition",
     "shuffle_calibrate",
 ]
 
-# Entries per block of the sampler's passes after the gamma draw: 256 KiB of
-# float64, small against a Monte Carlo sample and large enough to amortise
-# the per-call cost of numpy.
+# Entries per row block of a pass over a sample: 256 KiB of float64, small
+# against a Monte Carlo sample and large enough to amortise the per-call cost
+# of numpy.
 _BLOCK_ENTRIES = 1 << 15
+
+
+def row_blocks(m, d):
+    """Row slices that walk m rows of d entries, about ``_BLOCK_ENTRIES`` entries each.
+
+    Blocks start at multiples of 8 rows and a 1-row tail joins the block
+    before it, which a BLAS matrix-vector kernel would take by another route:
+    a product taken block by block has the bits of one single-threaded
+    product over all m rows, at any BLAS thread count.
+    """
+    k = max(8, _BLOCK_ENTRIES // d // 8 * 8)
+    ends = [*range(k, m - 1, k), m]
+    return [slice(a, b) for a, b in zip([0, *ends], ends)]
 
 
 @dataclass(frozen=True)
@@ -118,18 +132,17 @@ def sample_lr_sphere(d, r, rng, size=None):
     is part of the output: every later draw on ``rng`` depends on it.
 
     The result is built in place in the one (size, d) buffer the gammas are
-    drawn into; the uniforms, signs and norms then go over blocks of about
-    ``_BLOCK_ENTRIES`` entries, so no other array of the full size is made.
-    A block-by-block draw takes the same values from ``rng`` as one
-    full-size draw.
+    drawn into; the uniforms, signs and norms then go over its
+    ``row_blocks``, so no other array of the full size is made.  A
+    block-by-block draw takes the same values from ``rng`` as one full-size
+    draw.
     """
     a = 1.0 / r
     boost = a < 1.0
     u = rng.standard_gamma(a + 1.0 if boost else a, size=(d,) if size is None else (size, d))
     np.power(u, a, out=u)
     rows = u.reshape(-1, d)
-    step = max(1, _BLOCK_ENTRIES // d)
-    blocks = [rows[i : i + step] for i in range(0, len(rows), step)]
+    blocks = [rows[b] for b in row_blocks(len(rows), d)]
     if boost:
         for b in blocks:
             b *= rng.random(b.shape)

@@ -239,6 +239,8 @@ class ConstraintSet:
     def __init__(self, exponent, radius, d):
         if radius <= 0:
             raise ValueError("ball radius must be > 0")
+        if int(d) != d or d < 1:
+            raise ValueError(f"ball dimension d must be a positive integer, got {d}")
         self.exponent = float(exponent)
         self.radius = float(radius)
         self.d = int(d)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError
-from ..mechanisms import _BLOCK_ENTRIES, sample_lr_sphere
+from ..mechanisms import row_blocks, sample_lr_sphere
 from ..spaces import dual_exponent
 from .losses import LogisticLoss, MeanPointLoss, PseudoHuberLoss
 
@@ -212,16 +212,15 @@ class LogisticSphere(_LinearModel):
     def sample(self, n, rng):
         Z = sample_lr_sphere(self.d, self.sphere_exponent, rng, size=n)
         Z *= self.radius
-        # y = where(U < sigmoid(Z w_star), 1, -1) with U ~ U(0, 1), built in
-        # place: the sigmoid in y, then the uniforms and labels a block at a
-        # time, which draws the same stream as one full-size uniform draw.
-        y = Z @ self.w_star
-        np.negative(y, out=y)
-        np.exp(y, out=y)
-        y += 1.0
-        np.divide(1.0, y, out=y)
-        for i in range(0, n, _BLOCK_ENTRIES):
-            b = y[i : i + _BLOCK_ENTRIES]
+        # y = where(U < sigmoid(Z w_star), 1, -1) with U ~ U(0, 1), built in y a row block at a time.
+        y = np.empty(n)
+        for rows in row_blocks(n, self.d):
+            b = y[rows]
+            np.matmul(Z[rows], self.w_star, out=b)
+            np.negative(b, out=b)
+            np.exp(b, out=b)
+            b += 1.0
+            np.divide(1.0, b, out=b)
             b[...] = np.where(rng.random(b.size) < b, 1.0, -1.0)
         return Dataset(Z, y)
 
@@ -255,13 +254,12 @@ class HeavyTailLinear(_LinearModel):
 
     def sample(self, n, rng):
         Z = sample_lr_sphere(self.d, self.sphere_exponent, rng, size=n)
-        # y = Z w_star + t_scale * t, the noise drawn and added a block at a time.
-        y = Z @ self.w_star
-        for i in range(0, n, _BLOCK_ENTRIES):
-            b = y[i : i + _BLOCK_ENTRIES]
-            noise = rng.standard_t(self.t_dof, size=b.size)
-            noise *= self.t_scale
-            b += noise
+        # y = Z w_star + t_scale * t, built in y a row block at a time.
+        y = np.empty(n)
+        for rows in row_blocks(n, self.d):
+            b = y[rows]
+            np.matmul(Z[rows], self.w_star, out=b)
+            b += self.t_scale * rng.standard_t(self.t_dof, size=b.size)
         return Dataset(Z, y)
 
     def sigma_sq_bound(self, psi_max):

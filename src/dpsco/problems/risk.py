@@ -10,8 +10,8 @@ variance of the difference.
 
 A Monte Carlo evaluation holds the sample and two ``m_eval``-vectors, its
 labels and the per-row loss differences: 8 m (d + 2) bytes for m rows of d
-features, plus one row block.  The losses are scored a block of rows at a
-time, and the standard error is computed in place in the differences.
+features, plus one of the ``mechanisms.row_blocks`` the losses are scored
+in.  The standard error is computed in place in the differences.
 
 The module needs numpy only; ``max_abs_gaussian_mean`` integrates with a
 Gauss-Legendre rule.
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from ..mechanisms import _BLOCK_ENTRIES
+from ..mechanisms import row_blocks
 from ..options import check_options
 
 __all__ = [
@@ -73,9 +73,10 @@ def excess_population_risk(w, dist, loss, C=None, rng=None, *, m_eval=100_000, p
     defaults of that section.
 
     Monte Carlo holds the sample, its labels and one ``(m_eval,)`` vector of
-    loss differences, 8 m_eval (d + 2) bytes, plus one row block.  The value
-    and the standard error have the bits of the whole-sample formulas
-    ``diff.mean()`` and ``diff.std(ddof=1) / sqrt(m_eval)``.
+    loss differences, 8 m_eval (d + 2) bytes, plus one of the ``row_blocks``
+    it scores the sample in.  At any BLAS thread count, the value and the
+    standard error have the bits of the whole-sample formulas ``diff.mean()``
+    and ``diff.std(ddof=1) / sqrt(m_eval)`` on one thread.
     """
     check_options(m_eval=m_eval, policy=policy)
     w = np.asarray(w, dtype=float)
@@ -89,9 +90,7 @@ def excess_population_risk(w, dist, loss, C=None, rng=None, *, m_eval=100_000, p
     sample = dist.sample(m_eval, rng)
     X, y = sample.X, sample.y
     diff = np.empty(m_eval)
-    step = _score_rows(sample.d)
-    for i in range(0, m_eval, step):
-        rows = slice(i, i + step)
+    for rows in row_blocks(m_eval, sample.d):
         yb = None if y is None else y[rows]
         np.subtract(loss.values(w, X[rows], yb), loss.values(theta_star, X[rows], yb), out=diff[rows])
     mean = diff.mean()
@@ -100,17 +99,6 @@ def excess_population_risk(w, dist, loss, C=None, rng=None, *, m_eval=100_000, p
     diff -= mean
     np.square(diff, out=diff)
     return float(mean), math.sqrt(diff.sum() / (m_eval - 1)) / math.sqrt(m_eval)
-
-
-def _score_rows(d):
-    """Rows per scoring block: about ``_BLOCK_ENTRIES`` entries, a multiple of 8 rows.
-
-    A BLAS matrix-vector kernel works through the rows in groups of 4 or 8
-    and takes the last few by another route; with whole groups per block it
-    groups each row as a single-threaded product over the whole sample does,
-    so each margin has the same bits.
-    """
-    return max(8, _BLOCK_ENTRIES // d // 8 * 8)
 
 
 _WIDTH_BATCH = 20_000  # Gaussian draws held in memory at once

@@ -238,3 +238,19 @@ class TestMechCheckCommand:
         code = main(["mech-check", "--what", what, "--samples", "20000"])
         assert code == 0
         assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["width", "--set", "l1", "--d", "0"], "--d"),
+    (["width", "--set", "l1", "--d", "4", "--samples", "1"], "--samples"),
+    (["mech-check", "--what", "gg", "--samples", "0"], "--samples"),
+    (["mech-check", "--what", "gg", "--d", "0"], "--d"),
+    (["mech-check", "--what", "gg", "--p", "0.5"], "--p"),
+    (["mech-check", "--what", "gg", "--p", "0"], "--p"),
+], ids=["width-d", "width-samples", "mech-check-samples", "mech-check-d", "mech-check-p-half", "mech-check-p-zero"])
+def test_argument_out_of_range_exit_code(argv, named, capsys):
+    # argparse exits 2 and names the argument before any sampling starts.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {named}:" in capsys.readouterr().err

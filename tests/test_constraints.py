@@ -281,6 +281,13 @@ class TestBallSets:
             y = rng.standard_normal(6)
             assert x @ y <= ball.gauge(x) * ball.support(y) + 1e-9
 
+    @pytest.mark.parametrize("make", [lambda d: L2Ball(1.0, d), lambda d: L1Ball(1.0, d),
+                                      lambda d: LpBall(1.5, 1.0, d)], ids=["l2", "l1", "lp"])
+    @pytest.mark.parametrize("d", [0, -3, 2.5])
+    def test_refuses_a_dimension_that_is_not_a_positive_integer(self, make, d):
+        with pytest.raises(ValueError, match="dimension d must be a positive integer"):
+            make(d)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_l2_projection_refuses_non_finite_input(self, bad):
         with pytest.raises(ValueError, match="non-finite"):

@@ -7,6 +7,7 @@ process pool or ``multiprocessing``.  Each algorithm's first cell runs the
 schedule the parser evaluated for it.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -114,3 +115,13 @@ def test_solver_info_is_the_schedule_the_parser_evaluated(name, monkeypatch):
     from_schedule = {key: value for key, value in info.items() if key not in _DATA_PASS_KEYS.get(name, ())}
     assert from_schedule and from_schedule == {key: schedule[key] for key in from_schedule}
     assert len(draws) == (name in ("app_objp", "app_objp_sc"))  # the first solve draws it
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # An underscore name is its module's own: another module that needs it asks for a public one.
+    private = []
+    for path in sorted((SRC / "dpsco").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("dpsco")):
+                private += [f"{path.relative_to(SRC)}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []

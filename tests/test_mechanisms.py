@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dpsco.errors import RefusalError
@@ -13,6 +15,7 @@ from dpsco.mechanisms import (
     gaussian_noise_sigma2,
     gg_calibrate,
     gg_sample,
+    row_blocks,
     sample_lr_sphere,
     shuffle_calibrate,
 )
@@ -227,14 +230,13 @@ class TestLrSphereSampler:
     @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 2.25, 3.0])
     @pytest.mark.parametrize(
         "d,size",
-        [(20, 5000), (6, 2 * (_BLOCK_ENTRIES // 6) + 1), (_BLOCK_ENTRIES + 5, 3)],
+        [(20, 5000), (6, 2 * (_BLOCK_ENTRIES // 6) + 1), (_BLOCK_ENTRIES + 5, 17)],
         ids=["d20", "d6", "row_per_block"],
     )
     def test_same_draws_across_block_edges(self, r, d, size):
-        # Several blocks, the last one partial where a block holds more than
-        # one row: the draws and the generator state match one full-size draw
-        # of the reference formula.
-        assert size > max(1, _BLOCK_ENTRIES // d)
+        # Over several blocks, the draws and the generator state match one
+        # full-size draw of the reference formula.
+        assert len(row_blocks(size, d)) > 1
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
         got = sample_lr_sphere(d, r, rng, size=size)
         want = _reference_lr_sphere(d, r, ref_rng, size=size)
@@ -261,3 +263,41 @@ class TestLrSphereSampler:
         m, d = 50_000, 20
         peak = peak_bytes(lambda: sample(m, np.random.default_rng(0)))
         assert peak <= 1.3 * m * d * 8, peak / (m * d * 8)
+
+
+def _block_rows(d):
+    """Rows in a full block of ``row_blocks`` at d."""
+    return row_blocks(_BLOCK_ENTRIES + 2, d)[0].stop
+
+
+class TestRowBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 100_000), d=st.integers(1, _BLOCK_ENTRIES // 8))
+    @example(m=1, d=20)
+    @example(m=1633, d=20)  # a 1-row tail
+    @example(m=16_385, d=2)  # a 1-row tail after a block of _BLOCK_ENTRIES entries
+    def test_blocks_partition_the_rows(self, m, d):
+        blocks, full = row_blocks(m, d), _block_rows(d)
+        assert blocks[0].start == 0 and blocks[-1].stop == m
+        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+        assert all(b.start % 8 == 0 and b.step is None for b in blocks)
+        rows = [b.stop - b.start for b in blocks]
+        assert m == 1 or min(rows) > 1
+        # Full blocks of at most _BLOCK_ENTRIES entries, within 8 rows of it; the
+        # last block is shorter, or one row longer where it took in a 1-row tail.
+        assert rows[:-1] == [full] * (len(rows) - 1)
+        assert _BLOCK_ENTRIES - 8 * d < full * d <= _BLOCK_ENTRIES
+        assert rows[-1] <= full + 1
+
+    @pytest.mark.parametrize("d", [2, 6, 20, 64])
+    @pytest.mark.parametrize("tail", [1, 9])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_blockwise_product_has_the_bits_of_the_whole(self, d, tail, seed):
+        # Each row of a product taken block by block, the tail rows included,
+        # has the bits of one product over all rows, which is one-threaded at
+        # these sizes.  A lone last row would take another route.
+        m = 3 * _block_rows(d) + tail
+        rng = np.random.default_rng(seed)
+        X, w = rng.standard_normal((m, d)), rng.standard_normal(d)
+        got = np.concatenate([X[b] @ w for b in row_blocks(m, d)])
+        assert got.tobytes() == (X @ w).tobytes()

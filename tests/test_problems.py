@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from dpsco.errors import ConfigError
-from dpsco.mechanisms import _BLOCK_ENTRIES, sample_lr_sphere
+from dpsco.mechanisms import _BLOCK_ENTRIES, row_blocks, sample_lr_sphere
 from dpsco.problems import (
     L1Ball,
     BallCloud,
@@ -28,9 +32,11 @@ from dpsco.problems import (
     max_abs_gaussian_mean,
 )
 from dpsco.problems.losses import _expit
-from dpsco.problems.risk import _score_rows
 from dpsco.spaces import lp_norm
 from conftest import peak_bytes
+from test_mechanisms import _block_rows
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _fd_grad(loss, w, x, y=None, h=1e-6):
@@ -364,23 +370,34 @@ def _mc_case(name, d):
 _MC_CASES = ["logistic_sphere", "heavy_tail_linear", "ball_cloud"]
 
 
+def _scored_and_whole(name, d, m, seed):
+    """``excess_population_risk`` under "mc" at m_eval = m, and the whole-sample formulas on the same sample."""
+    dist, loss, C = _mc_case(name, d)
+    w = 0.05 * np.random.default_rng(1).standard_normal(d)
+    theta_star = dist.minimizer(loss, C)
+    sample = dist.sample(m, np.random.default_rng(seed))
+    diff = loss.values(w, sample.X, sample.y) - loss.values(theta_star, sample.X, sample.y)
+    expected = float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(m))
+    return excess_population_risk(w, dist, loss, C, np.random.default_rng(seed), m_eval=m, policy="mc"), expected
+
+
 class TestMonteCarloScoring:
     @pytest.mark.parametrize("name", _MC_CASES)
     @pytest.mark.parametrize("m_eval", ["2", "block-1", "block", "block+1", "50000"])
     def test_same_bits_as_the_whole_sample(self, name, m_eval):
         d = 20 if name != "ball_cloud" else 6
-        block = _score_rows(d)
+        block = _block_rows(d)
         m = {"2": 2, "block-1": block - 1, "block": block, "block+1": block + 1, "50000": 50_000}[m_eval]
-        dist, loss, C = _mc_case(name, d)
-        w = 0.05 * np.random.default_rng(1).standard_normal(d)
+        got, expected = _scored_and_whole(name, d, m, seed=2)
+        assert got == expected
 
-        rng = np.random.default_rng(2)
-        theta_star = dist.minimizer(loss, C)
-        sample = dist.sample(m, rng)
-        diff = loss.values(w, sample.X, sample.y) - loss.values(theta_star, sample.X, sample.y)
-        expected = float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(m))
-
-        got = excess_population_risk(w, dist, loss, C, np.random.default_rng(2), m_eval=m, policy="mc")
+    def test_a_one_row_tail_is_scored_with_the_block_before_it(self):
+        # At seed 8 the last of block + 1 rows, scored alone, would take another
+        # BLAS route and move the value's bits.
+        d = 20
+        m = _block_rows(d) + 1
+        assert len(row_blocks(m, d)) == 1
+        got, expected = _scored_and_whole("logistic_sphere", d, m, seed=8)
         assert got == expected
 
     @pytest.mark.parametrize("name", _MC_CASES)
@@ -394,8 +411,7 @@ class TestMonteCarloScoring:
         w = 0.05 * np.random.default_rng(1).standard_normal(d)
         sample = dist.sample(m, np.random.default_rng(2))
         X, y = sample.X, sample.y
-        step = _score_rows(d)
-        blocks = [loss.values(w, X[i : i + step], None if y is None else y[i : i + step]) for i in range(0, m, step)]
+        blocks = [loss.values(w, X[b], None if y is None else y[b]) for b in row_blocks(m, d)]
         assert np.concatenate(blocks).tobytes() == loss.values(w, X, y).tobytes()
 
     def test_logistic_labels_same_stream(self):
@@ -431,6 +447,33 @@ class TestMonteCarloScoring:
             lambda: excess_population_risk(np.zeros(d), dist, loss, C, np.random.default_rng(0), m_eval=m, policy="mc")
         )
         assert peak <= m * d * 8 + 2 * m * 8 + 2 * _BLOCK_ENTRIES * 8, peak / (m * d * 8)
+
+
+_THREADS_CHILD = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from dpsco.problems import HeavyTailLinear, LogisticLoss, LogisticSphere, PseudoHuberLoss, excess_population_risk
+m, w = 100_003, np.full(20, 0.05)
+heavy = HeavyTailLinear(np.full(20, 0.1), t_scale=0.7)
+data = heavy.sample(m, np.random.default_rng(5))
+print(hashlib.sha256(data.X.tobytes() + data.y.tobytes()).hexdigest())
+for dist, loss in ((heavy, PseudoHuberLoss()), (LogisticSphere(np.full(20, 0.15)), LogisticLoss())):
+    print(*(x.hex() for x in excess_population_risk(w, dist, loss, rng=np.random.default_rng(6), m_eval=m, policy="mc")))
+"""
+
+
+def test_sample_and_risk_do_not_depend_on_the_blas_thread_count():
+    # A product over all 100 003 rows at d = 20 has other bits on two threads
+    # than on one; the row blocks stay on one thread.
+    outs = []
+    for threads in ("1", "2", "3"):
+        env = {**os.environ, **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)}
+        out = subprocess.run([sys.executable, "-c", _THREADS_CHILD, str(SRC)], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        outs.append(out.stdout)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 class TestGaussianWidth:
