@@ -4,8 +4,8 @@ Every (n, epsilon, trial) cell derives its seed as a pure function of the
 base seed and the cell indices, so reruns (serial or pooled) emit identical
 records in identical order.  A cell runs on the objects the parsed config
 built (its components and privacy budgets); each pooled worker gets the
-parsed config once, when it starts, and parses nothing, so a value a cell
-caches on a built object (the Gaussian width of C, say) is computed once per
+parsed config once, when it starts, and parses nothing, so a value cached by
+a built object (the Gaussian width, cached by C) is computed once per
 worker.  Privacy-precondition refusals are recorded, not fatal.
 """
 

@@ -114,16 +114,12 @@ def _require_l2_constants(loss):
         raise ValueError(f"a loss declared in norm_p={loss.norm_p} < 2 does not certify l2 constants")
 
 
+@functools.cache
 def _gaussian_width_estimate(C):
     # Deterministic internal seed: the width only sets the default accuracy
-    # ceiling, and a fixed seed keeps solver outputs reproducible.  The
-    # estimate is a function of C alone, so it is drawn on the first solve
-    # with C and kept on C for the solves that follow.
-    width = getattr(C, "_gaussian_width", None)
-    if width is None:
-        width, _ = gaussian_width_mc(C, 20_000, np.random.default_rng(20_170_419))
-        C._gaussian_width = width
-    return width
+    # ceiling, and a fixed seed keeps solver outputs reproducible.  It is a
+    # function of C alone, drawn on the first solve with C and cached by C.
+    return gaussian_width_mc(C, 20_000, np.random.default_rng(20_170_419))[0]
 
 
 def _alpha_ceiling(L, D, n, budget, width):

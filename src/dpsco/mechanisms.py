@@ -75,8 +75,8 @@ class GGNoiseSpec:
     def __post_init__(self):
         if not self.sigma2 > 0:
             raise ValueError("GGNoiseSpec: sigma2 must be > 0")
-        if not self.r >= 1:
-            raise ValueError("GGNoiseSpec: r must be >= 1")
+        if not 1 <= self.r < math.inf:
+            raise ValueError(f"GGNoiseSpec: r must be a finite number >= 1, got {self.r}")
         if self.d < 1:
             raise ValueError("GGNoiseSpec: d must be >= 1")
 
@@ -137,6 +137,8 @@ def sample_lr_sphere(d, r, rng, size=None):
     block-by-block draw takes the same values from ``rng`` as one full-size
     draw.
     """
+    if not math.isfinite(r):
+        raise ValueError(f"sample_lr_sphere: r must be finite, got {r}")
     a = 1.0 / r
     boost = a < 1.0
     u = rng.standard_gamma(a + 1.0 if boost else a, size=(d,) if size is None else (size, d))

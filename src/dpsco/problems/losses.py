@@ -12,10 +12,11 @@ All evaluation is vectorized over the rows of a dataset, and rows are the
 only input: one row x with label y is the one-row block ``x[None]``,
 ``np.array([y])``.  ``values`` returns per-sample losses (n,), and
 ``grads(w, X, y=None, mean=False)`` the per-sample gradients (n, d), or with
-``mean=True`` their mean (d,), which the shipped losses compute in
-matrix-vector form (``X.T @ coef / n``) without building the (n, d) array.
-A custom loss must accept the ``mean`` keyword: ``empirical_grad`` always
-passes it.
+``mean=True`` their mean (d,); a custom loss must accept the ``mean``
+keyword, which ``empirical_grad`` always passes.  The linear losses take
+``X @ w`` and the mean gradient ``X.T @ coef / n`` over ``mechanisms.row_blocks``,
+without building the (n, d) array and at any BLAS thread count with the same
+bits: rows that fit one block take the single product, more add the blocks'.
 
 The module needs numpy only: the logistic sigmoid is the private ``_expit``.
 """
@@ -23,6 +24,8 @@ The module needs numpy only: the logistic sigmoid is the private ``_expit``.
 import math
 
 import numpy as np
+
+from ..mechanisms import row_blocks
 
 __all__ = ["LossModel", "LogisticLoss", "MeanPointLoss", "PseudoHuberLoss"]
 
@@ -77,10 +80,19 @@ def _expit(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
+def _row_products(X, v, transpose=False):
+    """``X @ v``, or ``X.T @ v`` with ``transpose``, over the ``row_blocks`` of X."""
+    blocks = row_blocks(*X.shape)
+    if len(blocks) == 1:
+        return X.T @ v if transpose else X @ v
+    parts = [X[b].T @ v[b] if transpose else X[b] @ v for b in blocks]
+    return sum(parts[1:], parts[0]) if transpose else np.concatenate(parts)
+
+
 def _linear_grads(coef, X, mean):
     """Gradients coef_i * x_i of a loss of <w, x_i>: per row, or their mean."""
     if mean:
-        return X.T @ coef / X.shape[0]
+        return _row_products(X, coef, transpose=True) / X.shape[0]
     return coef[:, None] * X
 
 
@@ -104,7 +116,7 @@ class LogisticLoss(LossModel):
     def values(self, w, X, y=None):
         if y is None:
             raise ValueError("LogisticLoss requires labels")
-        margins = y * (X @ w)
+        margins = y * _row_products(X, w)
         # The formula np.logaddexp(0, -m) evaluates per element, vectorised:
         # exp never overflows, and m = 0 gives log(2).
         return np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins)))
@@ -113,7 +125,7 @@ class LogisticLoss(LossModel):
         if y is None:
             raise ValueError("LogisticLoss requires labels")
         # d/du log(1+e^{-u}) = -sigmoid(-u)
-        coef = -y * _expit(-y * (X @ w))
+        coef = -y * _expit(-y * _row_products(X, w))
         return _linear_grads(coef, X, mean)
 
 
@@ -176,14 +188,14 @@ class PseudoHuberLoss(LossModel):
     def values(self, w, X, y=None):
         if y is None:
             raise ValueError("PseudoHuberLoss requires labels")
-        res = X @ w - y
+        res = _row_products(X, w) - y
         dh = self.huber_delta
         return dh**2 * (np.sqrt(1.0 + (res / dh) ** 2) - 1.0)
 
     def grads(self, w, X, y=None, mean=False):
         if y is None:
             raise ValueError("PseudoHuberLoss requires labels")
-        res = X @ w - y
+        res = _row_products(X, w) - y
         dh = self.huber_delta
         coef = res / np.sqrt(1.0 + (res / dh) ** 2)
         return _linear_grads(coef, X, mean)

@@ -8,10 +8,11 @@ random numbers (the same evaluation sample scores both the candidate and
 the reference minimizer), which removes the shared bias and shrinks the
 variance of the difference.
 
-A Monte Carlo evaluation holds the sample and two ``m_eval``-vectors, its
-labels and the per-row loss differences: 8 m (d + 2) bytes for m rows of d
-features, plus one of the ``mechanisms.row_blocks`` the losses are scored
-in.  The standard error is computed in place in the differences.
+Every pass over rows walks ``mechanisms.row_blocks``.  A Monte Carlo
+evaluation holds the sample, its labels and the per-row loss differences,
+8 m (d + 2) bytes for m rows of d features, plus one block; a width draw
+holds its m support values, 8 m bytes, plus two blocks.  Both take their
+standard error in place in their m-vector.
 
 The module needs numpy only; ``max_abs_gaussian_mean`` integrates with a
 Gauss-Legendre rule.
@@ -72,11 +73,9 @@ def excess_population_risk(w, dist, loss, C=None, rng=None, *, m_eval=100_000, p
     are a config's ``evaluation`` section, and their defaults here are the
     defaults of that section.
 
-    Monte Carlo holds the sample, its labels and one ``(m_eval,)`` vector of
-    loss differences, 8 m_eval (d + 2) bytes, plus one of the ``row_blocks``
-    it scores the sample in.  At any BLAS thread count, the value and the
-    standard error have the bits of the whole-sample formulas ``diff.mean()``
-    and ``diff.std(ddof=1) / sqrt(m_eval)`` on one thread.
+    Monte Carlo scores the sample a row block at a time.  At any BLAS thread
+    count, the value and the standard error have the bits of the whole-sample
+    formulas ``diff.mean()`` and ``diff.std(ddof=1) / sqrt(m_eval)`` on one thread.
     """
     check_options(m_eval=m_eval, policy=policy)
     w = np.asarray(w, dtype=float)
@@ -93,38 +92,29 @@ def excess_population_risk(w, dist, loss, C=None, rng=None, *, m_eval=100_000, p
     for rows in row_blocks(m_eval, sample.d):
         yb = None if y is None else y[rows]
         np.subtract(loss.values(w, X[rows], yb), loss.values(theta_star, X[rows], yb), out=diff[rows])
-    mean = diff.mean()
-    # diff.std(ddof=1) as numpy computes it, in place: subtract the mean,
-    # square, sum, divide by m - 1, square root.
-    diff -= mean
-    np.square(diff, out=diff)
-    return float(mean), math.sqrt(diff.sum() / (m_eval - 1)) / math.sqrt(m_eval)
+    return _mean_and_se(diff)
 
 
-_WIDTH_BATCH = 20_000  # Gaussian draws held in memory at once
+def _mean_and_se(v):
+    """(v.mean(), v.std(ddof=1) / sqrt(len(v))) with numpy's bits, the std's steps run in place in v."""
+    mean = v.mean()
+    v -= mean
+    np.square(v, out=v)
+    return float(mean), math.sqrt(v.sum() / (len(v) - 1)) / math.sqrt(len(v))
 
 
 def gaussian_width_mc(C, m, rng):
     """Monte Carlo Gaussian width of C: mean of sup_{w in C} <xi, w>.
 
-    Returns (estimate, standard_error) over m standard Gaussian draws.
+    Returns (estimate, standard_error) over m standard Gaussian draws, taken
+    a row block at a time; the estimate is ``C.support(xi).mean()`` of one draw.
     """
     if m < 2:
         raise ValueError("gaussian_width_mc: m must be >= 2")
-    d = C.d
-    total = 0.0
-    total_sq = 0.0
-    left = m
-    while left > 0:
-        k = min(_WIDTH_BATCH, left)
-        xi = rng.standard_normal((k, d))
-        vals = np.asarray(C.support(xi), dtype=float)
-        total += vals.sum()
-        total_sq += (vals * vals).sum()
-        left -= k
-    mean = total / m
-    var = max(total_sq / m - mean**2, 0.0) * m / (m - 1)
-    return float(mean), float(math.sqrt(var / m))
+    vals = np.empty(m)
+    for rows in row_blocks(m, C.d):
+        vals[rows] = C.support(rng.standard_normal((rows.stop - rows.start, C.d)))
+    return _mean_and_se(vals)
 
 
 def chi_mean(d):

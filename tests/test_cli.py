@@ -247,7 +247,9 @@ class TestMechCheckCommand:
     (["mech-check", "--what", "gg", "--d", "0"], "--d"),
     (["mech-check", "--what", "gg", "--p", "0.5"], "--p"),
     (["mech-check", "--what", "gg", "--p", "0"], "--p"),
-], ids=["width-d", "width-samples", "mech-check-samples", "mech-check-d", "mech-check-p-half", "mech-check-p-zero"])
+    (["mech-check", "--what", "gg", "--p", "inf"], "--p"),
+], ids=["width-d", "width-samples", "mech-check-samples", "mech-check-d", "mech-check-p-half", "mech-check-p-zero",
+        "mech-check-p-inf"])
 def test_argument_out_of_range_exit_code(argv, named, capsys):
     # argparse exits 2 and names the argument before any sampling starts.
     with pytest.raises(SystemExit) as exc:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from dpsco import euclidean
 from dpsco.bench import ExperimentConfig
 from dpsco.errors import NumericError, RefusalError
 from dpsco.euclidean import (
@@ -248,6 +249,25 @@ class TestAppObjP:
         budget = PrivacyBudget(1.0, 1e-5)
         w1, _ = app_objp(data, loss, C, budget, np.random.default_rng(5))
         w2, _ = app_objp(data, loss, C, budget, np.random.default_rng(5))
+        np.testing.assert_array_equal(w1, w2)
+
+    def test_width_is_drawn_once_per_set_and_not_stored_on_it(self, monkeypatch):
+        # Two solves with one C make one width draw, cached by C, and leave C as built.
+        draws = []
+
+        def counted(*args):
+            draws.append(args)
+            return width_mc(*args)
+
+        width_mc = euclidean.gaussian_width_mc
+        monkeypatch.setattr(euclidean, "gaussian_width_mc", counted)
+        data, loss, C, _ = _mean_point_setup()
+        built = dict(vars(C))
+        budget = PrivacyBudget(1.0, 1e-5)
+        w1, _ = app_objp(data, loss, C, budget, np.random.default_rng(5))
+        w2, _ = app_objp(data, loss, C, budget, np.random.default_rng(5))
+        assert len(draws) == 1 and draws[0][0] is C
+        assert vars(C) == built
         np.testing.assert_array_equal(w1, w2)
 
     def test_smoothness_refusal(self):

@@ -244,6 +244,14 @@ class TestLrSphereSampler:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert rng.random() == ref_rng.random()
 
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_refuses_a_non_finite_r(self, r):
+        # At r = inf each |u_i|^r is 0 and the rows would miss the l_inf sphere.
+        with pytest.raises(ValueError, match="GGNoiseSpec: r must be a finite number >= 1"):
+            GGNoiseSpec(sigma2=1.0, r=r, d=5)
+        with pytest.raises(ValueError, match="sample_lr_sphere: r must be finite"):
+            sample_lr_sphere(5, r, np.random.default_rng(0), size=3)
+
     @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
     def test_rows_are_unit_vectors(self, r):
         u = sample_lr_sphere(5, r, np.random.default_rng(2), size=100)

@@ -150,6 +150,26 @@ class TestMeanGradient:
         assert args[2] is data.X and kwargs == {"mean": True}
         np.testing.assert_allclose(g, original(loss, w, X, y).mean(axis=0), rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["logistic", "pseudo_huber"])
+    @pytest.mark.parametrize("rows", ["1", "block", "block+1", "3 blocks+9"])
+    def test_linear_losses_keep_the_single_product_in_one_block(self, name, rows):
+        # Rows that fit one of row_blocks' blocks (a 1-row tail joins the block)
+        # take the one product X.T @ coef / n; more rows add the blocks' products.
+        d = 20
+        block = _block_rows(d)
+        n = {"1": 1, "block": block, "block+1": block + 1, "3 blocks+9": 3 * block + 9}[rows]
+        loss, w, X, y = _loss_case(name, n, d, 2.0, 4)
+        if name == "logistic":
+            coef = -y * _expit(-y * (X @ w))
+        else:
+            res = X @ w - y
+            coef = res / np.sqrt(1.0 + (res / loss.huber_delta) ** 2)
+        got, want = loss.grads(w, X, y, mean=True), X.T @ coef / n
+        if len(row_blocks(n, d)) == 1:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-16)
+
     def test_mean_point_follows_each_dataset(self):
         # The column mean of a dataset is kept between solver steps; another
         # dataset, or a writable array that changed, must not see a stale one.
@@ -453,19 +473,22 @@ _THREADS_CHILD = """
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from dpsco.problems import HeavyTailLinear, LogisticLoss, LogisticSphere, PseudoHuberLoss, excess_population_risk
+from dpsco.problems import (HeavyTailLinear, LogisticLoss, LogisticSphere, PseudoHuberLoss, empirical_grad,
+                            empirical_risk, excess_population_risk)
 m, w = 100_003, np.full(20, 0.05)
 heavy = HeavyTailLinear(np.full(20, 0.1), t_scale=0.7)
-data = heavy.sample(m, np.random.default_rng(5))
-print(hashlib.sha256(data.X.tobytes() + data.y.tobytes()).hexdigest())
 for dist, loss in ((heavy, PseudoHuberLoss()), (LogisticSphere(np.full(20, 0.15)), LogisticLoss())):
+    data = dist.sample(m, np.random.default_rng(5))
+    print(hashlib.sha256(data.X.tobytes() + data.y.tobytes()).hexdigest())
+    print(empirical_risk(w, data, loss).hex(), empirical_grad(w, data, loss).tobytes().hex())
     print(*(x.hex() for x in excess_population_risk(w, dist, loss, rng=np.random.default_rng(6), m_eval=m, policy="mc")))
 """
 
 
 def test_sample_and_risk_do_not_depend_on_the_blas_thread_count():
-    # A product over all 100 003 rows at d = 20 has other bits on two threads
-    # than on one; the row blocks stay on one thread.
+    # A product over all 100 003 rows at d = 20 (X @ w, or the full-batch
+    # gradient's X.T @ coef) has other bits on two threads than on one; the
+    # row blocks stay on one thread.
     outs = []
     for threads in ("1", "2", "3"):
         env = {**os.environ, **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)}
@@ -474,6 +497,21 @@ def test_sample_and_risk_do_not_depend_on_the_blas_thread_count():
         assert out.returncode == 0, out.stderr
         outs.append(out.stdout)
     assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def _batched_width(C, m, rng):
+    """The Gaussian width formula gaussian_width_mc replaced: running sums over 20 000-row batches."""
+    total = total_sq = 0.0
+    left = m
+    while left > 0:
+        k = min(20_000, left)
+        vals = np.asarray(C.support(rng.standard_normal((k, C.d))), dtype=float)
+        total += vals.sum()
+        total_sq += (vals * vals).sum()
+        left -= k
+    mean = total / m
+    var = max(total_sq / m - mean**2, 0.0) * m / (m - 1)
+    return float(mean), float(math.sqrt(var / m))
 
 
 class TestGaussianWidth:
@@ -496,11 +534,29 @@ class TestGaussianWidth:
         e2, _ = gaussian_width_mc(C2, 50_000, np.random.default_rng(8))
         assert e2 == pytest.approx(2 * e1, rel=1e-12)
 
-    def test_one_batch_and_one_temporary(self):
-        # The Gaussian batch and lp_norm's one full-size temporary.
-        m, d = 20_000, 20
-        peak = peak_bytes(lambda: gaussian_width_mc(L2Ball(1.0, d), m, np.random.default_rng(0)))
-        assert peak <= 2.5 * m * d * 8, peak / (m * d * 8)
+    @pytest.mark.parametrize("d", [20, 1024])
+    def test_holds_one_vector_and_two_blocks(self, d):
+        # The (m,) support values, one Gaussian block and lp_norm's temporary of
+        # it, whatever d is: one (m, d) batch of Gaussians was 164 MB at d = 1024.
+        # The slack holds lp_norm's per-row vectors and the list of row slices.
+        m, C, rng = 20_000, L2Ball(1.0, d), np.random.default_rng(0)
+        peak = peak_bytes(lambda: gaussian_width_mc(C, m, rng))
+        assert peak <= m * 8 + 2 * _BLOCK_ENTRIES * 8 + 192 * 1024, peak
+
+    @pytest.mark.parametrize("C", [L1Ball(1.0, 20), L2Ball(2.0, 20), LpBall(1.5, 1.0, 20)], ids=["l1", "l2", "lp"])
+    @pytest.mark.parametrize("m", [2, 1633, 20_000, 50_001])
+    def test_same_estimate_as_the_batched_sums(self, C, m):
+        # Up to one 20 000-row batch of the replaced formula the estimate keeps
+        # its bits; at every m it is the mean over one full-size draw.  The
+        # standard error takes numpy's two-pass variance instead of the running
+        # sum of squares.
+        got = gaussian_width_mc(C, m, np.random.default_rng(3))
+        want = _batched_width(C, m, np.random.default_rng(3))
+        if m <= 20_000:
+            assert got[0] == want[0]
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+        assert got[0] == C.support(np.random.default_rng(3).standard_normal((m, C.d))).mean()
+        assert got[1] == pytest.approx(want[1], rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 20, 100, 1000, 100_000])
     def test_max_abs_gaussian_mean_matches_adaptive_quadrature(self, d):
