@@ -11,6 +11,7 @@ Generator``; there is no hidden global state.  The random source is
 statistical, not cryptographic.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,17 +39,20 @@ __all__ = [
 _BLOCK_ENTRIES = 1 << 15
 
 
+@functools.lru_cache(maxsize=256)
 def row_blocks(m, d):
     """Row slices that walk m rows of d entries, about ``_BLOCK_ENTRIES`` entries each.
 
     Blocks start at multiples of 8 rows and a 1-row tail joins the block
     before it, which a BLAS matrix-vector kernel would take by another route:
     a product taken block by block has the bits of one single-threaded
-    product over all m rows, at any BLAS thread count.
+    product over all m rows, at any BLAS thread count.  Each pass writes its
+    output block by block.  The plan is a pure function of the shape, so it
+    is computed once per (m, d) and shared as a tuple no caller can change.
     """
     k = max(8, _BLOCK_ENTRIES // d // 8 * 8)
-    ends = [*range(k, m - 1, k), m]
-    return [slice(a, b) for a, b in zip([0, *ends], ends)]
+    ends = (*range(k, m - 1, k), m)
+    return tuple(slice(a, b) for a, b in zip((0, *ends), ends))
 
 
 @dataclass(frozen=True)
@@ -73,8 +77,8 @@ class GGNoiseSpec:
     d: int
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ValueError("GGNoiseSpec: sigma2 must be > 0")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValueError(f"GGNoiseSpec: sigma2 must be a finite number > 0, got {self.sigma2}")
         if not 1 <= self.r < math.inf:
             raise ValueError(f"GGNoiseSpec: r must be a finite number >= 1, got {self.r}")
         if self.d < 1:

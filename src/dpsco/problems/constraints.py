@@ -237,8 +237,8 @@ class ConstraintSet:
     """Ball {||w||_a <= radius} for a norm exponent a; each subclass has its own ``project``."""
 
     def __init__(self, exponent, radius, d):
-        if radius <= 0:
-            raise ValueError("ball radius must be > 0")
+        if not 0 < radius < math.inf:
+            raise ValueError(f"ball radius must be a finite number > 0, got {radius}")
         if int(d) != d or d < 1:
             raise ValueError(f"ball dimension d must be a positive integer, got {d}")
         self.exponent = float(exponent)

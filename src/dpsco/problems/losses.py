@@ -14,9 +14,11 @@ only input: one row x with label y is the one-row block ``x[None]``,
 ``grads(w, X, y=None, mean=False)`` the per-sample gradients (n, d), or with
 ``mean=True`` their mean (d,); a custom loss must accept the ``mean``
 keyword, which ``empirical_grad`` always passes.  The linear losses take
-``X @ w`` and the mean gradient ``X.T @ coef / n`` over ``mechanisms.row_blocks``,
-without building the (n, d) array and at any BLAS thread count with the same
-bits: rows that fit one block take the single product, more add the blocks'.
+``X @ w`` and the mean gradient ``X.T @ coef / n`` over the row-block plan of
+``mechanisms.row_blocks``, computed once per shape, without building the (n, d)
+array and at any BLAS thread count with the same bits: ``X @ w`` is written
+block by block into one output, and the mean adds the blocks' products in
+order onto the first, so rows that fit one block take the single product.
 
 The module needs numpy only: the logistic sigmoid is the private ``_expit``.
 """
@@ -80,20 +82,23 @@ def _expit(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _row_products(X, v, transpose=False):
-    """``X @ v``, or ``X.T @ v`` with ``transpose``, over the ``row_blocks`` of X."""
-    blocks = row_blocks(*X.shape)
-    if len(blocks) == 1:
-        return X.T @ v if transpose else X @ v
-    parts = [X[b].T @ v[b] if transpose else X[b] @ v for b in blocks]
-    return sum(parts[1:], parts[0]) if transpose else np.concatenate(parts)
+def _row_products(X, w):
+    """``X @ w``, written block by block over the ``row_blocks`` of X."""
+    out = np.empty(X.shape[0])
+    for rows in row_blocks(*X.shape):
+        np.matmul(X[rows], w, out=out[rows])
+    return out
 
 
 def _linear_grads(coef, X, mean):
     """Gradients coef_i * x_i of a loss of <w, x_i>: per row, or their mean."""
-    if mean:
-        return _row_products(X, coef, transpose=True) / X.shape[0]
-    return coef[:, None] * X
+    if not mean:
+        return coef[:, None] * X
+    first, *rest = row_blocks(*X.shape)
+    total = X[first].T @ coef[first]  # one block: the whole product X.T @ coef
+    for rows in rest:
+        total += X[rows].T @ coef[rows]
+    return total / X.shape[0]
 
 
 class LogisticLoss(LossModel):

@@ -100,7 +100,8 @@ class TestRecordsCsv:
     def test_schema_line_present(self, tmp_path):
         path = tmp_path / "runs.csv"
         write_records([], path)
-        assert open(path).readline().strip() == "#schema=1"
+        with open(path, encoding="utf-8") as f:
+            assert f.readline().strip() == "#schema=1"
 
     def test_refused_cells_carry_no_risk(self):
         with pytest.raises(ValueError):

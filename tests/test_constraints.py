@@ -217,6 +217,17 @@ class TestLpProjectionPins:
                 np.testing.assert_array_equal(got, want, err_msg=name)
                 assert got.tobytes() == want.tobytes(), name  # signed zeros too
 
+    @pytest.mark.xfail(
+        strict=True, raises=(RuntimeWarning, NumericError),
+        reason="the rescaled lp bisection overflows near the float max",
+    )
+    def test_projects_the_overflowing_input_at_d6_p4(self):
+        # 10 of the 48 (p, d, radius) cases above overflow in the rescaled
+        # bisection, with a RuntimeWarning or a NumericError; this is one.
+        v = _projection_pin_inputs(6)["overflowing"]
+        w = project_lp_ball(v, 4.0, 1.0)
+        assert abs(lp_norm(w, 4.0) - 1.0) <= 1e-10
+
 
 def _feasible_points(rng, d, p, radius, k):
     """k points of the lp ball, half of them on its boundary."""
@@ -257,6 +268,13 @@ def test_lp_projection_properties(case):
 
 
 class TestBallSets:
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("make", [L2Ball, L1Ball, lambda r, d: LpBall(1.5, r, d)], ids=["l2", "l1", "lp"])
+    def test_refuses_a_radius_outside_the_positive_reals(self, make, radius):
+        # A NaN radius would make every projection NaN, an infinite one every support.
+        with pytest.raises(ValueError, match=f"ball radius must be a finite number > 0, got {radius}"):
+            make(radius, 3)
+
     @pytest.mark.parametrize(
         "ball",
         [L2Ball(2.0, 6), L1Ball(1.5, 6), LpBall(1.5, 1.0, 6)],

@@ -252,6 +252,12 @@ class TestLrSphereSampler:
         with pytest.raises(ValueError, match="sample_lr_sphere: r must be finite"):
             sample_lr_sphere(5, r, np.random.default_rng(0), size=3)
 
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.inf, math.nan])
+    def test_refuses_a_sigma2_outside_the_positive_reals(self, sigma2):
+        # At sigma2 = inf every draw would be +-inf.
+        with pytest.raises(ValueError, match=f"GGNoiseSpec: sigma2 must be a finite number > 0, got {sigma2}"):
+            GGNoiseSpec(sigma2=sigma2, r=2.0, d=5)
+
     @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
     def test_rows_are_unit_vectors(self, r):
         u = sample_lr_sphere(5, r, np.random.default_rng(2), size=100)
@@ -286,6 +292,8 @@ class TestRowBlocks:
     @example(m=16_385, d=2)  # a 1-row tail after a block of _BLOCK_ENTRIES entries
     def test_blocks_partition_the_rows(self, m, d):
         blocks, full = row_blocks(m, d), _block_rows(d)
+        # The plan is computed once per shape and shared as a tuple.
+        assert type(blocks) is tuple and row_blocks(m, d) is blocks
         assert blocks[0].start == 0 and blocks[-1].stop == m
         assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
         assert all(b.start % 8 == 0 and b.step is None for b in blocks)

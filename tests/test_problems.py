@@ -31,7 +31,7 @@ from dpsco.problems import (
     gaussian_width_mc,
     max_abs_gaussian_mean,
 )
-from dpsco.problems.losses import _expit
+from dpsco.problems.losses import _expit, _linear_grads, _row_products
 from dpsco.spaces import lp_norm
 from conftest import peak_bytes
 from test_mechanisms import _block_rows
@@ -169,6 +169,22 @@ class TestMeanGradient:
             assert got.tobytes() == want.tobytes()
         else:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-16)
+
+    @pytest.mark.parametrize("rows", ["1", "block", "block+1", "3 blocks+9"])
+    def test_linear_products_have_the_bits_of_the_blockwise_loop(self, rows):
+        # Both directions against a reference loop over row_blocks: X @ w as
+        # the concatenated block products, and the mean gradient as the
+        # blocks' X.T @ coef summed in order onto the first block's.
+        d = 20
+        block = _block_rows(d)
+        n = {"1": 1, "block": block, "block+1": block + 1, "3 blocks+9": 3 * block + 9}[rows]
+        rng = np.random.default_rng(n)
+        X, w, coef = rng.standard_normal((n, d)), rng.standard_normal(d), rng.standard_normal(n)
+        blocks = row_blocks(n, d)
+        parts = [X[b].T @ coef[b] for b in blocks]
+        want = np.concatenate([X[b] @ w for b in blocks]), sum(parts[1:], parts[0]) / n
+        assert _row_products(X, w).tobytes() == want[0].tobytes()
+        assert _linear_grads(coef, X, mean=True).tobytes() == want[1].tobytes()
 
     def test_mean_point_follows_each_dataset(self):
         # The column mean of a dataset is kept between solver steps; another
